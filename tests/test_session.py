@@ -1,0 +1,149 @@
+"""End-to-end pins and invariants for the session layer.
+
+Each scenario is built only from the public API (build_topology,
+TraceSchedule, synthetic_trace_pool, VideoSession, CappedFlow and
+EventLoop.run) and pinned by the sha256 of what a user of the run sees:
+path selections, delivered (frame index, delivery time), abandoned frames
+and packets lost.  A refactor of the session layer must leave every pin
+unchanged.
+"""
+
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mprtc.scheduler import wire_size
+from mprtc.session import CappedFlow, VideoSession
+from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
+
+US_PER_S = 1_000_000
+TESTS_DIR = Path(__file__).resolve().parent
+
+UCB_PIN = "151325b9e68a3bc888d19bf5c72f32f247d252919d2360a41659dab552b779fc"
+COLLAPSE_PIN = "3393726e249d50b14a0c788ed3abab6ef67f5d0eae73767b748a59052447d908"
+DUMBBELL_PIN = "bbfc5a1ff522a87e636dd91250861f5d80fe1f45bf3bb5172587750e707cfd6a"
+
+
+def sha256_of(value) -> str:
+    return hashlib.sha256(json.dumps(value, separators=(",", ":")).encode()).hexdigest()
+
+
+def run_overlay(traces, seed: int, sim_s: int, scheme: str = "ucb") -> VideoSession:
+    loop = EventLoop()
+    rng = random.Random(seed)
+    net = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng, traces=traces)
+    session = VideoSession(loop, rng, net.candidates, scheme=scheme)
+    session.start(0)
+    loop.run(sim_s * US_PER_S)
+    return session
+
+
+def overlay_digest(session: VideoSession) -> str:
+    sink = session.sink
+    return sha256_of([
+        session.selections,
+        [(f.frame_index, f.delivered_ts) for f in sink.delivered],
+        sink.abandoned,
+        session.lost_packets,
+    ])
+
+
+def collapse_traces():
+    """Direct paths at 4 and 3 Mbps that drop to 10 kbps from 10 s to 25 s;
+    relay paths steady at 1.2 and 1 Mbps."""
+    traces = []
+    for direct_bps, relay_bps in ((4_000_000, 1_200_000), (3_000_000, 1_000_000)):
+        traces.append(TraceSchedule([(0, direct_bps), (10 * US_PER_S, 10_000),
+                                     (25 * US_PER_S, direct_bps)]))
+        traces.append(TraceSchedule([(0, relay_bps)]))
+    return traces
+
+
+def run_collapse() -> VideoSession:
+    return run_overlay(collapse_traces(), seed=5, sim_s=30)
+
+
+def assert_inflight_consistent(sm) -> None:
+    assert sm.inflight >= 0
+    assert sm.inflight == sum(rec.size for rec in sm.records.values())
+
+
+def assert_overlay_invariants(session: VideoSession) -> None:
+    sink = session.sink
+    indices = [f.frame_index for f in sink.delivered]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert [a for a in sink.abandoned if a[2]] == []
+    for conn in session.paths.values():
+        assert_inflight_consistent(conn.sm)
+    for sub in session.scheduler.subflows.values():
+        assert sub.queued_bytes == sum(wire_size(e.segment) for e in sub.queue)
+
+
+def test_overlay_ucb_pinned():
+    pool = synthetic_trace_pool()
+    session = run_overlay([pool[i] for i in (17, 96, 12, 79)], seed=11, sim_s=10)
+    assert_overlay_invariants(session)
+    assert len(session.sink.delivered) > 200
+    assert session.lost_packets > 0
+    assert overlay_digest(session) == UCB_PIN
+
+
+def test_overlay_collapse_pinned():
+    session = run_collapse()
+    assert_overlay_invariants(session)
+    assert session.lost_packets > 0
+    # The outage makes the bandit move at least one subflow off its direct path.
+    assert {pid for _, _, pid in session.selections} - {0, 2}
+    assert overlay_digest(session) == COLLAPSE_PIN
+
+
+def test_dumbbell_pinned():
+    loop = EventLoop()
+    rng = random.Random(23)
+    link = {"id": "L1", "capacity_mbps": 10, "owd_ms": 20, "queue_ms": 100}
+    net = build_topology(loop, {"topology": "dumbbell", "links": [link],
+                                "flows": [{}, {}, {}]})
+    flows = [CappedFlow(loop, rng, path, conn_id=i, rate_cap_bps=10_000_000,
+                        start_ts=i * 4 * US_PER_S)
+             for i, path in enumerate(net.flow_paths)]
+    lost = [0] * len(flows)
+    for i, flow in enumerate(flows):
+        def counting(records, i=i, hook=flow.sm.loss_hook):
+            lost[i] += len(records)
+            hook(records)
+        flow.sm.loss_hook = counting
+        flow.start()
+    loop.run(15 * US_PER_S)
+    for flow in flows:
+        assert_inflight_consistent(flow.sm)
+        assert flow.rm.data_packets <= flow.sm.packets_sent
+        assert flow.rm.bytes_received > 0
+    assert sum(lost) > 0
+    assert sha256_of([[f.rm.bytes_received, f.sm.packets_sent, n]
+                      for f, n in zip(flows, lost)]) == DUMBBELL_PIN
+
+
+def test_collapse_digest_independent_of_hash_seed():
+    code = "import test_session as t; print(t.overlay_digest(t.run_collapse()))"
+    path = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
+    digests = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=TESTS_DIR,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests == [COLLAPSE_PIN, COLLAPSE_PIN]
+
+
+@pytest.mark.parametrize("scheme", ["default", "oracle"])
+def test_other_schemes_keep_invariants(scheme):
+    session = run_overlay(collapse_traces(), seed=5, sim_s=15, scheme=scheme)
+    assert_overlay_invariants(session)
+    assert len(session.sink.delivered) > 0
