@@ -13,15 +13,10 @@ from __future__ import annotations
 from collections import deque
 
 from .simnet import US_PER_S
-from .transport import PACKET_HEADER_SIZE, STREAM_HEADER_SIZE, StreamFrame
+from .transport import StreamFrame, ewma_srtt, wire_size
 
-SRTT_DELTA = 0.85
 RETENTION_US = 400_000
 UNSCHEDULABLE = float("inf")
-
-
-def wire_size(segment: StreamFrame) -> int:
-    return PACKET_HEADER_SIZE + STREAM_HEADER_SIZE + segment.payload_length
 
 
 class SendBufferEntry:
@@ -53,7 +48,9 @@ class Scheduler:
     def __init__(self, subflow_ids) -> None:
         self.subflows = {sid: SubflowState(sid) for sid in subflow_ids}
         self._order = sorted(self.subflows)
-        self.retained: set[SendBufferEntry] = set()
+        # A dict used as an insertion-ordered set, so that evict() reports
+        # entries in first-send order.
+        self.retained: dict[SendBufferEntry, None] = {}
         self.unassigned: deque[SendBufferEntry] = deque()
         self.decision_log: list = []
 
@@ -61,10 +58,7 @@ class Scheduler:
 
     def update_srtt(self, sid: int, rtt_sample: int) -> int:
         sub = self.subflows[sid]
-        if sub.srtt:
-            sub.srtt = int((1 - SRTT_DELTA) * sub.srtt + SRTT_DELTA * rtt_sample)
-        else:
-            sub.srtt = rtt_sample
+        sub.srtt = ewma_srtt(sub.srtt, rtt_sample)
         return sub.srtt
 
     def set_bw_es(self, sid: int, bw: float) -> None:
@@ -77,7 +71,20 @@ class Scheduler:
         return sub.srtt / 2 + sub.queued_bytes * 8 * US_PER_S / sub.bw_es
 
     def min_latency(self) -> float:
-        return min(self.expected_latency(sid) for sid in self._order)
+        return self._fastest()[1]
+
+    def _fastest(self):
+        """(fastest subflow or None, its expected latency, all latencies by id)."""
+        best_sid = None
+        best_lat = UNSCHEDULABLE
+        lambdas = []
+        for sid in self._order:
+            lat = self.expected_latency(sid)
+            lambdas.append(lat)
+            if lat < best_lat:
+                best_lat = lat
+                best_sid = sid
+        return best_sid, best_lat, lambdas
 
     # -- assignment
 
@@ -92,15 +99,7 @@ class Scheduler:
         return entries
 
     def _assign(self, entry: SendBufferEntry, now: int) -> int | None:
-        best_sid = None
-        best_lat = UNSCHEDULABLE
-        lambdas = []
-        for sid in self._order:
-            lat = self.expected_latency(sid)
-            lambdas.append(lat)
-            if lat < best_lat:
-                best_lat = lat
-                best_sid = sid
+        best_sid, _, lambdas = self._fastest()
         if best_sid is None:
             return None
         seg = entry.segment
@@ -123,12 +122,12 @@ class Scheduler:
                 continue  # acked while waiting for retransmission
             if entry.sent and not entry.key_frame() \
                     and now - entry.first_sent_ts > RETENTION_US:
-                self.retained.discard(entry)
+                self.retained.pop(entry, None)
                 continue
             if not entry.sent:
                 entry.sent = True
                 entry.first_sent_ts = now
-            self.retained.add(entry)
+            self.retained[entry] = None
             return entry
         return None
 
@@ -139,7 +138,7 @@ class Scheduler:
 
     def mark_acked(self, entry: SendBufferEntry) -> None:
         entry.acked = True
-        self.retained.discard(entry)
+        self.retained.pop(entry, None)
 
     def on_loss(self, entries, now: int):
         """Returns (retransmit subflow ids, dropped entries)."""
@@ -152,7 +151,7 @@ class Scheduler:
                 dropped.append(entry)
                 continue
             if entry.key_frame() or now - entry.first_sent_ts <= RETENTION_US:
-                sid = self._best_subflow()
+                sid = self._fastest()[0]
                 if sid is None:
                     sid = entry.subflow
                 entry.subflow = sid
@@ -161,19 +160,9 @@ class Scheduler:
                 sub.queued_bytes += wire_size(entry.segment)
                 retx_sids.append(sid)
             else:
-                self.retained.discard(entry)
+                self.retained.pop(entry, None)
                 dropped.append(entry)
         return retx_sids, dropped
-
-    def _best_subflow(self) -> int | None:
-        best_sid = None
-        best_lat = UNSCHEDULABLE
-        for sid in self._order:
-            lat = self.expected_latency(sid)
-            if lat < best_lat:
-                best_lat = lat
-                best_sid = sid
-        return best_sid
 
     def evict(self, now: int) -> list[SendBufferEntry]:
         """Age out sent non-key entries; returns what was evicted unacked."""
@@ -181,7 +170,7 @@ class Scheduler:
         evicted = [e for e in self.retained
                    if not e.key_frame() and e.sent and e.first_sent_ts < horizon]
         for entry in evicted:
-            self.retained.discard(entry)
+            del self.retained[entry]
         seen = set(evicted)
         for sub in self.subflows.values():
             if not sub.queue:
@@ -191,6 +180,6 @@ class Scheduler:
             for entry in stale:
                 sub.queue.remove(entry)
                 sub.queued_bytes -= wire_size(entry.segment)
-                self.retained.discard(entry)
+                self.retained.pop(entry, None)
             evicted.extend(e for e in stale if e not in seen)
         return evicted

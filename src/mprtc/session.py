@@ -1,11 +1,15 @@
 """Flow orchestration over simulated paths.
 
-CappedFlow drives one path with a saturating, congestion-controlled source
-whose pacing is clamped to a configurable ceiling; the bottleneck-sharing
-experiments are built from these.  VideoSession runs the full stack: video
-source, per-segment scheduler across two subflows, separate congestion
-state per candidate path, and slot-based path selection (learning, pinned
-default, or trace-mean oracle).
+A PathConnection is one path's QUIC-like connection (SendManager and
+ReceiveManager, so its own packet numbers and loss state) plus its RTC-BBR
+controller.  It hands each ack to its owner's _deliver_ack(conn, ack) one
+reverse delay after the receiver sends it, gates sends on pacer and cwnd,
+and advances the stop-waiting floor; the owner decides what to send, and
+every scheduled callback is an owner method.  CappedFlow drives one connection with a saturating,
+rate-capped source (the bottleneck-sharing experiments).  VideoSession
+drives one per candidate path under the full stack: video source,
+per-segment scheduler across two subflows, and slot-based path selection
+(learning, pinned default, or trace-mean oracle).
 """
 
 from __future__ import annotations
@@ -35,6 +39,54 @@ SCHEME_ORACLE = "oracle"
 SCHEMES = (SCHEME_UCB, SCHEME_DEFAULT, SCHEME_ORACLE)
 
 
+class PathConnection:
+    """One path's connection and controller; pacing is clamped to rate_cap_bps."""
+
+    __slots__ = ("loop", "path", "sid", "cc", "sm", "rm", "deliver_ack",
+                 "rate_cap_bps", "next_send_ts", "stop_waiting_mark")
+
+    def __init__(self, loop, rng, path, variant: str, conn_id: int, deliver_ack, *,
+                 sid: int = 0, rate_cap_bps: float = float("inf")):
+        self.loop = loop
+        self.path = path
+        self.sid = sid
+        self.cc = BbrController(rng, variant)
+        self.sm = SendManager(loop, path.route, conn_id)
+        self.rm = ReceiveManager(loop, self._on_receiver_ack, conn_id)
+        self.sm.receiver_sink = self.rm.on_packet
+        self.deliver_ack = deliver_ack
+        self.rate_cap_bps = rate_cap_bps
+        self.next_send_ts = 0
+        # A floor at or below this is not news: it was sent already, or the
+        # only packet consumed since is our own stop-waiting packet.
+        self.stop_waiting_mark = 1
+
+    def _on_receiver_ack(self, ack, now: int) -> None:
+        self.loop.schedule(now + self.path.reverse_delay_us, self.deliver_ack, self, ack)
+
+    def gate(self, now: int) -> int | None:
+        """Earliest send time the pacer allows, or None while cwnd is full."""
+        if self.next_send_ts > now:
+            return self.next_send_ts
+        if self.sm.inflight + MSS > self.cc.cwnd():
+            return None
+        return now
+
+    def send(self, segment: StreamFrame, now: int, app_limited: bool, context=None) -> None:
+        packet = self.sm.send_segment(segment, now, app_limited, context)
+        rate = self.cc.pacing_rate()
+        if rate > self.rate_cap_bps:
+            rate = self.rate_cap_bps
+        self.next_send_ts = pacer_next_send_time(now, packet.size, rate)
+
+    def advance_stop_waiting(self, now: int) -> None:
+        """Send STOP_WAITING up to the oldest outstanding packet once it has moved."""
+        floor = self.sm.least_retained()
+        if floor > self.stop_waiting_mark:
+            self.sm.send_stop_waiting(floor, now)
+            self.stop_waiting_mark = floor + 1
+
+
 class CappedFlow:
     """Saturating single-path flow: sends whenever pacer and cwnd allow.
 
@@ -47,24 +99,13 @@ class CappedFlow:
                  conn_id: int = 0, rate_cap_bps: int = RATE_CAP_BPS,
                  start_ts: int = 0):
         self.loop = loop
-        self.path = path
         self.start_ts = start_ts
-        self.rate_cap_bps = rate_cap_bps
-        self.cc = BbrController(rng, variant)
-        self.sm = SendManager(loop, path.route, path.reverse_delay_us, conn_id)
-        self.rm = ReceiveManager(loop, path.reverse_delay_us,
-                                 self._on_receiver_ack, conn_id)
-        self.sm.receiver_sink = self.rm.on_packet
+        self.conn = PathConnection(loop, rng, path, variant, conn_id, self._deliver_ack,
+                                   rate_cap_bps=rate_cap_bps)
+        self.cc, self.sm, self.rm = self.conn.cc, self.conn.sm, self.conn.rm
         self.sm.loss_hook = self._on_loss
-        self.next_send_ts = 0
         self._blocked = False
-        self._pump_timer = None
-        self._offset = 0
         self._counter = 0
-        self._last_sw_floor = 1
-        self._sw_sent_since = 0
-        self.bw_trace = None
-        self._trace_interval = 0
 
     def start(self) -> None:
         self.loop.schedule(self.start_ts, self._pump)
@@ -74,91 +115,41 @@ class CappedFlow:
         # Nothing is ever retransmitted, so the stop-waiting floor is simply
         # the oldest packet still in flight.  Advancing it keeps the
         # receiver's ack-range set from growing a gap per lost packet.
-        floor = self.sm.least_retained()
-        if floor > self._last_sw_floor + self._sw_sent_since:
-            self.sm.send_stop_waiting(floor, self.loop.now)
-            self._last_sw_floor = floor
-            self._sw_sent_since = 1
+        self.conn.advance_stop_waiting(self.loop.now)
         self.loop.schedule(self.loop.now + EVICT_TICK_US, self._floor_tick)
 
-    def enable_bw_trace(self, interval_us: int = 100_000) -> None:
-        self.bw_trace = []
-        self._trace_interval = interval_us
-        self.loop.schedule(self.start_ts, self._trace_tick)
-
-    def _trace_tick(self) -> None:
-        self.bw_trace.append((self.loop.now, self.cc.bw_es()))
-        self.loop.schedule(self.loop.now + self._trace_interval, self._trace_tick)
-
     def _pump(self) -> None:
-        self._pump_timer = None
-        loop = self.loop
-        now = loop.now
-        sm, cc = self.sm, self.cc
+        # At most one pump timer is ever pending: it is armed only here, and
+        # while it is pending the flow is not blocked, so _wake cannot pump.
+        now = self.loop.now
+        conn = self.conn
         while True:
-            if self.next_send_ts > now:
-                self._arm_pump(self.next_send_ts)
-                return
-            if sm.inflight + MSS > cc.cwnd():
+            ts = conn.gate(now)
+            if ts is None:
                 self._blocked = True
                 return
-            segment = StreamFrame(self._offset, PAYLOAD_BUDGET,
+            if ts > now:
+                self.loop.schedule(ts, self._pump)
+                return
+            segment = StreamFrame(self._counter * PAYLOAD_BUDGET, PAYLOAD_BUDGET,
                                   self._counter & 0xFFFFFFFF, now, 1, 0, False)
-            self._offset += PAYLOAD_BUDGET
             self._counter += 1
-            sm.send_segment(segment, now, False)
-            rate = cc.pacing_rate()
-            if rate > self.rate_cap_bps:
-                rate = self.rate_cap_bps
-            self.next_send_ts = pacer_next_send_time(now, MSS, rate)
-
-    def _arm_pump(self, ts: int) -> None:
-        timer = self._pump_timer
-        if timer is not None and timer[2] is not None and timer[0] <= ts:
-            return
-        self._pump_timer = self.loop.schedule(ts, self._pump)
+            conn.send(segment, now, False)
 
     def _wake(self) -> None:
         if self._blocked:
             self._blocked = False
             self._pump()
 
-    def _on_receiver_ack(self, ack, now: int) -> None:
-        self.loop.schedule(now + self.path.reverse_delay_us, self._deliver_ack, ack)
-
-    def _deliver_ack(self, ack) -> None:
+    def _deliver_ack(self, conn: PathConnection, ack) -> None:
         now = self.loop.now
-        samples = self.sm.on_ack(ack, now)
-        cc = self.cc
-        for sample in samples:
+        cc = conn.cc
+        for sample in conn.sm.on_ack(ack, now):
             cc.on_delivery_sample(sample, now)
         self._wake()
 
     def _on_loss(self, lost) -> None:
         self._wake()
-
-
-class _PathRuntime:
-    """Per-candidate-path state: transport pair, controller, pacer, markers."""
-
-    __slots__ = ("path", "sid", "cc", "sm", "rm", "next_send_ts", "exploited",
-                 "last_sw_floor", "sw_sent_since", "last_push_ts")
-
-    def __init__(self, path, sid, cc, sm, rm):
-        self.path = path
-        self.sid = sid
-        self.cc = cc
-        self.sm = sm
-        self.rm = rm
-        self.next_send_ts = 0
-        self.exploited = False
-        self.last_sw_floor = 1
-        self.sw_sent_since = 0
-        self.last_push_ts = -BANDIT_PUSH_INTERVAL_US
-
-    def prime_stop_waiting_baseline(self) -> None:
-        self.last_sw_floor = self.sm.least_retained()
-        self.sw_sent_since = 0
 
 
 class VideoSession:
@@ -175,7 +166,6 @@ class VideoSession:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         self.loop = loop
-        self.rng = rng
         self.scheme = scheme
         self.slot_us = slot_us
         self.sids = sorted(candidates)
@@ -184,30 +174,22 @@ class VideoSession:
         self.sink = VideoSink()
         self.selections: list[tuple[int, int, int]] = []
         self.lost_packets = 0
-        self.rate_by_frame: dict[int, float] = {}
         self._stream_offset = 0
         self._pump_timers: dict[int, list | None] = {sid: None for sid in self.sids}
 
-        self.paths: dict[int, _PathRuntime] = {}
-        self.active: dict[int, _PathRuntime] = {}
+        self.paths: dict[int, PathConnection] = {}
+        self.active: dict[int, PathConnection] = {}
         for sid in self.sids:
             for path in self.candidates[sid]:
-                cc = BbrController(rng, variant)
-                sm = SendManager(loop, path.route, path.reverse_delay_us,
-                                 conn_id=path.path_id)
-                rm = ReceiveManager(loop, path.reverse_delay_us, None,
-                                    conn_id=path.path_id)
-                prt = _PathRuntime(path, sid, cc, sm, rm)
-                rm.ack_sink = (lambda ack, now, prt=prt:
-                               self._queue_ack(prt, ack, now))
-                rm.segment_sink = self.sink.on_segment
-                rm.stop_waiting_sink = self._on_stop_waiting
-                sm.receiver_sink = rm.on_packet
-                sm.ack_hook = self._on_acked_records
-                sm.loss_hook = (lambda lost, prt=prt: self._on_loss(prt, lost))
-                self.paths[path.path_id] = prt
+                conn = PathConnection(loop, rng, path, variant, path.path_id,
+                                      self._deliver_ack, sid=sid)
+                conn.rm.segment_sink = self.sink.on_segment
+                conn.rm.stop_waiting_sink = self._on_stop_waiting
+                conn.sm.ack_hook = self._on_acked_records
+                conn.sm.loss_hook = self._on_loss
+                self.paths[path.path_id] = conn
             self.active[sid] = self.paths[self.candidates[sid][0].path_id]
-            self.active[sid].exploited = True
+        self._last_push_ts = {pid: -BANDIT_PUSH_INTERVAL_US for pid in self.paths}
 
         if scheme == SCHEME_UCB:
             pairs = [(p.path_id, sid) for sid in self.sids
@@ -228,9 +210,9 @@ class VideoSession:
             # Prime the latency model so the first frame is schedulable before
             # any ack arrives.
             self.scheduler.set_bw_es(sid, self.active[sid].cc.bw_es())
-        for prt in self.paths.values():
-            if not prt.exploited:
-                prt.cc.pause(now)
+        for conn in self.paths.values():
+            if conn is not self.active[conn.sid]:
+                conn.cc.pause(now)
         self.loop.schedule(now, self._decision_tick)
         self.loop.schedule(now + EVICT_TICK_US, self._evict_tick)
         self.source.start(now)
@@ -239,7 +221,6 @@ class VideoSession:
 
     def _on_encoded_frame(self, frame) -> None:
         now = self.loop.now
-        self.rate_by_frame[frame.frame_index] = frame.rate_at_encode
         segments = packetize(frame.size, frame.frame_index, frame.capture_ts,
                              frame.key_frame, self._stream_offset)
         self._stream_offset += frame.size
@@ -251,26 +232,20 @@ class VideoSession:
         return sum(self.active[sid].cc.bw_es() for sid in self.sids)
 
     def _pump(self, sid: int) -> None:
-        loop = self.loop
-        now = loop.now
-        prt = self.active[sid]
+        now = self.loop.now
+        conn = self.active[sid]
         sched = self.scheduler
-        while True:
-            if sched.backlog(sid) <= 0:
+        while sched.backlog(sid) > 0:
+            ts = conn.gate(now)
+            if ts is None:
+                return  # ack-clocked: the next _deliver_ack pumps again
+            if ts > now:
+                self._arm_pump(sid, ts)
                 return
-            if prt.next_send_ts > now:
-                self._arm_pump(sid, prt.next_send_ts)
-                return
-            if prt.sm.inflight + MSS > prt.cc.cwnd():
-                return  # ack-clocked: _queue_ack delivery pumps again
             entry = sched.next_segment(sid, now)
             if entry is None:
                 return
-            app_limited = sched.backlog(sid) <= 0
-            packet = prt.sm.send_segment(entry.segment, now, app_limited,
-                                         context=entry)
-            prt.next_send_ts = pacer_next_send_time(now, packet.size,
-                                                    prt.cc.pacing_rate())
+            conn.send(entry.segment, now, sched.backlog(sid) <= 0, entry)
 
     def _arm_pump(self, sid: int, ts: int) -> None:
         timer = self._pump_timers[sid]
@@ -284,24 +259,22 @@ class VideoSession:
 
     # -- feedback path
 
-    def _queue_ack(self, prt: _PathRuntime, ack, now: int) -> None:
-        self.loop.schedule(now + prt.path.reverse_delay_us,
-                           self._deliver_ack, prt, ack)
-
-    def _deliver_ack(self, prt: _PathRuntime, ack) -> None:
+    def _deliver_ack(self, conn: PathConnection, ack) -> None:
         now = self.loop.now
-        samples = prt.sm.on_ack(ack, now)
-        if samples and prt.exploited:
-            cc = prt.cc
+        samples = conn.sm.on_ack(ack, now)
+        # An unselected path's controller is paused and takes no samples.
+        if samples and not conn.cc.paused:
+            cc = conn.cc
             sched = self.scheduler
             for sample in samples:
                 cc.on_delivery_sample(sample, now)
-                sched.update_srtt(prt.sid, sample.rtt)
-            sched.set_bw_es(prt.sid, cc.bw_es())
-            if self.pm is not None and now - prt.last_push_ts >= BANDIT_PUSH_INTERVAL_US:
-                prt.last_push_ts = now
-                self.pm.on_new_bandwidth_sample(prt.path.path_id, cc.bw_es(), now)
-        self._pump(prt.sid)
+                sched.update_srtt(conn.sid, sample.rtt)
+            sched.set_bw_es(conn.sid, cc.bw_es())
+            pid = conn.path.path_id
+            if self.pm is not None and now - self._last_push_ts[pid] >= BANDIT_PUSH_INTERVAL_US:
+                self._last_push_ts[pid] = now
+                self.pm.on_new_bandwidth_sample(pid, cc.bw_es(), now)
+        self._pump(conn.sid)
 
     def _on_acked_records(self, newly_acked) -> None:
         sched = self.scheduler
@@ -310,14 +283,11 @@ class VideoSession:
             if entry is not None and not entry.acked:
                 sched.mark_acked(entry)
 
-    def _on_loss(self, prt: _PathRuntime, lost) -> None:
+    def _on_loss(self, lost) -> None:
         self.lost_packets += len(lost)
-        now = self.loop.now
-        entries = [rec.context for rec in lost
-                   if rec.context is not None and not rec.context.acked]
-        if not entries:
-            return
-        retx_sids, _dropped = self.scheduler.on_loss(entries, now)
+        # Every data packet carries its send-buffer entry; on_loss skips acked ones.
+        retx_sids, _dropped = self.scheduler.on_loss([rec.context for rec in lost],
+                                                     self.loop.now)
         for sid in set(retx_sids):
             self._pump(sid)
 
@@ -329,14 +299,8 @@ class VideoSession:
     def _evict_tick(self) -> None:
         now = self.loop.now
         self.scheduler.evict(now)
-        for prt in self.paths.values():
-            floor = prt.sm.least_retained()
-            # Skip advances caused only by our own stop-waiting packets
-            # consuming numbers, else an idle path emits one every tick.
-            if floor > prt.last_sw_floor + prt.sw_sent_since:
-                prt.sm.send_stop_waiting(floor, now)
-                prt.last_sw_floor = floor
-                prt.sw_sent_since = 1
+        for conn in self.paths.values():
+            conn.advance_stop_waiting(now)
         self.sink.sweep(now)
         self.loop.schedule(now + EVICT_TICK_US, self._evict_tick)
 
@@ -369,25 +333,9 @@ class VideoSession:
         return chosen
 
     def _switch(self, sid: int, path_id: int, now: int) -> None:
-        old = self.active[sid]
-        old.exploited = False
-        old.cc.pause(now)
+        self.active[sid].cc.pause(now)
         new = self.paths[path_id]
         new.cc.resume(now)
-        new.exploited = True
         self.active[sid] = new
         self.scheduler.set_bw_es(sid, new.cc.bw_es())
         self._pump(sid)
-
-    # -- aggregate stats
-
-    def bytes_received(self) -> int:
-        return sum(prt.rm.bytes_received for prt in self.paths.values())
-
-    def packets_sent(self) -> int:
-        return sum(prt.sm.packets_sent for prt in self.paths.values())
-
-    def owd_stats(self) -> tuple[int, int]:
-        total = sum(prt.rm.owd_sum_us for prt in self.paths.values())
-        count = sum(prt.rm.data_packets for prt in self.paths.values())
-        return total, count

@@ -40,9 +40,6 @@ class EventLoop:
         heapq.heappush(self._heap, entry)
         return entry
 
-    def schedule_after(self, delay: int, fn, *args) -> list:
-        return self.schedule(self.now + delay, fn, *args)
-
     @staticmethod
     def cancel(handle: list) -> None:
         handle[2] = None

@@ -16,9 +16,18 @@ from dataclasses import dataclass
 from .simnet import US_PER_S
 
 MSS = 1200
-PACKET_HEADER_SIZE = 9          # u8 flags + u64 packet number
-STREAM_HEADER_SIZE = 28
-STOP_WAITING_SIZE = 9
+
+_PACKET_HDR = struct.Struct(">BQ")          # flags, packet number
+_STREAM_HDR = struct.Struct(">BQHIQHHB")
+_ACK_HDR = struct.Struct(">BQIB")
+_ACK_RANGE = struct.Struct(">QQ")
+_STOP_HDR = struct.Struct(">BQ")
+
+# Simulated packets are sized by their encoding, so the codec's structs are
+# the one source of the header sizes.
+PACKET_HEADER_SIZE = _PACKET_HDR.size
+STREAM_HEADER_SIZE = _STREAM_HDR.size
+STOP_WAITING_SIZE = _STOP_HDR.size
 PAYLOAD_BUDGET = MSS - PACKET_HEADER_SIZE - STREAM_HEADER_SIZE
 
 FRAME_STREAM = 0x01
@@ -47,6 +56,11 @@ class StreamFrame:
     total_segments: int
     segment_index: int
     key_frame: bool
+
+
+def wire_size(segment: StreamFrame) -> int:
+    """Bytes on the wire of a packet carrying this one segment."""
+    return PACKET_HEADER_SIZE + STREAM_HEADER_SIZE + segment.payload_length
 
 
 @dataclass(slots=True)
@@ -87,13 +101,6 @@ def packetize(size: int, frame_index: int, capture_ts: int, key_frame: bool,
 
 
 # --- wire codec -------------------------------------------------------------
-
-_PACKET_HDR = struct.Struct(">BQ")
-_STREAM_HDR = struct.Struct(">BQHIQHHB")
-_ACK_HDR = struct.Struct(">BQIB")
-_ACK_RANGE = struct.Struct(">QQ")
-_STOP_HDR = struct.Struct(">BQ")
-
 
 def _check_range(value: int, bits: int, what: str) -> None:
     if not 0 <= value < (1 << bits):
@@ -206,6 +213,13 @@ def pacer_next_send_time(prev_sent_ts: int, prev_len: int, pacing_rate: float) -
 
 # --- delivery tracking ------------------------------------------------------
 
+def ewma_srtt(srtt: int, rtt_sample: int) -> int:
+    """Smoothed RTT after one more sample; a zero srtt takes the sample as is."""
+    if srtt:
+        return int((1 - SRTT_DELTA) * srtt + SRTT_DELTA * rtt_sample)
+    return rtt_sample
+
+
 @dataclass(slots=True)
 class DeliveryRateSample:
     bandwidth: float      # bits/s
@@ -259,10 +273,9 @@ class SimPacket:
 class SendManager:
     """Sender side of one path connection: numbering, records, rate samples."""
 
-    def __init__(self, loop, route, reverse_delay_us, conn_id=0):
+    def __init__(self, loop, route, conn_id=0):
         self.loop = loop
         self.route = route
-        self.reverse_delay_us = reverse_delay_us
         self.conn_id = conn_id
         self.next_packet_number = 1
         self.records: dict[int, SentPacketRecord] = {}
@@ -271,7 +284,6 @@ class SendManager:
         self.largest_acked = 0
         self.srtt = 0
         self.packets_sent = 0
-        self.bytes_sent = 0
         self.loss_hook = None       # called with [SentPacketRecord] on new losses
         self.ack_hook = None        # called with [SentPacketRecord] newly acked
         self.receiver_sink = None   # set by session wiring
@@ -283,7 +295,7 @@ class SendManager:
                      context=None) -> SimPacket:
         number = self.next_packet_number
         self.next_packet_number += 1
-        size = PACKET_HEADER_SIZE + STREAM_HEADER_SIZE + segment.payload_length
+        size = wire_size(segment)
         packet = SimPacket(number, size, segment, None, now, self.route,
                            self.receiver_sink, self.conn_id)
         self.records[number] = SentPacketRecord(number, now, size,
@@ -291,7 +303,6 @@ class SendManager:
                                                 segment, context)
         self.inflight += size
         self.packets_sent += 1
-        self.bytes_sent += size
         self.route[0].enqueue(packet)
         self._arm_loss_timer()
         return packet
@@ -355,10 +366,7 @@ class SendManager:
             samples.append(DeliveryRateSample(bw, rtt, self.inflight, has_loss,
                                               rec.app_limited, rec.delivered_at_send,
                                               delivered_now))
-            if self.srtt:
-                self.srtt = int((1 - SRTT_DELTA) * self.srtt + SRTT_DELTA * rtt)
-            else:
-                self.srtt = rtt
+            self.srtt = ewma_srtt(self.srtt, rtt)
         self._arm_loss_timer()
         return samples
 
@@ -465,9 +473,8 @@ class ReceiveManager:
     after the first pending arrival, whichever comes first.
     """
 
-    def __init__(self, loop, reverse_delay_us, ack_sink, conn_id=0):
+    def __init__(self, loop, ack_sink, conn_id=0):
         self.loop = loop
-        self.reverse_delay_us = reverse_delay_us
         self.ack_sink = ack_sink          # called with (AckFrame, now)
         self.conn_id = conn_id
         self.ranges = _RangeSet()
@@ -480,7 +487,6 @@ class ReceiveManager:
         self.stop_waiting_sink = None     # called with (conn_id, least_unacked)
         self.packets_received = 0
         self.bytes_received = 0
-        self.owd_sum_us = 0
         self.data_packets = 0
 
     def on_packet(self, packet: SimPacket, now: int) -> None:
@@ -492,7 +498,6 @@ class ReceiveManager:
             self.largest_arrival_ts = now
         if packet.stream is not None:
             self.bytes_received += packet.size
-            self.owd_sum_us += now - packet.sent_ts
             self.data_packets += 1
             if self.segment_sink is not None:
                 self.segment_sink(packet.stream, packet.number, self.conn_id, now)

@@ -220,3 +220,12 @@ def test_evict_clears_stale_requeued_entries():
     assert evicted == [entry]
     assert sched.subflows[0].queued_bytes == 0
     assert sched.next_segment(0, now=460_000) is None
+
+
+def test_evict_reports_in_first_send_order():
+    sched = Scheduler([0])
+    sched.set_bw_es(0, 1e9)
+    entries = sched.schedule_segments([seg(frame_index=i) for i in range(64)], now=0)
+    for t in range(len(entries)):
+        sched.next_segment(0, now=t)
+    assert sched.evict(now=1_000_000) == entries

@@ -7,7 +7,10 @@ from mprtc.simnet import EventLoop, Link, LinkConfig, US_PER_MS, US_PER_S
 from mprtc.transport import (
     AckFrame,
     CodecError,
+    MSS,
+    PACKET_HEADER_SIZE,
     PAYLOAD_BUDGET,
+    STOP_WAITING_SIZE,
     ReceiveManager,
     SendManager,
     StopWaitingFrame,
@@ -17,6 +20,7 @@ from mprtc.transport import (
     encode_packet,
     packetize,
     pacer_next_send_time,
+    wire_size,
 )
 
 
@@ -80,6 +84,20 @@ def test_codec_u64_boundary():
     top = (1 << 64) - 1
     packet = WirePacket(255, top, [AckFrame(top, (1 << 32) - 1, [(top, top)])])
     assert decode_packet(encode_packet(packet)) == packet
+
+
+@pytest.mark.parametrize("frame", [
+    StreamFrame(0, 1, 0, 0, 1, 0, False),
+    StreamFrame(1000, 300, 7, 123_456, 3, 1, True),
+    StreamFrame(0, PAYLOAD_BUDGET, 0, 0, 1, 0, False),
+    StopWaitingFrame(5),
+])
+def test_simulated_packet_sizes_are_encoded_sizes(frame):
+    encoded = len(encode_packet(WirePacket(0, 42, [frame])))
+    if isinstance(frame, StreamFrame):
+        assert encoded == wire_size(frame) <= MSS
+    else:
+        assert encoded == PACKET_HEADER_SIZE + STOP_WAITING_SIZE
 
 
 def test_decode_truncated_header_errors():
@@ -177,14 +195,14 @@ def make_pair(queue_bytes=1_000_000, capacity=9_600_000, owd_us=10_000,
               reverse_delay=10_000):
     loop = EventLoop()
     link = Link(loop, LinkConfig(capacity, owd_us, queue_bytes))
-    sm = SendManager(loop, (link,), reverse_delay)
+    sm = SendManager(loop, (link,))
     acks_in_flight = []
 
     def ack_sink(ack, now):
         acks_in_flight.append(ack)
         loop.schedule(now + reverse_delay, lambda: sm.on_ack(ack, loop.now))
 
-    rx = ReceiveManager(loop, reverse_delay, ack_sink)
+    rx = ReceiveManager(loop, ack_sink)
     sm.receiver_sink = rx.on_packet
     return loop, link, sm, rx
 
@@ -254,7 +272,7 @@ def test_bandwidth_sample_matches_delivery_arithmetic():
     # One packet of 125 000 bytes acked 100 ms after send is a 10 Mbps sample.
     from mprtc.transport import SentPacketRecord
     loop = EventLoop()
-    sm = SendManager(loop, (None,), 0)
+    sm = SendManager(loop, (None,))
     sm.records = {1: SentPacketRecord(1, 0, 125_000, 0, False, None)}
     sm.inflight = 125_000
     loop.run(100_000)
@@ -340,7 +358,7 @@ def test_packet_numbers_strictly_increase():
 def test_receiver_gap_ranges_and_stop_waiting():
     loop = EventLoop()
     acks = []
-    rx = ReceiveManager(loop, 0, lambda ack, now: acks.append(ack))
+    rx = ReceiveManager(loop, lambda ack, now: acks.append(ack))
     route = ()
 
     def deliver(number):
@@ -362,7 +380,7 @@ def test_receiver_gap_ranges_and_stop_waiting():
 
 def test_stop_waiting_sink_notified():
     loop = EventLoop()
-    rx = ReceiveManager(loop, 0, lambda ack, now: None)
+    rx = ReceiveManager(loop, lambda ack, now: None)
     hits = []
     rx.stop_waiting_sink = lambda conn, least: hits.append((conn, least))
     rx.process_stop_waiting(7)
@@ -374,7 +392,7 @@ def test_stop_waiting_sink_notified():
 def test_receiver_duplicate_packet_ignored():
     loop = EventLoop()
     from mprtc.transport import SimPacket
-    rx = ReceiveManager(loop, 0, lambda ack, now: None)
+    rx = ReceiveManager(loop, lambda ack, now: None)
     got = []
     rx.segment_sink = lambda s, num, conn, now: got.append(num)
     p = SimPacket(5, 1200, seg(), None, 0, (), None, 0)
