@@ -271,7 +271,26 @@ class SimPacket:
 
 
 class SendManager:
-    """Sender side of one path connection: numbering, records, rate samples."""
+    """Sender side of one path connection: numbering, records, rate samples.
+
+    ``records`` holds the outstanding data packets in send order.  Numbers
+    come from one counter and callers send at the loop's current time, so
+    its keys strictly ascend and its ``sent_ts`` never decrease: the first
+    record is the oldest by both.  ``least_retained``, ``_loss_deadline``,
+    ``_detect_reorder_loss`` and the three paths below rely on that order.
+
+    - ``on_ack`` skips every ack range, or part of one, below the oldest
+      record, because those numbers were settled earlier.  Per range it
+      costs the smaller of the range above that floor and ``len(records)``.
+    - ``_on_loss_timer`` walks from the oldest record and stops at the
+      first one within the loss threshold: it costs the packets it declares
+      lost, plus one.
+    - ``send_segment`` re-arms the loss timer only when the send went into
+      an empty ``records`` or no live timer is due after now.  Otherwise
+      the send moved neither the oldest record nor ``srtt``, and every ack
+      that changes ``srtt`` re-arms, so the live timer is already due no
+      later than the deadline.
+    """
 
     def __init__(self, loop, route, conn_id=0):
         self.loop = loop
@@ -304,7 +323,14 @@ class SendManager:
         self.inflight += size
         self.packets_sent += 1
         self.route[0].enqueue(packet)
-        self._arm_loss_timer()
+        # Only a send into an empty window (records now holds just this
+        # packet) can move the deadline; see the class docstring.  A timer
+        # due exactly now still gets the full re-arm, which may reschedule
+        # it behind other events due now.
+        timer = self._loss_timer
+        if len(self.records) == 1 or timer is None or timer[2] is None \
+                or timer[0] <= self.loop.now:
+            self._arm_loss_timer()
         return packet
 
     def send_stop_waiting(self, least_unacked: int, now: int) -> None:
@@ -326,7 +352,12 @@ class SendManager:
     def on_ack(self, ack: AckFrame, now: int) -> list[DeliveryRateSample]:
         newly_acked = []
         records = self.records
+        floor = self.least_retained()
         for start, end in ack.ack_ranges:
+            if end < floor:
+                continue
+            if start < floor:
+                start = floor
             if end - start < len(records):
                 for number in range(start, end + 1):
                     rec = records.pop(number, None)
@@ -420,7 +451,11 @@ class SendManager:
             return
         threshold = self._loss_threshold()
         now = self.loop.now
-        lost = [rec for rec in self.records.values() if now - rec.sent_ts > threshold]
+        lost = []
+        for rec in self.records.values():
+            if now - rec.sent_ts <= threshold:
+                break  # send times ascend in insertion order
+            lost.append(rec)
         if lost:
             self._declare_lost(lost)
         self._arm_loss_timer()

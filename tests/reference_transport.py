@@ -1,0 +1,95 @@
+"""Reference send manager: the walks that settle acks and loss timers over
+the whole ack range or the whole outstanding window, kept literal.
+
+ReferenceSendManager overrides send_segment (re-arming the loss timer on
+every send), on_ack (walking every number of every range, or every record)
+and _on_loss_timer (testing every record against the threshold).  The
+production SendManager skips the work these do not need; the transport
+tests require both to give the same samples, hooks, records and timers.
+"""
+
+from mprtc.simnet import US_PER_S
+from mprtc.transport import (
+    DeliveryRateSample,
+    SendManager,
+    SentPacketRecord,
+    SimPacket,
+    ewma_srtt,
+    wire_size,
+)
+
+
+class ReferenceSendManager(SendManager):
+
+    def send_segment(self, segment, now, app_limited, context=None):
+        number = self.next_packet_number
+        self.next_packet_number += 1
+        size = wire_size(segment)
+        packet = SimPacket(number, size, segment, None, now, self.route,
+                           self.receiver_sink, self.conn_id)
+        self.records[number] = SentPacketRecord(number, now, size,
+                                                self.delivered_bytes, app_limited,
+                                                segment, context)
+        self.inflight += size
+        self.packets_sent += 1
+        self.route[0].enqueue(packet)
+        self._arm_loss_timer()
+        return packet
+
+    def on_ack(self, ack, now):
+        newly_acked = []
+        records = self.records
+        for start, end in ack.ack_ranges:
+            if end - start < len(records):
+                for number in range(start, end + 1):
+                    rec = records.pop(number, None)
+                    if rec is not None:
+                        newly_acked.append(rec)
+            else:
+                matched = [rec for number, rec in records.items()
+                           if start <= number <= end]
+                for rec in matched:
+                    del records[rec.number]
+                newly_acked.extend(matched)
+        if ack.largest_acked > self.largest_acked:
+            self.largest_acked = ack.largest_acked
+        if not newly_acked:
+            self._detect_reorder_loss(now)
+            return []
+
+        for rec in newly_acked:
+            self.inflight -= rec.size
+            self.delivered_bytes += rec.size
+        delivered_now = self.delivered_bytes
+
+        lost = self._detect_reorder_loss(now)
+        has_loss = bool(lost)
+        if self.ack_hook is not None:
+            self.ack_hook(newly_acked)
+
+        samples = []
+        for rec in newly_acked:
+            interval = now - rec.sent_ts
+            rtt = interval - ack.ack_delay
+            if rtt <= 0:
+                rtt = 1
+            if interval <= 0:
+                interval = 1
+            bw = (delivered_now - rec.delivered_at_send) * 8 * US_PER_S / interval
+            samples.append(DeliveryRateSample(bw, rtt, self.inflight, has_loss,
+                                              rec.app_limited, rec.delivered_at_send,
+                                              delivered_now))
+            self.srtt = ewma_srtt(self.srtt, rtt)
+        self._arm_loss_timer()
+        return samples
+
+    def _on_loss_timer(self):
+        self._loss_timer = None
+        if not self.records or not self.srtt:
+            return
+        threshold = self._loss_threshold()
+        now = self.loop.now
+        lost = [rec for rec in self.records.values() if now - rec.sent_ts > threshold]
+        if lost:
+            self._declare_lost(lost)
+        self._arm_loss_timer()

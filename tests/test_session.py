@@ -69,9 +69,15 @@ def run_collapse() -> VideoSession:
     return run_overlay(collapse_traces(), seed=5, sim_s=30)
 
 
-def assert_inflight_consistent(sm) -> None:
+def assert_send_state_consistent(sm) -> None:
     assert sm.inflight >= 0
     assert sm.inflight == sum(rec.size for rec in sm.records.values())
+    # SendManager finds the oldest record and the lost ones by walking
+    # records from the front; that needs send order in both keys and times.
+    numbers = list(sm.records)
+    assert all(a < b for a, b in zip(numbers, numbers[1:]))
+    sent = [rec.sent_ts for rec in sm.records.values()]
+    assert all(a <= b for a, b in zip(sent, sent[1:]))
 
 
 def assert_overlay_invariants(session: VideoSession) -> None:
@@ -80,7 +86,7 @@ def assert_overlay_invariants(session: VideoSession) -> None:
     assert all(a < b for a, b in zip(indices, indices[1:]))
     assert [a for a in sink.abandoned if a[2]] == []
     for conn in session.paths.values():
-        assert_inflight_consistent(conn.sm)
+        assert_send_state_consistent(conn.sm)
     for sub in session.scheduler.subflows.values():
         assert sub.queued_bytes == sum(wire_size(e.segment) for e in sub.queue)
 
@@ -121,7 +127,7 @@ def test_dumbbell_pinned():
         flow.start()
     loop.run(15 * US_PER_S)
     for flow in flows:
-        assert_inflight_consistent(flow.sm)
+        assert_send_state_consistent(flow.sm)
         assert flow.rm.data_packets <= flow.sm.packets_sent
         assert flow.rm.bytes_received > 0
     assert sum(lost) > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from mprtc.transport import (
     pacer_next_send_time,
     wire_size,
 )
+from reference_transport import ReferenceSendManager
 
 
 # --- packetize --------------------------------------------------------------
@@ -425,3 +427,177 @@ def test_pacing_byte_budget_property():
                 break
             acc += size
         assert acc <= rate * 100_000 / 8 / US_PER_S + 1200
+
+
+# --- settling acks and loss timers -------------------------------------------
+
+class NullLink:
+    def enqueue(self, packet):
+        pass
+
+
+def primed_sender():
+    """A sender with srtt 20 ms, nothing outstanding and the clock at 20 ms;
+    its loss threshold is 1.25 * 20 ms + 10 ms = 35 ms."""
+    loop = EventLoop()
+    sm = SendManager(loop, (NullLink(),))
+    sm.send_segment(seg(), 0, False)
+    loop.run(20_000)
+    sm.on_ack(AckFrame(1, 0, [(1, 1)]), 20_000)
+    assert sm.srtt == 20_000 and not sm.records
+    return loop, sm
+
+
+def test_ack_below_oldest_record_still_detects_reorder_loss():
+    loop = EventLoop()
+    sm = SendManager(loop, (NullLink(),))
+    lost = []
+    sm.loss_hook = lambda recs: lost.extend(r.number for r in recs)
+    for _ in range(8):
+        sm.send_segment(seg(), 0, False)
+    sm.on_ack(AckFrame(2, 0, [(1, 2)]), 1_000)
+    assert list(sm.records) == [3, 4, 5, 6, 7, 8]
+    # every range is below the oldest record, but largest_acked moves to 7
+    assert sm.on_ack(AckFrame(7, 0, [(2, 2), (1, 1)]), 2_000) == []
+    assert lost == [3, 4]
+    assert sm.largest_acked == 7
+    assert list(sm.records) == [5, 6, 7, 8]
+
+
+def test_loss_timer_declares_only_old_records_and_rearms_for_young_one():
+    loop, sm = primed_sender()
+    lost = []
+    sm.loss_hook = lambda recs: lost.extend(r.number for r in recs)
+    sm.send_segment(seg(), 20_000, False)
+    sm.send_segment(seg(), 20_000, False)
+    loop.run(20_001)
+    sm.send_segment(seg(), 20_001, False)
+    loop.run(40_000)
+    sm.send_segment(seg(), 40_000, False)
+    assert sm._loss_timer[0] == 20_000 + 35_000 + 1
+    loop.run(55_001)
+    # packet 4 is exactly 35 ms old: at the threshold, not past it
+    assert lost == [2, 3]
+    assert list(sm.records) == [4, 5]
+    assert sm._loss_timer[0] == 20_001 + 35_000 + 1 and sm._loss_timer[2] is not None
+
+
+def test_send_into_empty_window_arms_loss_timer():
+    loop, sm = primed_sender()
+    assert sm._loss_timer is None
+    sm.send_segment(seg(), 20_000, False)
+    assert sm._loss_timer[0] == 20_000 + 35_000 + 1 and sm._loss_timer[2] is not None
+
+
+def test_send_behind_live_future_timer_keeps_its_handle():
+    loop, sm = primed_sender()
+    sm.send_segment(seg(), 20_000, False)
+    handle = sm._loss_timer
+    loop.run(30_000)
+    sm.send_segment(seg(), 30_000, False)
+    assert sm._loss_timer is handle and handle[2] is not None
+    assert len(loop._heap) == 1
+
+
+def test_send_at_instant_of_due_timer_reschedules_it():
+    loop, sm = primed_sender()
+    sm.send_segment(seg(), 20_000, False)
+    loop.run(50_000)
+    sm.send_segment(seg(), 50_000, False)
+    loop.run(54_000)
+    # a 4 ms sample drops srtt to 6.4 ms, so packet 2 is past its deadline
+    # and the timer is pulled in to now
+    sm.on_ack(AckFrame(3, 0, [(3, 3)]), 54_000)
+    due_now = sm._loss_timer
+    assert due_now[0] == 54_000
+    sm.send_segment(seg(), 54_000, False)
+    # the full re-arm reschedules an overdue timer, so it gets a later seq
+    assert due_now[2] is None
+    assert sm._loss_timer[0] == 54_000 and sm._loss_timer[1] > due_now[1]
+
+
+def advance_clock(loop, t):
+    """Bring the loop to time t as an event due at t sees it: every event due
+    before t has fired, none due at t has."""
+    if t > loop.now:
+        loop.run(t - 1)
+        loop.now = t
+
+
+def send_state(sm, samples, hooked):
+    timer = sm._loss_timer
+    return (
+        sm.loop._seq,
+        [dataclasses.astuple(s) for s in samples],
+        list(hooked),
+        list(sm.records),
+        sm.inflight,
+        sm.srtt,
+        sm.largest_acked,
+        None if timer is None else (timer[0], timer[1], timer[2] is not None),
+    )
+
+
+def draw_ack_ranges(data, top):
+    """Descending disjoint ack ranges at or below top: the newest number
+    alone, or up to six ranges that often reach below the oldest record."""
+    if top >= 1 and data.draw(st.booleans()):
+        return [(top, top)]
+    ranges = []
+    end = top - data.draw(st.integers(0, 3))
+    while end >= 1 and len(ranges) < 6:
+        start = max(1, end - data.draw(st.integers(0, 40)))
+        ranges.append((start, end))
+        end = start - 1 - data.draw(st.integers(1, 20))
+    return ranges
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_send_manager_matches_reference(data):
+    senders = []
+    for cls in (ReferenceSendManager, SendManager):
+        loop = EventLoop()
+        sm = cls(loop, (NullLink(),))
+        hooked = []
+        sm.ack_hook = lambda recs, h=hooked: h.append(("acked", [r.number for r in recs]))
+        sm.loss_hook = lambda recs, h=hooked: h.append(("lost", [r.number for r in recs]))
+        senders.append((loop, sm, hooked))
+    ref_loop, ref, _ = senders[0]
+    gap = st.one_of(st.just(0), st.just(1), st.integers(0, 3_000), st.integers(0, 40_000))
+    ack_delay = st.one_of(st.just(0), st.integers(0, 10_000), st.integers(0, 60_000))
+    for _ in range(data.draw(st.integers(1, 80))):
+        kind = data.draw(st.sampled_from(
+            ["send", "send", "send", "send_at_timer", "ack", "ack", "fire", "stop_waiting"]))
+        timer = ref._loss_timer
+        live_at = timer[0] if timer is not None and timer[2] is not None else None
+        if kind in ("send", "stop_waiting"):
+            t = ref_loop.now + data.draw(gap)
+            payload = data.draw(st.integers(1, PAYLOAD_BUDGET))
+            app_limited = data.draw(st.booleans())
+        elif kind == "send_at_timer":
+            t = max(ref_loop.now, live_at or 0)
+            payload, app_limited = PAYLOAD_BUDGET, False
+        elif kind == "ack":
+            t = ref_loop.now + data.draw(st.integers(0, 30_000))
+            ranges = draw_ack_ranges(data, ref.next_packet_number - 1)
+            ack = AckFrame(ranges[0][1] if ranges else 0,
+                           data.draw(ack_delay), ranges)
+        elif kind == "fire":
+            t = max(ref_loop.now, live_at if live_at is not None
+                    else ref_loop.now + data.draw(st.integers(0, 50_000)))
+        states = []
+        for loop, sm, hooked in senders:
+            samples = []
+            if kind == "fire":
+                loop.run(t)
+            else:
+                advance_clock(loop, t)
+            if kind in ("send", "send_at_timer"):
+                sm.send_segment(seg(payload=payload), t, app_limited)
+            elif kind == "ack":
+                samples = sm.on_ack(ack, t)
+            elif kind == "stop_waiting":
+                sm.send_stop_waiting(sm.least_retained(), t)
+            states.append(send_state(sm, samples, hooked))
+        assert states[0] == states[1]
