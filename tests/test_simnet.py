@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mprtc.simnet import (
     EventLoop,
@@ -156,6 +157,68 @@ def test_drop_hook_reports_packet():
     link.enqueue(keeper)
     link.enqueue(loser)
     assert dropped == [loser]
+
+
+class DropTailModel:
+    """Independent FIFO droptail reference: ceil serialization, one server.
+
+    Departure times are worked out at admission, so the queue at time t is
+    every admitted packet that has not departed by t.
+    """
+
+    def __init__(self, capacity, owd_us, queue_capacity):
+        self.capacity = capacity
+        self.owd_us = owd_us
+        self.queue_capacity = queue_capacity
+        self.queued = []     # (depart_us, size) of admitted packets
+        self.free_at = 0     # when the server finishes the last admitted packet
+
+    def occupancy(self, t):
+        self.queued = [(d, s) for d, s in self.queued if d > t]
+        return sum(s for _, s in self.queued)
+
+    def offer(self, t, size):
+        """Arrival time of a packet offered at t, or None when it is dropped."""
+        if self.occupancy(t) + size > self.queue_capacity:
+            return None
+        start = max(t, self.free_at)
+        self.free_at = start - (-size * 8 * US_PER_S // self.capacity)
+        self.queued.append((self.free_at, size))
+        return self.free_at + self.owd_us
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(100_000, 100_000_000),
+    owd_us=st.integers(0, 100_000),
+    queue_capacity=st.integers(1, 12_000),
+    bursts=st.lists(st.tuples(st.integers(0, 50_000),
+                              st.lists(st.integers(0, 3000), max_size=8)),
+                    max_size=25),
+)
+def test_link_matches_droptail_model(capacity, owd_us, queue_capacity, bursts):
+    loop = EventLoop()
+    link = Link(loop, LinkConfig(capacity, owd_us, queue_capacity))
+    link.drop_hook = lambda p: p.log.append("dropped")
+    model = DropTailModel(capacity, owd_us, queue_capacity)
+    probes = []
+    expected = []
+    t = 0
+    for gap, sizes in bursts:
+        t += gap
+        loop.run(t)
+        assert link.queue.occupancy == model.occupancy(t)
+        for size in sizes:
+            probe = Probe(size, [])
+            probes.append(probe)
+            link.enqueue(probe)
+            arrival = model.offer(t, size)
+            expected.append(["dropped"] if arrival is None else [arrival])
+            assert link.queue.occupancy == model.occupancy(t)
+    loop.run(t + 10 * US_PER_S)
+    assert [p.log for p in probes] == expected
+    assert link.queue.occupancy == 0
+    assert link.sent == link.delivered + link.dropped == len(probes)
 
 
 # --- traces -----------------------------------------------------------------
