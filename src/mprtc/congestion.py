@@ -36,12 +36,11 @@ PROBE_RTT = "ProbeRTT"
 
 
 class WindowedMaxFilter:
-    """Max over a sliding window counted in rounds, via a monotonic deque."""
+    """Max over the last BW_WINDOW_ROUNDS rounds, via a monotonic deque."""
 
-    __slots__ = ("window", "_samples")
+    __slots__ = ("_samples",)
 
-    def __init__(self, window: int = BW_WINDOW_ROUNDS) -> None:
-        self.window = window
+    def __init__(self) -> None:
         self._samples: deque = deque()  # (round, value), values strictly decreasing
 
     def update(self, value: float, round_count: int) -> None:
@@ -49,7 +48,7 @@ class WindowedMaxFilter:
         while samples and samples[-1][1] <= value:
             samples.pop()
         samples.append((round_count, value))
-        bound = round_count - self.window
+        bound = round_count - BW_WINDOW_ROUNDS
         while samples and samples[0][0] <= bound:
             samples.popleft()
 

@@ -181,5 +181,6 @@ class Scheduler:
                 sub.queue.remove(entry)
                 sub.queued_bytes -= wire_size(entry.segment)
                 self.retained.pop(entry, None)
-            evicted.extend(e for e in stale if e not in seen)
+            # One acked while requeued for resend leaves the queue unreported.
+            evicted.extend(e for e in stale if e not in seen and not e.acked)
         return evicted

@@ -51,7 +51,7 @@ class PathConnection:
         self.path = path
         self.sid = sid
         self.cc = BbrController(rng, variant)
-        self.sm = SendManager(loop, path.route, conn_id)
+        self.sm = SendManager(loop, path.route)
         self.rm = ReceiveManager(loop, self._on_receiver_ack, conn_id)
         self.sm.receiver_sink = self.rm.on_packet
         self.deliver_ack = deliver_ack
@@ -79,11 +79,11 @@ class PathConnection:
             rate = self.rate_cap_bps
         self.next_send_ts = pacer_next_send_time(now, packet.size, rate)
 
-    def advance_stop_waiting(self, now: int) -> None:
+    def advance_stop_waiting(self) -> None:
         """Send STOP_WAITING up to the oldest outstanding packet once it has moved."""
         floor = self.sm.least_retained()
         if floor > self.stop_waiting_mark:
-            self.sm.send_stop_waiting(floor, now)
+            self.sm.send_stop_waiting(floor)
             self.stop_waiting_mark = floor + 1
 
 
@@ -115,7 +115,7 @@ class CappedFlow:
         # Nothing is ever retransmitted, so the stop-waiting floor is simply
         # the oldest packet still in flight.  Advancing it keeps the
         # receiver's ack-range set from growing a gap per lost packet.
-        self.conn.advance_stop_waiting(self.loop.now)
+        self.conn.advance_stop_waiting()
         self.loop.schedule(self.loop.now + EVICT_TICK_US, self._floor_tick)
 
     def _pump(self) -> None:
@@ -162,12 +162,11 @@ class VideoSession:
     """
 
     def __init__(self, loop, rng, candidates: dict, *, scheme: str = SCHEME_UCB,
-                 variant: str = "rtc-bbr", slot_us: int = SLOT_US):
+                 variant: str = "rtc-bbr"):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         self.loop = loop
         self.scheme = scheme
-        self.slot_us = slot_us
         self.sids = sorted(candidates)
         self.candidates = {sid: list(candidates[sid]) for sid in self.sids}
         self.scheduler = Scheduler(self.sids)
@@ -300,7 +299,7 @@ class VideoSession:
         now = self.loop.now
         self.scheduler.evict(now)
         for conn in self.paths.values():
-            conn.advance_stop_waiting(now)
+            conn.advance_stop_waiting()
         self.sink.sweep(now)
         self.loop.schedule(now + EVICT_TICK_US, self._evict_tick)
 
@@ -313,7 +312,7 @@ class VideoSession:
             if target != -1 and target != current:
                 self._switch(sid, target, now)
             self.selections.append((now, sid, self.active[sid].path.path_id))
-        self.loop.schedule(now + self.slot_us, self._decision_tick)
+        self.loop.schedule(now + SLOT_US, self._decision_tick)
 
     def _decide(self, now: int) -> dict[int, int]:
         if self.scheme == SCHEME_UCB:
@@ -325,7 +324,7 @@ class VideoSession:
             best_id = -1
             best_mean = -1.0
             for path in self.candidates[sid]:
-                mean = path.trace.mean_capacity(now, now + self.slot_us)
+                mean = path.trace.mean_capacity(now, now + SLOT_US)
                 if mean > best_mean:
                     best_mean = mean
                     best_id = path.path_id

@@ -94,9 +94,9 @@ class TraceSchedule:
     the final two entries) the trace restarts from its first entry.
     """
 
-    __slots__ = ("times", "rates", "period_us", "offset_us")
+    __slots__ = ("times", "rates", "period_us")
 
-    def __init__(self, entries, offset_us: int = 0) -> None:
+    def __init__(self, entries) -> None:
         if not entries:
             raise ValueError("trace must have at least one entry")
         times = []
@@ -116,11 +116,10 @@ class TraceSchedule:
             self.period_us = times[-1] + (times[-1] - times[-2])
         else:
             self.period_us = 0  # constant forever
-        self.offset_us = offset_us
 
     def capacity_at(self, t_us: int) -> int:
         if self.period_us:
-            t_us = (t_us + self.offset_us) % self.period_us
+            t_us %= self.period_us
         i = bisect_right(self.times, t_us) - 1
         if i < 0:
             i = 0
@@ -143,11 +142,10 @@ class TraceSchedule:
     def _next_change(self, t_us: int) -> int:
         if not self.period_us:
             return 1 << 62
-        shifted = t_us + self.offset_us
-        cycle, local = divmod(shifted, self.period_us)
+        cycle, local = divmod(t_us, self.period_us)
         i = bisect_right(self.times, local)
         nxt = self.times[i] if i < len(self.times) else self.period_us
-        return cycle * self.period_us + nxt - self.offset_us
+        return cycle * self.period_us + nxt
 
     def overall_mean(self) -> float:
         if not self.period_us:
@@ -155,7 +153,7 @@ class TraceSchedule:
         return self.mean_capacity(0, self.period_us)
 
 
-def load_trace(path, offset_us: int = 0) -> TraceSchedule:
+def load_trace(path) -> TraceSchedule:
     """Parse a 'milliseconds,kilobits-per-second' file into a TraceSchedule."""
     entries = []
     prev_ts = -1
@@ -181,7 +179,7 @@ def load_trace(path, offset_us: int = 0) -> TraceSchedule:
             prev_ts = ts
     if not entries:
         raise TraceParseError(f"{path}: empty trace")
-    return TraceSchedule(entries, offset_us=offset_us)
+    return TraceSchedule(entries)
 
 
 def synthetic_trace(rng: random.Random, duration_s: int = 120) -> TraceSchedule:
@@ -202,30 +200,6 @@ def synthetic_trace_pool(count: int = 100, dataset_seed: int = 7) -> list[TraceS
     return [synthetic_trace(rng) for _ in range(count)]
 
 
-class DropTailQueue:
-    """FIFO byte-budgeted queue; arrivals beyond capacity are dropped."""
-
-    __slots__ = ("items", "occupancy", "capacity")
-
-    def __init__(self, capacity: int) -> None:
-        self.items: deque = deque()
-        self.occupancy = 0
-        self.capacity = capacity
-
-    def offer(self, item, size: int) -> bool:
-        if self.occupancy + size > self.capacity:
-            return False
-        self.items.append(item)
-        self.occupancy += size
-        return True
-
-    def pop(self):
-        return self.items.popleft()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
 class Link:
     """Store-and-forward link: droptail queue, serialization, propagation.
 
@@ -234,8 +208,8 @@ class Link:
     """
 
     __slots__ = (
-        "loop", "name", "capacity", "owd_us", "queue", "trace",
-        "_busy", "sent", "delivered", "dropped", "drop_hook",
+        "loop", "name", "capacity", "owd_us", "queue", "occupancy", "queue_capacity",
+        "trace", "sent", "delivered", "dropped", "drop_hook",
     )
 
     def __init__(self, loop: EventLoop, config: LinkConfig, name: str = "",
@@ -244,9 +218,10 @@ class Link:
         self.name = name
         self.capacity = config.capacity
         self.owd_us = config.owd_us
-        self.queue = DropTailQueue(config.queue_capacity)
+        self.queue: deque = deque()
+        self.occupancy = 0          # bytes queued, the packet in service included
+        self.queue_capacity = config.queue_capacity
         self.trace = trace
-        self._busy = False
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -259,36 +234,34 @@ class Link:
 
     def enqueue(self, packet) -> None:
         self.sent += 1
-        if not self.queue.offer(packet, packet.size):
+        if self.occupancy + packet.size > self.queue_capacity:
             self.dropped += 1
             if self.drop_hook is not None:
                 self.drop_hook(packet)
             return
-        if not self._busy:
+        self.queue.append(packet)
+        self.occupancy += packet.size
+        # The head of the queue is the packet in service, so the link was
+        # idle exactly when this packet is the only one queued.
+        if len(self.queue) == 1:
             self._start_service()
 
     def _start_service(self) -> None:
-        self._busy = True
-        packet = self.queue.items[0]
+        packet = self.queue[0]
         cap = self.current_capacity()
         ser_us = (packet.size * 8 * US_PER_S + cap - 1) // cap
         self.loop.schedule(self.loop.now + ser_us, self._depart)
 
     def _depart(self) -> None:
-        packet = self.queue.pop()
-        self.queue.occupancy -= packet.size
+        packet = self.queue.popleft()
+        self.occupancy -= packet.size
         self.loop.schedule(self.loop.now + self.owd_us, self._arrive, packet)
-        if self.queue.items:
+        if self.queue:
             self._start_service()
-        else:
-            self._busy = False
 
     def _arrive(self, packet) -> None:
         self.delivered += 1
         packet.advance(self.loop.now)
-
-    def in_flight(self) -> int:
-        return self.sent - self.delivered - self.dropped
 
 
 @dataclass
@@ -299,9 +272,6 @@ class PathDef:
     route: tuple
     reverse_delay_us: int
     trace: TraceSchedule | None = None
-
-    def prop_rtt_us(self) -> int:
-        return sum(l.owd_us for l in self.route) + self.reverse_delay_us
 
 
 @dataclass

@@ -34,8 +34,6 @@ FRAME_STREAM = 0x01
 FRAME_ACK = 0x02
 FRAME_STOP_WAITING = 0x03
 
-U64_MAX = (1 << 64) - 1
-
 SRTT_DELTA = 0.85
 REORDER_THRESHOLD = 3
 TIME_LOSS_FACTOR = 1.25
@@ -83,16 +81,16 @@ class WirePacket:
 
 
 def packetize(size: int, frame_index: int, capture_ts: int, key_frame: bool,
-              stream_offset: int, budget: int = PAYLOAD_BUDGET) -> list[StreamFrame]:
+              stream_offset: int) -> list[StreamFrame]:
     """Split an encoded frame into segments no larger than the payload budget."""
     if size <= 0:
         raise ValueError(f"frame size must be > 0, got {size}")
-    total = (size + budget - 1) // budget
+    total = (size + PAYLOAD_BUDGET - 1) // PAYLOAD_BUDGET
     segments = []
     offset = stream_offset
     remaining = size
     for idx in range(total):
-        length = budget if remaining > budget else remaining
+        length = PAYLOAD_BUDGET if remaining > PAYLOAD_BUDGET else remaining
         segments.append(StreamFrame(offset, length, frame_index, capture_ts,
                                     total, idx, key_frame))
         offset += length
@@ -249,18 +247,16 @@ class SentPacketRecord:
 class SimPacket:
     """In-simulator packet: metadata only, no byte payload on the hot path."""
 
-    __slots__ = ("number", "size", "stream", "stop_waiting", "sent_ts", "route", "hop", "sink", "conn_id")
+    __slots__ = ("number", "size", "stream", "stop_waiting", "route", "hop", "sink")
 
-    def __init__(self, number, size, stream, stop_waiting, sent_ts, route, sink, conn_id):
+    def __init__(self, number, size, stream, stop_waiting, route, sink):
         self.number = number
         self.size = size
         self.stream = stream
         self.stop_waiting = stop_waiting
-        self.sent_ts = sent_ts
         self.route = route
         self.hop = 0
         self.sink = sink
-        self.conn_id = conn_id
 
     def advance(self, now: int) -> None:
         self.hop += 1
@@ -292,10 +288,9 @@ class SendManager:
       later than the deadline.
     """
 
-    def __init__(self, loop, route, conn_id=0):
+    def __init__(self, loop, route):
         self.loop = loop
         self.route = route
-        self.conn_id = conn_id
         self.next_packet_number = 1
         self.records: dict[int, SentPacketRecord] = {}
         self.inflight = 0
@@ -315,8 +310,7 @@ class SendManager:
         number = self.next_packet_number
         self.next_packet_number += 1
         size = wire_size(segment)
-        packet = SimPacket(number, size, segment, None, now, self.route,
-                           self.receiver_sink, self.conn_id)
+        packet = SimPacket(number, size, segment, None, self.route, self.receiver_sink)
         self.records[number] = SentPacketRecord(number, now, size,
                                                 self.delivered_bytes, app_limited,
                                                 segment, context)
@@ -333,11 +327,11 @@ class SendManager:
             self._arm_loss_timer()
         return packet
 
-    def send_stop_waiting(self, least_unacked: int, now: int) -> None:
+    def send_stop_waiting(self, least_unacked: int) -> None:
         number = self.next_packet_number
         self.next_packet_number += 1
         packet = SimPacket(number, PACKET_HEADER_SIZE + STOP_WAITING_SIZE, None,
-                           least_unacked, now, self.route, self.receiver_sink, self.conn_id)
+                           least_unacked, self.route, self.receiver_sink)
         self.route[0].enqueue(packet)
 
     def least_retained(self) -> int:
@@ -520,14 +514,12 @@ class ReceiveManager:
         self._ack_timer = None
         self.segment_sink = None          # called with (StreamFrame, number, conn_id, now)
         self.stop_waiting_sink = None     # called with (conn_id, least_unacked)
-        self.packets_received = 0
         self.bytes_received = 0
         self.data_packets = 0
 
     def on_packet(self, packet: SimPacket, now: int) -> None:
         if not self.ranges.add(packet.number):
             return
-        self.packets_received += 1
         if packet.number > self.largest:
             self.largest = packet.number
             self.largest_arrival_ts = now

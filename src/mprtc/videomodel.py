@@ -90,23 +90,16 @@ class VideoSource:
     cheapest subflow's expected delivery latency in microseconds.
     """
 
-    def __init__(self, loop, rng, *, frame_sink, reference_rate_fn, min_latency_fn,
-                 fps: int = FPS, gop: int = GOP_FRAMES,
-                 encode_base_us: int = ENCODE_DELAY_BASE_US,
-                 encode_spread_us: int = ENCODE_DELAY_SPREAD_US):
+    def __init__(self, loop, rng, *, frame_sink, reference_rate_fn, min_latency_fn):
         self.loop = loop
         self.rng = rng
         self.frame_sink = frame_sink
         self.reference_rate_fn = reference_rate_fn
         self.min_latency_fn = min_latency_fn
-        self.fps = fps
-        self.gop = gop
-        self.encode_base_us = encode_base_us
-        self.encode_spread_us = encode_spread_us
         self.state = EncoderState(
             target_rate=float(RATE_FLOOR_BPS),
             actual_rate=0.0,
-            d_en_hat=float(encode_base_us),
+            d_en_hat=float(ENCODE_DELAY_BASE_US),
         )
         self.raw_queue: deque[RawFrame] = deque()
         self.busy = False
@@ -133,7 +126,7 @@ class VideoSource:
         now = self.loop.now
         self.raw_queue.append(RawFrame(index, now))
         self.frames_captured += 1
-        nxt = self._start_ts + (index + 1) * US_PER_S // self.fps
+        nxt = self._start_ts + (index + 1) * US_PER_S // FPS
         self.loop.schedule(nxt, self._capture, index + 1)
         self._service(now)
 
@@ -145,7 +138,7 @@ class VideoSource:
             projected = d_q + state.d_en_hat + self.min_latency_fn()
             if projected > DROP_BUDGET_US:
                 self.frames_dropped += 1
-                key = raw.frame_index % self.gop == 0
+                key = raw.frame_index % GOP_FRAMES == 0
                 self.frame_log.append((raw.frame_index, raw.capture_ts, 0, key, True))
                 continue
             self._begin_encode(raw, now)
@@ -162,12 +155,12 @@ class VideoSource:
             state.actual_rate = float(RATE_FLOOR_BPS)
         self._last_lag_ts = now
 
-        key = raw.frame_index % self.gop == 0
-        base = state.actual_rate / (8 * self.fps)
+        key = raw.frame_index % GOP_FRAMES == 0
+        base = state.actual_rate / (8 * FPS)
         size = int(base * _GOP_NORM * (KEY_FRAME_FACTOR if key else 1))
         size = max(1, size)
-        d_en = self.encode_base_us + int(
-            self.rng.uniform(-self.encode_spread_us, self.encode_spread_us)
+        d_en = ENCODE_DELAY_BASE_US + int(
+            self.rng.uniform(-ENCODE_DELAY_SPREAD_US, ENCODE_DELAY_SPREAD_US)
         )
         d_en = max(1, d_en)
         self.busy = True
@@ -276,14 +269,11 @@ class VideoSink:
         prev = self.floors.get(conn_id, 0)
         if least_unacked > prev:
             self.floors[conn_id] = least_unacked
-        self._sweep(now)
+        self.sweep(now)
 
     def sweep(self, now: int) -> None:
         """Re-check abandonment with cached floors; frames too young at the
         last stop-waiting notice need a later pass once they age out."""
-        self._sweep(now)
-
-    def _sweep(self, now: int) -> None:
         stale = []
         for fi, frame in self.pending.items():
             if frame.key_frame:

@@ -1,0 +1,63 @@
+"""Microbenchmarks of the network model's per-packet paths.
+
+    python -m pytest tests/perf_simnet.py -q
+
+The file name does not match test_*.py, so the plain test run does not
+collect it.  Each round builds a fresh loop and link in its untimed set-up.
+The link is trace-driven like the overlay workloads' access links, so
+every service start also looks up the trace.
+"""
+
+import random
+
+from mprtc.simnet import EventLoop, Link, LinkConfig, US_PER_S, synthetic_trace
+
+ROUNDS = 200
+BURST = 1000
+SIZE = 1200
+
+
+class Sink:
+    __slots__ = ("size",)
+
+    def __init__(self, size):
+        self.size = size
+
+    def advance(self, now):
+        pass
+
+
+TRACE = synthetic_trace(random.Random(7))
+
+
+def burst_link():
+    loop = EventLoop()
+    link = Link(loop, LinkConfig(int(TRACE.overall_mean()), 50_000, BURST * SIZE),
+                trace=TRACE)
+    return (loop, link, [Sink(SIZE) for _ in range(BURST)]), {}
+
+
+def run_burst(loop, link, packets):
+    for packet in packets:
+        link.enqueue(packet)
+    loop.run(loop.now + 1000 * US_PER_S)
+    return link
+
+
+def lookups():
+    return (TRACE, range(0, 1000 * 97_003, 97_003)), {}
+
+
+def look_up_all(trace, times):
+    capacity_at = trace.capacity_at
+    for t in times:
+        capacity_at(t)
+
+
+def test_link_burst_of_1000(benchmark):
+    link = benchmark.pedantic(run_burst, setup=burst_link, rounds=ROUNDS)
+    assert link.delivered == BURST
+
+
+def test_trace_capacity_at_1000(benchmark):
+    benchmark.pedantic(look_up_all, setup=lookups, rounds=ROUNDS)

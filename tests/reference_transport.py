@@ -25,8 +25,7 @@ class ReferenceSendManager(SendManager):
         number = self.next_packet_number
         self.next_packet_number += 1
         size = wire_size(segment)
-        packet = SimPacket(number, size, segment, None, now, self.route,
-                           self.receiver_sink, self.conn_id)
+        packet = SimPacket(number, size, segment, None, self.route, self.receiver_sink)
         self.records[number] = SentPacketRecord(number, now, size,
                                                 self.delivered_bytes, app_limited,
                                                 segment, context)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mprtc.congestion import (
+    BW_WINDOW_ROUNDS,
     BbrController,
     DRAIN,
     DRAIN_GAIN,
@@ -49,7 +50,7 @@ def make_cc(variant="rtc-bbr", seed=1):
 
 def test_windowed_max_matches_bruteforce():
     rng = random.Random(9)
-    filt = WindowedMaxFilter(window=10)
+    filt = WindowedMaxFilter()
     history = []
     rnd = 0
     for _ in range(600):
@@ -57,7 +58,7 @@ def test_windowed_max_matches_bruteforce():
         value = rng.uniform(0, 1e7)
         filt.update(value, rnd)
         history.append((rnd, value))
-        expected = max(v for r, v in history if r > rnd - 10)
+        expected = max(v for r, v in history if r > rnd - BW_WINDOW_ROUNDS)
         assert filt.get() == expected
 
 

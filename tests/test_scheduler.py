@@ -222,6 +222,18 @@ def test_evict_clears_stale_requeued_entries():
     assert sched.next_segment(0, now=460_000) is None
 
 
+def test_evict_drops_but_does_not_report_entry_acked_while_requeued():
+    sched = Scheduler([0])
+    sched.set_bw_es(0, 1e6)
+    (entry,) = sched.schedule_segments([seg()], now=0)
+    sched.next_segment(0, now=0)
+    sched.on_loss([entry], now=100_000)    # young, so requeued for resend
+    sched.mark_acked(entry)                # the original copy's ack arrives
+    assert sched.evict(now=500_000) == []
+    assert not sched.subflows[0].queue
+    assert sched.subflows[0].queued_bytes == 0
+
+
 def test_evict_reports_in_first_send_order():
     sched = Scheduler([0])
     sched.set_bw_es(0, 1e9)

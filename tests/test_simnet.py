@@ -103,10 +103,10 @@ def test_queue_full_drops_and_occupancy_unchanged():
     for _ in range(3):
         link.enqueue(Probe(1500, arrivals))
     assert link.dropped == 1
-    assert link.queue.occupancy == 3000
+    assert link.occupancy == 3000
     loop.run(US_PER_S)
     assert len(arrivals) == 2
-    assert link.sent == link.delivered + link.dropped + link.in_flight()
+    assert link.sent == link.delivered + link.dropped
 
 
 def test_zero_length_probe_arrives_after_owd_only():
@@ -207,17 +207,17 @@ def test_link_matches_droptail_model(capacity, owd_us, queue_capacity, bursts):
     for gap, sizes in bursts:
         t += gap
         loop.run(t)
-        assert link.queue.occupancy == model.occupancy(t)
+        assert link.occupancy == model.occupancy(t)
         for size in sizes:
             probe = Probe(size, [])
             probes.append(probe)
             link.enqueue(probe)
             arrival = model.offer(t, size)
             expected.append(["dropped"] if arrival is None else [arrival])
-            assert link.queue.occupancy == model.occupancy(t)
+            assert link.occupancy == model.occupancy(t)
     loop.run(t + 10 * US_PER_S)
     assert [p.log for p in probes] == expected
-    assert link.queue.occupancy == 0
+    assert link.occupancy == 0
     assert link.sent == link.delivered + link.dropped == len(probes)
 
 
@@ -311,7 +311,7 @@ def test_dumbbell_case1_queue_bytes():
     link = net.links["L1"]
     assert link.capacity == 3_000_000
     assert link.owd_us == 50_000
-    assert link.queue.capacity == 37_500
+    assert link.queue_capacity == 37_500
     assert len(net.flow_paths) == 3
     assert all(p.route == (link,) for p in net.flow_paths)
 
@@ -331,9 +331,9 @@ def test_rtt_unfairness_routes_and_delays():
     p1, p2 = net.flow_paths
     assert tuple(l.name for l in p1.route) == ("L0", "L1", "L2")
     assert tuple(l.name for l in p2.route) == ("L3", "L1", "L4")
-    assert p1.prop_rtt_us() == 2 * (20 + 10 + 10) * US_PER_MS
-    assert p2.prop_rtt_us() == 2 * (10 + 10 + 30) * US_PER_MS
-    assert net.links["L1"].queue.capacity == int(4e6 * 0.2 / 8)
+    assert p1.reverse_delay_us == (20 + 10 + 10) * US_PER_MS
+    assert p2.reverse_delay_us == (10 + 10 + 30) * US_PER_MS
+    assert net.links["L1"].queue_capacity == int(4e6 * 0.2 / 8)
 
 
 def test_multipath_overlay_shape_and_determinism():

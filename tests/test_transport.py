@@ -33,11 +33,12 @@ def seg_args(frame_index=0, capture_ts=0, key=False):
 
 
 def test_packetize_ceiling_division():
-    segs = packetize(3000, 0, 0, False, stream_offset=0, budget=1200)
-    assert [s.payload_length for s in segs] == [1200, 1200, 600]
+    half = PAYLOAD_BUDGET // 2
+    segs = packetize(2 * PAYLOAD_BUDGET + half, 0, 0, False, stream_offset=0)
+    assert [s.payload_length for s in segs] == [PAYLOAD_BUDGET, PAYLOAD_BUDGET, half]
     assert [s.segment_index for s in segs] == [0, 1, 2]
     assert all(s.total_segments == 3 for s in segs)
-    assert [s.stream_offset for s in segs] == [0, 1200, 2400]
+    assert [s.stream_offset for s in segs] == [0, PAYLOAD_BUDGET, 2 * PAYLOAD_BUDGET]
 
 
 def test_packetize_one_byte_frame():
@@ -351,7 +352,7 @@ def test_packet_numbers_strictly_increase():
     for _ in range(10):
         sm.send_segment(seg(), loop.now, False)
         loop.run(loop.now + 5000)
-    sm.send_stop_waiting(3, loop.now)
+    sm.send_stop_waiting(3)
     loop.run(US_PER_S)
     assert numbers == sorted(numbers)
     assert len(set(numbers)) == len(numbers) == 11
@@ -365,7 +366,7 @@ def test_receiver_gap_ranges_and_stop_waiting():
 
     def deliver(number):
         from mprtc.transport import SimPacket
-        p = SimPacket(number, 1200, seg(), None, loop.now, route, None, 0)
+        p = SimPacket(number, 1200, seg(), None, route, None)
         rx.on_packet(p, loop.now)
 
     deliver(1)
@@ -397,11 +398,11 @@ def test_receiver_duplicate_packet_ignored():
     rx = ReceiveManager(loop, lambda ack, now: None)
     got = []
     rx.segment_sink = lambda s, num, conn, now: got.append(num)
-    p = SimPacket(5, 1200, seg(), None, 0, (), None, 0)
+    p = SimPacket(5, 1200, seg(), None, (), None)
     rx.on_packet(p, 0)
     rx.on_packet(p, 10)
     assert got == [5]
-    assert rx.packets_received == 1
+    assert rx.data_packets == 1
 
 
 def test_pacing_byte_budget_property():
@@ -598,6 +599,6 @@ def test_send_manager_matches_reference(data):
             elif kind == "ack":
                 samples = sm.on_ack(ack, t)
             elif kind == "stop_waiting":
-                sm.send_stop_waiting(sm.least_retained(), t)
+                sm.send_stop_waiting(sm.least_retained())
             states.append(send_state(sm, samples, hooked))
         assert states[0] == states[1]

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mprtc import videomodel
 from mprtc.simnet import EventLoop
 from mprtc.transport import StreamFrame
 from mprtc.videomodel import (
@@ -17,7 +18,7 @@ from mprtc.videomodel import (
 )
 
 
-def make_source(rate=3_000_000.0, lam=50_000.0, seed=1, **kw):
+def make_source(rate=3_000_000.0, lam=50_000.0, seed=1):
     loop = EventLoop()
     frames = []
     src = VideoSource(
@@ -26,7 +27,6 @@ def make_source(rate=3_000_000.0, lam=50_000.0, seed=1, **kw):
         frame_sink=frames.append,
         reference_rate_fn=lambda: rate,
         min_latency_fn=lambda: lam,
-        **kw,
     )
     return loop, src, frames
 
@@ -102,8 +102,10 @@ class TestSource:
         loop2.run(10_000)
         assert src2.state.target_rate == 50_000.0
 
-    def test_encode_delay_estimate_fixed_point(self):
-        loop, src, frames = make_source(encode_base_us=10_000, encode_spread_us=0)
+    def test_encode_delay_estimate_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(videomodel, "ENCODE_DELAY_BASE_US", 10_000)
+        monkeypatch.setattr(videomodel, "ENCODE_DELAY_SPREAD_US", 0)
+        loop, src, frames = make_source()
         src.state.d_en_hat = 10_000.0
         src.start(0)
         loop.run(200_000)
@@ -138,12 +140,12 @@ class TestSource:
         rate = total_bits / 10.0
         assert abs(rate - 2_000_000.0) <= 0.10 * 2_000_000.0
 
-    def test_slow_encoder_builds_queue_and_drops(self):
+    def test_slow_encoder_builds_queue_and_drops(self, monkeypatch):
         # 50 ms service > 33 ms arrival interval: queue grows until the drop
         # rule caps the raw-queue delay.
-        loop, src, frames = make_source(
-            lam=0.0, encode_base_us=50_000, encode_spread_us=0
-        )
+        monkeypatch.setattr(videomodel, "ENCODE_DELAY_BASE_US", 50_000)
+        monkeypatch.setattr(videomodel, "ENCODE_DELAY_SPREAD_US", 0)
+        loop, src, frames = make_source(lam=0.0)
         src.state.d_en_hat = 50_000.0
         src.start(0)
         loop.run(5_000_000)
