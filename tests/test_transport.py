@@ -17,6 +17,7 @@ from mprtc.transport import (
     StopWaitingFrame,
     StreamFrame,
     WirePacket,
+    _RangeSet,
     decode_packet,
     encode_packet,
     packetize,
@@ -403,6 +404,50 @@ def test_receiver_duplicate_packet_ignored():
     rx.on_packet(p, 10)
     assert got == [5]
     assert rx.data_packets == 1
+
+
+def model_ranges(numbers):
+    """Maximal runs of consecutive integers in a set, descending."""
+    runs = []
+    for n in sorted(numbers, reverse=True):
+        if runs and runs[-1][0] == n + 1:
+            runs[-1][0] = n
+        else:
+            runs.append([n, n])
+    return [tuple(run) for run in runs]
+
+
+range_set_ops = st.lists(st.one_of(
+    st.tuples(st.just("next"), st.integers(1, 4)),      # in-order arrivals
+    st.tuples(st.just("add"), st.integers(0, 60)),      # any number
+    st.tuples(st.just("drop"), st.integers(0, 60)),
+    st.tuples(st.just("descending"), st.integers(0, 6)),
+), max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(range_set_ops)
+def test_range_set_matches_set_model(ops):
+    ranges = _RangeSet()
+    model = set()
+    for op, arg in ops:
+        if op == "next":
+            for _ in range(arg):
+                n = max(model, default=0) + 1
+                assert ranges.add(n) is True
+                model.add(n)
+        elif op == "add":
+            assert ranges.add(arg) is (arg not in model)
+            model.add(arg)
+        elif op == "drop":
+            ranges.drop_below(arg)
+            model = {n for n in model if n >= arg}
+        else:
+            top = ranges.descending(arg)
+            assert top == model_ranges(model)[:arg]
+            assert all(s <= e for s, e in top)
+            assert all(e + 1 < s for (s, _), (_, e) in zip(top, top[1:]))
+        assert ranges.descending() == model_ranges(model)
 
 
 def test_pacing_byte_budget_property():
