@@ -17,6 +17,7 @@ from .transport import StreamFrame, ewma_srtt, wire_size
 
 RETENTION_US = 400_000
 UNSCHEDULABLE = float("inf")
+DECISION_LOG_LEN = 1024  # a ring, so that memory stays flat on long runs
 
 
 class SendBufferEntry:
@@ -52,7 +53,8 @@ class Scheduler:
         # entries in first-send order.
         self.retained: dict[SendBufferEntry, None] = {}
         self.unassigned: deque[SendBufferEntry] = deque()
-        self.decision_log: list = []
+        # (now, frame_index, segment_index, sid, lambdas) of the latest assignments
+        self.decision_log: deque = deque(maxlen=DECISION_LOG_LEN)
 
     # -- subflow estimates
 

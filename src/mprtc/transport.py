@@ -229,27 +229,19 @@ class DeliveryRateSample:
     delivered_at_ack: int   # cumulative delivered bytes when it was acked
 
 
-class SentPacketRecord:
-    __slots__ = ("number", "sent_ts", "size", "delivered_at_send", "app_limited",
-                 "segment", "context")
-
-    def __init__(self, number, sent_ts, size, delivered_at_send, app_limited,
-                 segment, context=None):
-        self.number = number
-        self.sent_ts = sent_ts
-        self.size = size
-        self.delivered_at_send = delivered_at_send
-        self.app_limited = app_limited
-        self.segment = segment
-        self.context = context
-
-
 class SimPacket:
-    """In-simulator packet: metadata only, no byte payload on the hot path."""
+    """In-simulator packet: metadata only, no byte payload on the hot path.
 
-    __slots__ = ("number", "size", "stream", "stop_waiting", "route", "hop", "sink")
+    A data packet is also its sender's record of it until it is acked or
+    declared lost: ``sent_ts``, ``delivered_at_send`` and ``app_limited``
+    feed its delivery-rate sample, and ``context`` is the caller's tag.
+    """
 
-    def __init__(self, number, size, stream, stop_waiting, route, sink):
+    __slots__ = ("number", "size", "stream", "stop_waiting", "route", "hop", "sink",
+                 "sent_ts", "delivered_at_send", "app_limited", "context")
+
+    def __init__(self, number, size, stream, stop_waiting, route, sink,
+                 sent_ts=0, delivered_at_send=0, app_limited=False, context=None):
         self.number = number
         self.size = size
         self.stream = stream
@@ -257,6 +249,10 @@ class SimPacket:
         self.route = route
         self.hop = 0
         self.sink = sink
+        self.sent_ts = sent_ts
+        self.delivered_at_send = delivered_at_send
+        self.app_limited = app_limited
+        self.context = context
 
     def advance(self, now: int) -> None:
         self.hop += 1
@@ -276,7 +272,8 @@ class SendManager:
     ``_detect_reorder_loss`` and the three paths below rely on that order.
 
     - ``on_ack`` skips every ack range, or part of one, below the oldest
-      record, because those numbers were settled earlier.  Per range it
+      record, because those numbers were settled earlier.  Ranges descend,
+      so it stops at the first one wholly below that floor.  Per range it
       costs the smaller of the range above that floor and ``len(records)``.
     - ``_on_loss_timer`` walks from the oldest record and stops at the
       first one within the loss threshold: it costs the packets it declares
@@ -292,14 +289,14 @@ class SendManager:
         self.loop = loop
         self.route = route
         self.next_packet_number = 1
-        self.records: dict[int, SentPacketRecord] = {}
+        self.records: dict[int, SimPacket] = {}
         self.inflight = 0
         self.delivered_bytes = 0
         self.largest_acked = 0
         self.srtt = 0
         self.packets_sent = 0
-        self.loss_hook = None       # called with [SentPacketRecord] on new losses
-        self.ack_hook = None        # called with [SentPacketRecord] newly acked
+        self.loss_hook = None       # called with [SimPacket] on new losses
+        self.ack_hook = None        # called with [SimPacket] newly acked
         self.receiver_sink = None   # set by session wiring
         self._loss_timer = None
 
@@ -310,10 +307,9 @@ class SendManager:
         number = self.next_packet_number
         self.next_packet_number += 1
         size = wire_size(segment)
-        packet = SimPacket(number, size, segment, None, self.route, self.receiver_sink)
-        self.records[number] = SentPacketRecord(number, now, size,
-                                                self.delivered_bytes, app_limited,
-                                                segment, context)
+        packet = SimPacket(number, size, segment, None, self.route, self.receiver_sink,
+                           now, self.delivered_bytes, app_limited, context)
+        self.records[number] = packet
         self.inflight += size
         self.packets_sent += 1
         self.route[0].enqueue(packet)
@@ -349,7 +345,7 @@ class SendManager:
         floor = self.least_retained()
         for start, end in ack.ack_ranges:
             if end < floor:
-                continue
+                break  # ranges descend, so every later one is below the floor too
             if start < floor:
                 start = floor
             if end - start < len(records):
@@ -466,6 +462,9 @@ class _RangeSet:
 
     def add(self, n: int) -> bool:
         starts, ends = self.starts, self.ends
+        if ends and n == ends[-1] + 1:
+            ends[-1] = n  # in-order arrival, the common case: links are FIFO
+            return True
         i = bisect_right(starts, n) - 1
         if i >= 0 and n <= ends[i]:
             return False  # duplicate

@@ -12,7 +12,6 @@ from mprtc.simnet import US_PER_S
 from mprtc.transport import (
     DeliveryRateSample,
     SendManager,
-    SentPacketRecord,
     SimPacket,
     ewma_srtt,
     wire_size,
@@ -25,10 +24,9 @@ class ReferenceSendManager(SendManager):
         number = self.next_packet_number
         self.next_packet_number += 1
         size = wire_size(segment)
-        packet = SimPacket(number, size, segment, None, self.route, self.receiver_sink)
-        self.records[number] = SentPacketRecord(number, now, size,
-                                                self.delivered_bytes, app_limited,
-                                                segment, context)
+        packet = SimPacket(number, size, segment, None, self.route, self.receiver_sink,
+                           now, self.delivered_bytes, app_limited, context)
+        self.records[number] = packet
         self.inflight += size
         self.packets_sent += 1
         self.route[0].enqueue(packet)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mprtc.scheduler import Scheduler, UNSCHEDULABLE, wire_size
+from mprtc.scheduler import DECISION_LOG_LEN, Scheduler, UNSCHEDULABLE, wire_size
 from mprtc.transport import PAYLOAD_BUDGET, StreamFrame, packetize
 
 
@@ -92,6 +92,23 @@ def test_greedy_assignment_replayable_from_decision_log():
     for _, _, _, chosen, lambdas in sched.decision_log:
         best = min(range(len(lambdas)), key=lambda i: (lambdas[i], i))
         assert chosen == best
+
+
+def test_decision_log_keeps_only_the_last_assignments():
+    rng = random.Random(5)
+    sched = make_two(bw0=2e6, bw1=1.3e6, srtt0=80_000, srtt1=120_000)
+    assigned = []
+    fi = 0
+    while len(assigned) <= DECISION_LOG_LEN + 100:
+        segs = packetize(rng.randint(400, 9000), fi, 0, False, stream_offset=0)
+        sched.schedule_segments(segs, now=fi * 1000)
+        assigned.extend((s.frame_index, s.segment_index) for s in segs)
+        fi += 1
+    log = sched.decision_log
+    assert len(log) == DECISION_LOG_LEN
+    assert [(f, i) for _, f, i, _, _ in log] == assigned[-DECISION_LOG_LEN:]
+    for _, _, _, chosen, lambdas in log:
+        assert chosen == min(range(len(lambdas)), key=lambda i: (lambdas[i], i))
 
 
 def test_queued_bytes_tracks_assignments_and_sends():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from mprtc.scheduler import wire_size
+from mprtc.scheduler import DECISION_LOG_LEN, wire_size
 from mprtc.session import CappedFlow, VideoSession
 from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
 
@@ -106,6 +106,8 @@ def test_overlay_collapse_pinned():
     assert session.lost_packets > 0
     # The outage makes the bandit move at least one subflow off its direct path.
     assert {pid for _, _, pid in session.selections} - {0, 2}
+    # 30 s assigns several thousand segments; the log keeps only the last.
+    assert len(session.scheduler.decision_log) == DECISION_LOG_LEN
     assert overlay_digest(session) == COLLAPSE_PIN
 
 

@@ -274,10 +274,11 @@ def test_app_limited_flag_rides_records():
 
 def test_bandwidth_sample_matches_delivery_arithmetic():
     # One packet of 125 000 bytes acked 100 ms after send is a 10 Mbps sample.
-    from mprtc.transport import SentPacketRecord
+    from mprtc.transport import SimPacket
     loop = EventLoop()
     sm = SendManager(loop, (None,))
-    sm.records = {1: SentPacketRecord(1, 0, 125_000, 0, False, None)}
+    sm.records = {1: SimPacket(1, 125_000, None, None, (None,), None,
+                               sent_ts=0, delivered_at_send=0)}
     sm.inflight = 125_000
     loop.run(100_000)
     samples = sm.on_ack(AckFrame(1, 0, [(1, 1)]), 100_000)
