@@ -6,9 +6,11 @@ slot the manager scores every candidate with
 
     X = Bw_hat + Bw * sqrt(2 * ln(C * T) / N)
 
-and gives each subflow the argmax.  Paths unvisited for the 10 s observation
-window fall back to their all-time maximum, which is what draws the manager
-back to re-explore them.
+and gives each subflow the argmax.  Bw is the maximum over samples of the
+last 10 s, but the newest sample is always kept, so a path unvisited for
+longer scores with its last sample; ``maxBw_`` is read only before a path's
+first sample.  Re-exploration comes from the sqrt term, which grows with T
+while an unpicked path's N stays put.
 """
 
 from __future__ import annotations

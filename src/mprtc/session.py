@@ -131,8 +131,7 @@ class CappedFlow:
             if ts > now:
                 self.loop.schedule(ts, self._pump)
                 return
-            segment = StreamFrame(self._counter * PAYLOAD_BUDGET, PAYLOAD_BUDGET,
-                                  self._counter & 0xFFFFFFFF, now, 1, 0, False)
+            segment = StreamFrame(PAYLOAD_BUDGET, self._counter, now, 1, 0, False)
             self._counter += 1
             conn.send(segment, now, False)
 
@@ -173,7 +172,6 @@ class VideoSession:
         self.sink = VideoSink()
         self.selections: list[tuple[int, int, int]] = []
         self.lost_packets = 0
-        self._stream_offset = 0
         self._pump_timers: dict[int, list | None] = {sid: None for sid in self.sids}
 
         self.paths: dict[int, PathConnection] = {}
@@ -221,8 +219,7 @@ class VideoSession:
     def _on_encoded_frame(self, frame) -> None:
         now = self.loop.now
         segments = packetize(frame.size, frame.frame_index, frame.capture_ts,
-                             frame.key_frame, self._stream_offset)
-        self._stream_offset += frame.size
+                             frame.key_frame)
         self.scheduler.schedule_segments(segments, now)
         for sid in self.sids:
             self._pump(sid)

@@ -8,6 +8,7 @@ insertion order and every stochastic draw comes from one seeded RNG.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from bisect import bisect_right
 from collections import deque
@@ -32,17 +33,18 @@ class EventLoop:
         self.now = 0
 
     def schedule(self, fire_time: int, fn, *args) -> list:
-        """Schedule fn(*args) at fire_time; returns a cancellable handle."""
+        """Schedule fn(*args) at fire_time and return its handle.
+
+        The handle is the heap entry ``[fire_time, seq, fn, args]``.  Setting
+        ``handle[2] = None`` cancels it: an entry whose fn is None is popped
+        and skipped.
+        """
         if fire_time < self.now:
             raise SchedulingError(f"fire_time {fire_time} < now {self.now}")
         self._seq += 1
         entry = [fire_time, self._seq, fn, args]
         heapq.heappush(self._heap, entry)
         return entry
-
-    @staticmethod
-    def cancel(handle: list) -> None:
-        handle[2] = None
 
     def run(self, until: int) -> None:
         """Run events with fire_time <= until (inclusive); clock ends at until."""
@@ -71,6 +73,8 @@ class LinkConfig:
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
+        if self.owd_us < 0:
+            raise ValueError(f"owd_us must be >= 0, got {self.owd_us}")
         if self.queue_capacity <= 0:
             raise ValueError(f"queue_capacity must be > 0, got {self.queue_capacity}")
 
@@ -170,6 +174,8 @@ def load_trace(path) -> TraceSchedule:
                 kbps = float(parts[1])
             except ValueError:
                 raise TraceParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+            if not (math.isfinite(ms) and math.isfinite(kbps)):
+                raise TraceParseError(f"{path}:{lineno}: non-finite field in {line!r}")
             ts = int(ms * US_PER_MS)
             if ts <= prev_ts:
                 raise TraceParseError(f"{path}:{lineno}: non-increasing timestamp {parts[0]} ms")

@@ -1,9 +1,10 @@
-"""Wire protocol and per-path send/receive managers.
+"""QUIC-like frames and per-path send/receive managers.
 
 Three frame types (STREAM, ACK, STOP_WAITING) referenced from QUIC's
 design: every sent packet gets a fresh per-connection packet number,
 retransmissions included, and STOP_WAITING lets the sender abandon data
-without stalling the receiver.  The send manager turns acks into
+without stalling the receiver.  Packets are never serialized; a packet
+counts only its size on the wire.  The send manager turns acks into
 delivery-rate samples for the congestion controller.
 """
 
@@ -17,22 +18,19 @@ from .simnet import US_PER_S
 
 MSS = 1200
 
-_PACKET_HDR = struct.Struct(">BQ")          # flags, packet number
+# Big-endian header layouts, the one source of the simulated header sizes.
+# Packet: flags u8, packet number u64.
+_PACKET_HDR = struct.Struct(">BQ")
+# STREAM: frame type u8, stream offset u64, payload length u16, frame index
+# u32, capture timestamp u64, total segments u16, segment index u16, key u8.
 _STREAM_HDR = struct.Struct(">BQHIQHHB")
-_ACK_HDR = struct.Struct(">BQIB")
-_ACK_RANGE = struct.Struct(">QQ")
+# STOP_WAITING: frame type u8, least unacked packet number u64.
 _STOP_HDR = struct.Struct(">BQ")
 
-# Simulated packets are sized by their encoding, so the codec's structs are
-# the one source of the header sizes.
 PACKET_HEADER_SIZE = _PACKET_HDR.size
 STREAM_HEADER_SIZE = _STREAM_HDR.size
 STOP_WAITING_SIZE = _STOP_HDR.size
 PAYLOAD_BUDGET = MSS - PACKET_HEADER_SIZE - STREAM_HEADER_SIZE
-
-FRAME_STREAM = 0x01
-FRAME_ACK = 0x02
-FRAME_STOP_WAITING = 0x03
 
 SRTT_DELTA = 0.85
 REORDER_THRESHOLD = 3
@@ -41,13 +39,8 @@ ACK_EVERY_N = 2
 ACK_DELAY_MAX_US = 10_000
 
 
-class CodecError(Exception):
-    pass
-
-
 @dataclass(slots=True)
 class StreamFrame:
-    stream_offset: int
     payload_length: int
     frame_index: int
     capture_ts: int
@@ -68,135 +61,19 @@ class AckFrame:
     ack_ranges: list  # [(start, end)] inclusive, sorted descending, disjoint
 
 
-@dataclass(slots=True)
-class StopWaitingFrame:
-    least_unacked: int
-
-
-@dataclass(slots=True)
-class WirePacket:
-    flags: int
-    packet_number: int
-    frames: list
-
-
-def packetize(size: int, frame_index: int, capture_ts: int, key_frame: bool,
-              stream_offset: int) -> list[StreamFrame]:
+def packetize(size: int, frame_index: int, capture_ts: int,
+              key_frame: bool) -> list[StreamFrame]:
     """Split an encoded frame into segments no larger than the payload budget."""
     if size <= 0:
         raise ValueError(f"frame size must be > 0, got {size}")
     total = (size + PAYLOAD_BUDGET - 1) // PAYLOAD_BUDGET
     segments = []
-    offset = stream_offset
     remaining = size
     for idx in range(total):
         length = PAYLOAD_BUDGET if remaining > PAYLOAD_BUDGET else remaining
-        segments.append(StreamFrame(offset, length, frame_index, capture_ts,
-                                    total, idx, key_frame))
-        offset += length
+        segments.append(StreamFrame(length, frame_index, capture_ts, total, idx, key_frame))
         remaining -= length
     return segments
-
-
-# --- wire codec -------------------------------------------------------------
-
-def _check_range(value: int, bits: int, what: str) -> None:
-    if not 0 <= value < (1 << bits):
-        raise CodecError(f"{what} {value} out of range for u{bits}")
-
-
-def encode_packet(packet: WirePacket) -> bytes:
-    _check_range(packet.flags, 8, "flags")
-    _check_range(packet.packet_number, 64, "packet_number")
-    parts = [_PACKET_HDR.pack(packet.flags, packet.packet_number)]
-    for frame in packet.frames:
-        if isinstance(frame, StreamFrame):
-            _check_range(frame.stream_offset, 64, "stream_offset")
-            _check_range(frame.payload_length, 16, "payload_length")
-            _check_range(frame.frame_index, 32, "frame_index")
-            _check_range(frame.capture_ts, 64, "capture_ts")
-            _check_range(frame.total_segments, 16, "total_segments")
-            _check_range(frame.segment_index, 16, "segment_index")
-            if frame.segment_index >= frame.total_segments:
-                raise CodecError("segment_index must be < total_segments")
-            parts.append(_STREAM_HDR.pack(FRAME_STREAM, frame.stream_offset,
-                                          frame.payload_length, frame.frame_index,
-                                          frame.capture_ts, frame.total_segments,
-                                          frame.segment_index, int(frame.key_frame)))
-            parts.append(b"\x00" * frame.payload_length)
-        elif isinstance(frame, AckFrame):
-            _check_range(frame.largest_acked, 64, "largest_acked")
-            _check_range(frame.ack_delay, 32, "ack_delay")
-            _check_range(len(frame.ack_ranges), 8, "range_count")
-            parts.append(_ACK_HDR.pack(FRAME_ACK, frame.largest_acked,
-                                       frame.ack_delay, len(frame.ack_ranges)))
-            prev_start = None
-            for start, end in frame.ack_ranges:
-                _check_range(start, 64, "range start")
-                _check_range(end, 64, "range end")
-                if start > end or end > frame.largest_acked:
-                    raise CodecError(f"bad ack range ({start}, {end})")
-                if prev_start is not None and end >= prev_start:
-                    raise CodecError("ack ranges must be descending and disjoint")
-                prev_start = start
-                parts.append(_ACK_RANGE.pack(start, end))
-        elif isinstance(frame, StopWaitingFrame):
-            _check_range(frame.least_unacked, 64, "least_unacked")
-            parts.append(_STOP_HDR.pack(FRAME_STOP_WAITING, frame.least_unacked))
-        else:
-            raise CodecError(f"unknown frame {type(frame).__name__}")
-    return b"".join(parts)
-
-
-def decode_packet(buf: bytes) -> WirePacket:
-    if len(buf) < _PACKET_HDR.size:
-        raise CodecError("truncated packet header")
-    flags, number = _PACKET_HDR.unpack_from(buf, 0)
-    pos = _PACKET_HDR.size
-    frames = []
-    while pos < len(buf):
-        ftype = buf[pos]
-        if ftype == FRAME_STREAM:
-            if pos + _STREAM_HDR.size > len(buf):
-                raise CodecError("truncated STREAM header")
-            (_, offset, length, frame_index, capture_ts,
-             total_segments, segment_index, key) = _STREAM_HDR.unpack_from(buf, pos)
-            pos += _STREAM_HDR.size
-            if segment_index >= total_segments:
-                raise CodecError("segment_index must be < total_segments")
-            if pos + length > len(buf):
-                raise CodecError("truncated STREAM payload")
-            pos += length
-            frames.append(StreamFrame(offset, length, frame_index, capture_ts,
-                                      total_segments, segment_index, bool(key)))
-        elif ftype == FRAME_ACK:
-            if pos + _ACK_HDR.size > len(buf):
-                raise CodecError("truncated ACK header")
-            _, largest, ack_delay, count = _ACK_HDR.unpack_from(buf, pos)
-            pos += _ACK_HDR.size
-            ranges = []
-            prev_start = None
-            for _ in range(count):
-                if pos + _ACK_RANGE.size > len(buf):
-                    raise CodecError("truncated ACK range")
-                start, end = _ACK_RANGE.unpack_from(buf, pos)
-                pos += _ACK_RANGE.size
-                if start > end or end > largest:
-                    raise CodecError(f"bad ack range ({start}, {end})")
-                if prev_start is not None and end >= prev_start:
-                    raise CodecError("ack ranges must be descending and disjoint")
-                prev_start = start
-                ranges.append((start, end))
-            frames.append(AckFrame(largest, ack_delay, ranges))
-        elif ftype == FRAME_STOP_WAITING:
-            if pos + _STOP_HDR.size > len(buf):
-                raise CodecError("truncated STOP_WAITING")
-            _, least = _STOP_HDR.unpack_from(buf, pos)
-            pos += _STOP_HDR.size
-            frames.append(StopWaitingFrame(least))
-        else:
-            raise CodecError(f"unknown frame type 0x{ftype:02x}")
-    return WirePacket(flags, number, frames)
 
 
 # --- pacing -----------------------------------------------------------------

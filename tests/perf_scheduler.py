@@ -25,7 +25,7 @@ def two_subflows():
 
 
 def key_segments():
-    return packetize(KEY_FRAME_BYTES, 0, 0, True, stream_offset=0)
+    return packetize(KEY_FRAME_BYTES, 0, 0, True)
 
 
 def key_frame():

@@ -7,7 +7,7 @@ from mprtc.transport import PAYLOAD_BUDGET, StreamFrame, packetize
 
 
 def seg(payload=PAYLOAD_BUDGET, frame_index=0, index=0, total=1, key=False):
-    return StreamFrame(0, payload, frame_index, 0, total, index, key)
+    return StreamFrame(payload, frame_index, 0, total, index, key)
 
 
 def make_two(bw0=1e6, bw1=1e6, srtt0=100_000, srtt1=100_000):
@@ -87,7 +87,7 @@ def test_greedy_assignment_replayable_from_decision_log():
     rng = random.Random(11)
     sched = make_two(bw0=2e6, bw1=1.3e6, srtt0=80_000, srtt1=120_000)
     for fi in range(20):
-        segs = packetize(rng.randint(400, 9000), fi, 0, False, stream_offset=0)
+        segs = packetize(rng.randint(400, 9000), fi, 0, False)
         sched.schedule_segments(segs, now=fi * 1000)
     for _, _, _, chosen, lambdas in sched.decision_log:
         best = min(range(len(lambdas)), key=lambda i: (lambdas[i], i))
@@ -100,7 +100,7 @@ def test_decision_log_keeps_only_the_last_assignments():
     assigned = []
     fi = 0
     while len(assigned) <= DECISION_LOG_LEN + 100:
-        segs = packetize(rng.randint(400, 9000), fi, 0, False, stream_offset=0)
+        segs = packetize(rng.randint(400, 9000), fi, 0, False)
         sched.schedule_segments(segs, now=fi * 1000)
         assigned.extend((s.frame_index, s.segment_index) for s in segs)
         fi += 1

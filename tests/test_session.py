@@ -80,7 +80,30 @@ def assert_send_state_consistent(sm) -> None:
     assert all(a <= b for a, b in zip(sent, sent[1:]))
 
 
+def assert_frames_conserved(session: VideoSession) -> None:
+    """Every captured frame is in exactly one sender state, and the sink
+    holds each encoded frame in at most one receiver state."""
+    source, sink = session.source, session.sink
+    dropped = [fi for fi, _, _, _, was_dropped in source.frame_log if was_dropped]
+    encoded = [fi for fi, _, _, _, was_dropped in source.frame_log if not was_dropped]
+    raw_queued = [raw.frame_index for raw in source.raw_queue]
+    assert source.frames_dropped == len(dropped)
+    # The encoder holds one frame while busy and none otherwise; it is the
+    # captured frame found in no other sender state.
+    sender = dropped + encoded + raw_queued
+    assert len(set(sender)) == len(sender)
+    assert set(sender) <= set(range(source.frames_captured))
+    assert source.frames_captured - len(sender) == int(source.busy)
+
+    receiver = ([f.frame_index for f in sink.delivered]
+                + [fi for fi, _, _, _ in sink.abandoned]
+                + list(sink.pending) + list(sink._ready))
+    assert len(set(receiver)) == len(receiver)
+    assert set(receiver) <= set(encoded)
+
+
 def assert_overlay_invariants(session: VideoSession) -> None:
+    assert_frames_conserved(session)
     sink = session.sink
     indices = [f.frame_index for f in sink.delivered]
     assert all(a < b for a, b in zip(indices, indices[1:]))

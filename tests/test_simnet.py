@@ -75,9 +75,12 @@ def test_cancel_suppresses_event():
     loop = EventLoop()
     fired = []
     handle = loop.schedule(5, fired.append, True)
-    loop.cancel(handle)
+    assert handle[:2] == [5, 1]
+    handle[2] = None  # the cancel rule of EventLoop.schedule
+    loop.schedule(7, fired.append, False)
     loop.run(10)
-    assert fired == []
+    assert fired == [False]
+    assert loop.now == 10
 
 
 # --- link model -------------------------------------------------------------
@@ -145,6 +148,12 @@ def test_back_to_back_serialization_spacing():
     link.enqueue(Probe(1500, arrivals))
     loop.run(US_PER_S)
     assert arrivals == [54 * US_PER_MS, 58 * US_PER_MS]
+
+
+def test_link_config_rejects_negative_owd():
+    with pytest.raises(ValueError, match="owd_us"):
+        LinkConfig(1_000_000, -5, 10_000)
+    assert LinkConfig(1_000_000, 0, 10_000).owd_us == 0
 
 
 def test_drop_hook_reports_packet():
@@ -263,6 +272,11 @@ def test_trace_parse_errors_name_line(tmp_path):
     bad.write_text("")
     with pytest.raises(TraceParseError, match="empty"):
         load_trace(bad)
+    for text in ("nan,200\n", "0,inf\n", "0,3000\n1e400,5\n"):
+        bad.write_text(text)
+        lineno = text.count("\n")
+        with pytest.raises(TraceParseError, match=f"bad.csv:{lineno}: non-finite"):
+            load_trace(bad)
 
 
 def test_trace_mean_capacity_time_weighted():

@@ -33,7 +33,6 @@ def make_source(rate=3_000_000.0, lam=50_000.0, seed=1):
 
 def seg(fi, si, total, key=0, length=1000, capture_ts=0):
     return StreamFrame(
-        stream_offset=0,
         payload_length=length,
         frame_index=fi,
         capture_ts=capture_ts,
