@@ -61,6 +61,15 @@ class BbrController:
 
     Feed it DeliveryRateSamples; read pacing_rate / cwnd / bw_es / rtt_min.
     `variant` selects the ProbeBW behavior ("rtc-bbr" or "bbr").
+
+    The outputs are stored values, not getters.  As in Linux tcp_bbr.c's
+    bbr_main, which sets the pacing rate and cwnd once per ack, they are
+    computed where their inputs change and senders read them per packet.
+    bw_es is stored after every update of the bandwidth filter, because the
+    state machine reads it (through bdp_bytes) later in the same sample;
+    pacing_rate and cwnd are stored by _set_outputs at the end of
+    on_delivery_sample.  pause and resume move only clocks, which no output
+    reads.
     """
 
     __slots__ = (
@@ -70,7 +79,7 @@ class BbrController:
         "full_bw", "full_bw_count", "filled_pipe",
         "pacing_gain", "cwnd_gain", "cycle_mstamp", "cycle_len", "cycle_phase",
         "loss_since_update", "paused", "pause_started",
-        "mode_hook",
+        "mode_hook", "bw_es", "pacing_rate", "cwnd",
     )
 
     def __init__(self, rng, variant: str = "rtc-bbr") -> None:
@@ -98,27 +107,30 @@ class BbrController:
         self.paused = False
         self.pause_started = 0
         self.mode_hook = None
+        self._set_bw_es()
+        self._set_outputs()
 
     # -- outputs
 
-    def bw_es(self) -> float:
+    def _set_bw_es(self) -> None:
+        """Store the bandwidth estimate; run after every bandwidth-filter update."""
         bw = self.max_bw_filter.get()
-        return bw if bw > 0 else INITIAL_BW_BPS
+        self.bw_es = bw if bw > 0 else INITIAL_BW_BPS
 
     def bdp_bytes(self) -> float:
         if not self.rtt_min:
             return INITIAL_CWND
-        return self.bw_es() * self.rtt_min / 8 / 1_000_000
+        return self.bw_es * self.rtt_min / 8 / 1_000_000
 
-    def pacing_rate(self) -> float:
-        return self.bw_es() * self.pacing_gain
-
-    def cwnd(self) -> float:
+    def _set_outputs(self) -> None:
+        """Store pacing_rate and cwnd; run once bw_es, rtt_min, mode and gains are final."""
+        self.pacing_rate = self.bw_es * self.pacing_gain
         if self.mode == PROBE_RTT:
-            return PROBE_RTT_CWND
-        if self.mode == PROBE_BW:
-            return 2 * self.bdp_bytes()
-        return max(self.cwnd_gain * self.bdp_bytes(), INITIAL_CWND)
+            self.cwnd = PROBE_RTT_CWND
+        elif self.mode == PROBE_BW:
+            self.cwnd = 2 * self.bdp_bytes()
+        else:
+            self.cwnd = max(self.cwnd_gain * self.bdp_bytes(), INITIAL_CWND)
 
     # -- sample intake
 
@@ -144,12 +156,13 @@ class BbrController:
                 self.pacing_gain = 1
                 self.probe_rtt_done_ts = 0
             elif self.variant == "rtc-bbr":
-                self.update_gain_cycle_phase(now, sample.inflight, self.loss_since_update)
+                self._update_gain_cycle_phase(now, sample.inflight, self.loss_since_update)
                 self.loss_since_update = False
             else:
-                self.stock_bbr_cycle(now, sample.inflight)
+                self._stock_bbr_cycle(now, sample.inflight)
         if self.mode == PROBE_RTT:
             self._probe_rtt_dwell(sample, now)
+        self._set_outputs()
 
     def _update_round(self, sample: DeliveryRateSample) -> bool:
         # A round ends when a packet sent after the previous round's end
@@ -165,6 +178,7 @@ class BbrController:
         if sample.app_limited and sample.bandwidth <= self.max_bw_filter.get():
             return
         self.max_bw_filter.update(sample.bandwidth, self.round_count)
+        self._set_bw_es()
 
     # -- StartUp / Drain
 
@@ -199,7 +213,7 @@ class BbrController:
 
     # -- ProbeBW gain cycling
 
-    def update_gain_cycle_phase(self, now: int, inflight: int, has_loss: bool) -> None:
+    def _update_gain_cycle_phase(self, now: int, inflight: int, has_loss: bool) -> None:
         elapsed = now - self.cycle_mstamp
         if elapsed > self.cycle_len * self.rtt_min:
             self.cycle_mstamp = now
@@ -214,7 +228,7 @@ class BbrController:
         if elapsed > self.rtt_min and (inflight > PROBE_UP_GAIN * bdp or has_loss):
             self.pacing_gain = PROBE_DOWN_GAIN
 
-    def stock_bbr_cycle(self, now: int, inflight: int) -> None:
+    def _stock_bbr_cycle(self, now: int, inflight: int) -> None:
         elapsed = now - self.cycle_mstamp
         advance = elapsed > self.rtt_min
         if not advance and self.pacing_gain == 0.75 and inflight <= self.bdp_bytes():

@@ -21,17 +21,19 @@ DECISION_LOG_LEN = 1024  # a ring, so that memory stays flat on long runs
 
 
 class SendBufferEntry:
-    __slots__ = ("segment", "subflow", "sent", "first_sent_ts", "acked")
+    """One segment in the send buffer; its wire size and key-frame flag are
+    stored at construction, because a segment never changes."""
+
+    __slots__ = ("segment", "size", "key_frame", "subflow", "sent", "first_sent_ts", "acked")
 
     def __init__(self, segment: StreamFrame) -> None:
         self.segment = segment
+        self.size = wire_size(segment)
+        self.key_frame = segment.key_frame
         self.subflow = -1
         self.sent = False
         self.first_sent_ts = 0
         self.acked = False
-
-    def key_frame(self) -> bool:
-        return self.segment.key_frame
 
 
 class SubflowState:
@@ -48,7 +50,7 @@ class SubflowState:
 class Scheduler:
     def __init__(self, subflow_ids) -> None:
         self.subflows = {sid: SubflowState(sid) for sid in subflow_ids}
-        self._order = sorted(self.subflows)
+        self._by_id = [self.subflows[sid] for sid in sorted(self.subflows)]
         # A dict used as an insertion-ordered set, so that evict() reports
         # entries in first-send order.
         self.retained: dict[SendBufferEntry, None] = {}
@@ -66,26 +68,28 @@ class Scheduler:
     def set_bw_es(self, sid: int, bw: float) -> None:
         self.subflows[sid].bw_es = bw
 
-    def expected_latency(self, sid: int) -> float:
-        sub = self.subflows[sid]
-        if sub.bw_es <= 0:
-            return UNSCHEDULABLE
-        return sub.srtt / 2 + sub.queued_bytes * 8 * US_PER_S / sub.bw_es
-
     def min_latency(self) -> float:
         return self._fastest()[1]
 
     def _fastest(self):
-        """(fastest subflow or None, its expected latency, all latencies by id)."""
+        """(fastest subflow or None, its expected latency, all latencies by id).
+
+        A subflow's expected latency is SRTT/2 + queued_bytes/bw_es, and
+        UNSCHEDULABLE while its bandwidth estimate is not positive.  This is
+        the one place that formula is written.
+        """
         best_sid = None
         best_lat = UNSCHEDULABLE
         lambdas = []
-        for sid in self._order:
-            lat = self.expected_latency(sid)
+        for sub in self._by_id:
+            if sub.bw_es <= 0:
+                lat = UNSCHEDULABLE
+            else:
+                lat = sub.srtt / 2 + sub.queued_bytes * 8 * US_PER_S / sub.bw_es
             lambdas.append(lat)
             if lat < best_lat:
                 best_lat = lat
-                best_sid = sid
+                best_sid = sub.sid
         return best_sid, best_lat, lambdas
 
     # -- assignment
@@ -110,7 +114,7 @@ class Scheduler:
         entry.subflow = best_sid
         sub = self.subflows[best_sid]
         sub.queue.append(entry)
-        sub.queued_bytes += wire_size(seg)
+        sub.queued_bytes += entry.size
         return best_sid
 
     def next_segment(self, sid: int, now: int) -> SendBufferEntry | None:
@@ -118,11 +122,10 @@ class Scheduler:
         sub = self.subflows[sid]
         while sub.queue:
             entry = sub.queue.popleft()
-            size = wire_size(entry.segment)
-            sub.queued_bytes -= size
+            sub.queued_bytes -= entry.size
             if entry.acked:
                 continue  # acked while waiting for retransmission
-            if entry.sent and not entry.key_frame() \
+            if entry.sent and not entry.key_frame \
                     and now - entry.first_sent_ts > RETENTION_US:
                 self.retained.pop(entry, None)
                 continue
@@ -132,9 +135,6 @@ class Scheduler:
             self.retained[entry] = None
             return entry
         return None
-
-    def backlog(self, sid: int) -> int:
-        return self.subflows[sid].queued_bytes
 
     # -- feedback
 
@@ -152,14 +152,14 @@ class Scheduler:
             if entry not in self.retained:
                 dropped.append(entry)
                 continue
-            if entry.key_frame() or now - entry.first_sent_ts <= RETENTION_US:
+            if entry.key_frame or now - entry.first_sent_ts <= RETENTION_US:
                 sid = self._fastest()[0]
                 if sid is None:
                     sid = entry.subflow
                 entry.subflow = sid
                 sub = self.subflows[sid]
                 sub.queue.appendleft(entry)  # retransmissions jump the line
-                sub.queued_bytes += wire_size(entry.segment)
+                sub.queued_bytes += entry.size
                 retx_sids.append(sid)
             else:
                 self.retained.pop(entry, None)
@@ -170,7 +170,7 @@ class Scheduler:
         """Age out sent non-key entries; returns what was evicted unacked."""
         horizon = now - RETENTION_US
         evicted = [e for e in self.retained
-                   if not e.key_frame() and e.sent and e.first_sent_ts < horizon]
+                   if not e.key_frame and e.sent and e.first_sent_ts < horizon]
         for entry in evicted:
             del self.retained[entry]
         seen = set(evicted)
@@ -178,10 +178,10 @@ class Scheduler:
             if not sub.queue:
                 continue
             stale = [e for e in sub.queue
-                     if e.sent and not e.key_frame() and e.first_sent_ts < horizon]
+                     if e.sent and not e.key_frame and e.first_sent_ts < horizon]
             for entry in stale:
                 sub.queue.remove(entry)
-                sub.queued_bytes -= wire_size(entry.segment)
+                sub.queued_bytes -= entry.size
                 self.retained.pop(entry, None)
             # One acked while requeued for resend leaves the queue unreported.
             evicted.extend(e for e in stale if e not in seen and not e.acked)

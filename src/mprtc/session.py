@@ -68,13 +68,13 @@ class PathConnection:
         """Earliest send time the pacer allows, or None while cwnd is full."""
         if self.next_send_ts > now:
             return self.next_send_ts
-        if self.sm.inflight + MSS > self.cc.cwnd():
+        if self.sm.inflight + MSS > self.cc.cwnd:
             return None
         return now
 
     def send(self, segment: StreamFrame, now: int, app_limited: bool, context=None) -> None:
         packet = self.sm.send_segment(segment, now, app_limited, context)
-        rate = self.cc.pacing_rate()
+        rate = self.cc.pacing_rate
         if rate > self.rate_cap_bps:
             rate = self.rate_cap_bps
         self.next_send_ts = pacer_next_send_time(now, packet.size, rate)
@@ -206,7 +206,7 @@ class VideoSession:
         for sid in self.sids:
             # Prime the latency model so the first frame is schedulable before
             # any ack arrives.
-            self.scheduler.set_bw_es(sid, self.active[sid].cc.bw_es())
+            self.scheduler.set_bw_es(sid, self.active[sid].cc.bw_es)
         for conn in self.paths.values():
             if conn is not self.active[conn.sid]:
                 conn.cc.pause(now)
@@ -225,13 +225,14 @@ class VideoSession:
             self._pump(sid)
 
     def _reference_rate(self) -> float:
-        return sum(self.active[sid].cc.bw_es() for sid in self.sids)
+        return sum(self.active[sid].cc.bw_es for sid in self.sids)
 
     def _pump(self, sid: int) -> None:
         now = self.loop.now
         conn = self.active[sid]
         sched = self.scheduler
-        while sched.backlog(sid) > 0:
+        sub = sched.subflows[sid]
+        while sub.queued_bytes > 0:
             ts = conn.gate(now)
             if ts is None:
                 return  # ack-clocked: the next _deliver_ack pumps again
@@ -241,7 +242,7 @@ class VideoSession:
             entry = sched.next_segment(sid, now)
             if entry is None:
                 return
-            conn.send(entry.segment, now, sched.backlog(sid) <= 0, entry)
+            conn.send(entry.segment, now, sub.queued_bytes <= 0, entry)
 
     def _arm_pump(self, sid: int, ts: int) -> None:
         timer = self._pump_timers[sid]
@@ -265,11 +266,11 @@ class VideoSession:
             for sample in samples:
                 cc.on_delivery_sample(sample, now)
                 sched.update_srtt(conn.sid, sample.rtt)
-            sched.set_bw_es(conn.sid, cc.bw_es())
+            sched.set_bw_es(conn.sid, cc.bw_es)
             pid = conn.path.path_id
             if self.pm is not None and now - self._last_push_ts[pid] >= BANDIT_PUSH_INTERVAL_US:
                 self._last_push_ts[pid] = now
-                self.pm.on_new_bandwidth_sample(pid, cc.bw_es(), now)
+                self.pm.on_new_bandwidth_sample(pid, cc.bw_es, now)
         self._pump(conn.sid)
 
     def _on_acked_records(self, newly_acked) -> None:
@@ -333,5 +334,5 @@ class VideoSession:
         new = self.paths[path_id]
         new.cc.resume(now)
         self.active[sid] = new
-        self.scheduler.set_bw_es(sid, new.cc.bw_es())
+        self.scheduler.set_bw_es(sid, new.cc.bw_es)
         self._pump(sid)

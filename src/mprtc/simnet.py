@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
+_FOREVER = 1 << 62
 
 
 class SchedulingError(Exception):
@@ -23,7 +24,18 @@ class SchedulingError(Exception):
 
 
 class EventLoop:
-    """Single-threaded event loop over integer-microsecond timestamps."""
+    """Single-threaded event loop over integer-microsecond timestamps.
+
+    Events fire in ``(fire_time, seq)`` order, where ``seq`` is taken when
+    ``schedule`` is called.  Two consequences bound which changes keep a
+    run byte-for-byte the same.  Dropping a ``schedule`` call leaves the
+    order of the remaining events unchanged, because sequence numbers only
+    break ties and their relative order is kept.  Scheduling an event at
+    another moment, earlier or later, does not: it takes a different
+    ``seq``, so it can fire before or after another event due in the same
+    microsecond.  A link that schedules one event per hop instead of one per
+    departure and one per arrival therefore moves output digests.
+    """
 
     __slots__ = ("_heap", "_seq", "now")
 
@@ -47,7 +59,13 @@ class EventLoop:
         return entry
 
     def run(self, until: int) -> None:
-        """Run events with fire_time <= until (inclusive); clock ends at until."""
+        """Run events with fire_time <= until (inclusive); clock ends at until.
+
+        ``until`` before the current time is a SchedulingError, as in
+        ``schedule``: the clock never moves backwards.
+        """
+        if until < self.now:
+            raise SchedulingError(f"run until {until} < now {self.now}")
         heap = self._heap
         pop = heapq.heappop
         while heap and heap[0][0] <= until:
@@ -71,6 +89,10 @@ class LinkConfig:
     queue_capacity: int
 
     def __post_init__(self) -> None:
+        for name in ("capacity", "owd_us", "queue_capacity"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
         if self.owd_us < 0:
@@ -90,15 +112,31 @@ class TraceParseError(Exception):
     pass
 
 
+def _whole(value) -> int | None:
+    """value as an int when it is a finite whole number, else None."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
+
+
 class TraceSchedule:
     """Step function of link capacity over time, wrapping when exhausted.
 
-    Entries are (timestamp_us, bits_per_second) with strictly increasing
-    timestamps.  After the last entry plus one trailing gap (the spacing of
-    the final two entries) the trace restarts from its first entry.
+    Entries are (timestamp_us, bits_per_second): whole numbers, timestamps
+    at least 0 and strictly increasing, rates at least 1.  After the last
+    entry plus one trailing gap (the spacing of the final two entries) the
+    trace restarts from its first entry.
+
+    capacity_at keeps the step it last answered from, as absolute
+    [start, end) bounds and a rate, and answers from it while the query
+    time stays inside; callers ask about nondecreasing times, so most
+    queries skip the lookup.
     """
 
-    __slots__ = ("times", "rates", "period_us")
+    __slots__ = ("times", "rates", "period_us", "_mean",
+                 "_step_start", "_step_end", "_step_rate")
 
     def __init__(self, entries) -> None:
         if not entries:
@@ -106,28 +144,49 @@ class TraceSchedule:
         times = []
         rates = []
         prev = -1
-        for ts, bps in entries:
-            if ts <= prev:
-                raise ValueError(f"trace timestamps must be strictly increasing at t={ts}")
-            if bps <= 0:
-                raise ValueError(f"trace capacity must be > 0 at t={ts}")
-            times.append(int(ts))
-            rates.append(int(bps))
+        for i, entry in enumerate(entries):
+            ts, bps = _whole(entry[0]), _whole(entry[1])
+            if ts is None or ts <= prev:
+                raise ValueError(f"trace entry {i} {entry!r}: timestamp must be a finite "
+                                 f"whole number, at least 0 and above the previous one")
+            if bps is None or bps < 1:
+                raise ValueError(f"trace entry {i} {entry!r}: capacity must be a finite "
+                                 f"whole number of at least 1 bit/s")
+            times.append(ts)
+            rates.append(bps)
             prev = ts
         self.times = times
         self.rates = rates
         if len(times) > 1:
             self.period_us = times[-1] + (times[-1] - times[-2])
+            # Step i covers [times[i], times[i + 1]) of each period; the
+            # first also covers the time before the first entry.
+            bounds = [0] + times[1:] + [self.period_us]
+            total = sum(r * (b - a) for r, a, b in zip(rates, bounds, bounds[1:]))
+            self._mean = total / self.period_us
+            self._step_start = self._step_end = 0   # no step remembered yet
         else:
             self.period_us = 0  # constant forever
+            self._mean = float(rates[0])
+            self._step_start, self._step_end = -_FOREVER, _FOREVER
+        self._step_rate = rates[0]
 
     def capacity_at(self, t_us: int) -> int:
-        if self.period_us:
-            t_us %= self.period_us
-        i = bisect_right(self.times, t_us) - 1
+        if self._step_start <= t_us < self._step_end:
+            return self._step_rate
+        period = self.period_us
+        cycle, local = divmod(t_us, period)
+        times = self.times
+        i = bisect_right(times, local) - 1
+        base = cycle * period
         if i < 0:
+            self._step_start, self._step_end = base, base + times[0]
             i = 0
-        return self.rates[i]
+        else:
+            self._step_start = base + times[i]
+            self._step_end = base + (times[i + 1] if i + 1 < len(times) else period)
+        self._step_rate = self.rates[i]
+        return self._step_rate
 
     def mean_capacity(self, start_us: int, end_us: int) -> float:
         """Time-weighted mean capacity over [start_us, end_us)."""
@@ -137,24 +196,14 @@ class TraceSchedule:
         t = start_us
         while t < end_us:
             cap = self.capacity_at(t)
-            nxt = self._next_change(t)
-            step_end = min(nxt, end_us)
+            step_end = min(self._step_end, end_us)
             total += cap * (step_end - t)
             t = step_end
         return total / (end_us - start_us)
 
-    def _next_change(self, t_us: int) -> int:
-        if not self.period_us:
-            return 1 << 62
-        cycle, local = divmod(t_us, self.period_us)
-        i = bisect_right(self.times, local)
-        nxt = self.times[i] if i < len(self.times) else self.period_us
-        return cycle * self.period_us + nxt
-
     def overall_mean(self) -> float:
-        if not self.period_us:
-            return float(self.rates[0])
-        return self.mean_capacity(0, self.period_us)
+        """Mean capacity over one period (the constant rate of a one-entry trace)."""
+        return self._mean
 
 
 def load_trace(path) -> TraceSchedule:
@@ -179,9 +228,10 @@ def load_trace(path) -> TraceSchedule:
             ts = int(ms * US_PER_MS)
             if ts <= prev_ts:
                 raise TraceParseError(f"{path}:{lineno}: non-increasing timestamp {parts[0]} ms")
-            if kbps <= 0:
+            bps = int(kbps * 1000)
+            if bps < 1:
                 raise TraceParseError(f"{path}:{lineno}: non-positive capacity {parts[1]} kbps")
-            entries.append((ts, int(kbps * 1000)))
+            entries.append((ts, bps))
             prev_ts = ts
     if not entries:
         raise TraceParseError(f"{path}: empty trace")
@@ -233,11 +283,6 @@ class Link:
         self.dropped = 0
         self.drop_hook = None
 
-    def current_capacity(self) -> int:
-        if self.trace is not None:
-            return self.trace.capacity_at(self.loop.now)
-        return self.capacity
-
     def enqueue(self, packet) -> None:
         self.sent += 1
         if self.occupancy + packet.size > self.queue_capacity:
@@ -254,7 +299,8 @@ class Link:
 
     def _start_service(self) -> None:
         packet = self.queue[0]
-        cap = self.current_capacity()
+        trace = self.trace
+        cap = self.capacity if trace is None else trace.capacity_at(self.loop.now)
         ser_us = (packet.size * 8 * US_PER_S + cap - 1) // cap
         self.loop.schedule(self.loop.now + ser_us, self._depart)
 

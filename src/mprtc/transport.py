@@ -160,6 +160,9 @@ class SendManager:
       the send moved neither the oldest record nor ``srtt``, and every ack
       that changes ``srtt`` re-arms, so the live timer is already due no
       later than the deadline.
+
+    ``srtt`` changes only in ``on_ack``, which then stores
+    ``_loss_threshold()`` in ``_threshold`` for the loss timer to read.
     """
 
     def __init__(self, loop, route):
@@ -171,6 +174,7 @@ class SendManager:
         self.delivered_bytes = 0
         self.largest_acked = 0
         self.srtt = 0
+        self._threshold = self._loss_threshold()
         self.packets_sent = 0
         self.loss_hook = None       # called with [SimPacket] on new losses
         self.ack_hook = None        # called with [SimPacket] newly acked
@@ -242,9 +246,11 @@ class SendManager:
             self._detect_reorder_loss(now)
             return []
 
+        acked_bytes = 0
         for rec in newly_acked:
-            self.inflight -= rec.size
-            self.delivered_bytes += rec.size
+            acked_bytes += rec.size
+        self.inflight -= acked_bytes
+        self.delivered_bytes += acked_bytes
         delivered_now = self.delivered_bytes
 
         lost = self._detect_reorder_loss(now)
@@ -265,6 +271,7 @@ class SendManager:
                                               rec.app_limited, rec.delivered_at_send,
                                               delivered_now))
             self.srtt = ewma_srtt(self.srtt, rtt)
+        self._threshold = self._loss_threshold()
         self._arm_loss_timer()
         return samples
 
@@ -294,7 +301,7 @@ class SendManager:
             return None
         # send times are monotone, so the first record is the oldest
         oldest = next(iter(self.records.values())).sent_ts
-        return oldest + self._loss_threshold() + 1
+        return oldest + self._threshold + 1
 
     def _loss_threshold(self) -> int:
         # The ack-delay allowance keeps a lone coalesced ack (up to 10 ms
@@ -316,7 +323,7 @@ class SendManager:
         self._loss_timer = None
         if not self.records or not self.srtt:
             return
-        threshold = self._loss_threshold()
+        threshold = self._threshold
         now = self.loop.now
         lost = []
         for rec in self.records.values():

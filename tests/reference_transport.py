@@ -2,8 +2,10 @@
 the whole ack range or the whole outstanding window, kept literal.
 
 ReferenceSendManager overrides send_segment (re-arming the loss timer on
-every send), on_ack (walking every number of every range, or every record)
-and _on_loss_timer (testing every record against the threshold).  The
+every send), on_ack (walking every number of every range, or every record),
+_loss_deadline and _on_loss_timer (testing every record against the
+threshold).  It works the threshold out from srtt at each use, so it never
+reads the value SendManager stores when srtt changes.  The
 production SendManager skips the work these do not need; the transport
 tests require both to give the same samples, hooks, records and timers.
 """
@@ -79,6 +81,12 @@ class ReferenceSendManager(SendManager):
             self.srtt = ewma_srtt(self.srtt, rtt)
         self._arm_loss_timer()
         return samples
+
+    def _loss_deadline(self):
+        if not self.records or not self.srtt:
+            return None
+        oldest = min(rec.sent_ts for rec in self.records.values())
+        return oldest + self._loss_threshold() + 1
 
     def _on_loss_timer(self):
         self._loss_timer = None

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_congestion
 from mprtc.congestion import (
     BW_WINDOW_ROUNDS,
     BbrController,
@@ -17,6 +19,7 @@ from mprtc.congestion import (
     STOCK_GAIN_CYCLE,
     WindowedMaxFilter,
 )
+from mprtc.simnet import US_PER_S
 from mprtc.transport import MSS, DeliveryRateSample
 
 RTT = 100_000  # default 100 ms round trip for scripted samples
@@ -67,7 +70,7 @@ def test_windowed_max_evicts_stale_peak():
     feeder.round(5e6, now=0)
     for i in range(1, 11):
         feeder.round(1e6, now=i * RTT)
-    assert feeder.cc.bw_es() == 1e6
+    assert feeder.cc.bw_es == 1e6
 
 
 # --- filter seeding and StartUp ---------------------------------------------
@@ -75,12 +78,12 @@ def test_windowed_max_evicts_stale_peak():
 def test_fresh_controller_seeds_filters():
     cc = make_cc()
     assert cc.mode == STARTUP
-    assert cc.bw_es() == INITIAL_BW_BPS
+    assert cc.bw_es == INITIAL_BW_BPS
     cc.on_delivery_sample(sample(2e6, rtt=100_000), now=0)
-    assert cc.bw_es() == 2e6
+    assert cc.bw_es == 2e6
     assert cc.rtt_min == 100_000
     assert cc.mode == STARTUP
-    assert cc.pacing_rate() == pytest.approx(2.885 * 2e6)
+    assert cc.pacing_rate == pytest.approx(2.885 * 2e6)
 
 
 def test_startup_plateau_three_rounds_enters_drain():
@@ -93,8 +96,8 @@ def test_startup_plateau_three_rounds_enters_drain():
     cc = feeder.cc
     assert cc.mode == DRAIN
     assert cc.pacing_gain == DRAIN_GAIN
-    assert cc.pacing_rate() == pytest.approx(1.09e6 / 2.885)
-    assert cc.bw_es() == 1.09e6  # the transition leaves the estimate alone
+    assert cc.pacing_rate == pytest.approx(1.09e6 / 2.885)
+    assert cc.bw_es == 1.09e6  # the transition leaves the estimate alone
 
 
 def test_startup_keeps_growing_pipe():
@@ -131,7 +134,7 @@ def test_drain_holds_until_inflight_matches_bdp():
     feeder.round(2e6, now=5 * RTT, inflight=25_000)
     assert cc.mode == PROBE_BW
     assert cc.pacing_gain == 1.1
-    assert cc.cwnd() == pytest.approx(2 * cc.bdp_bytes())
+    assert cc.cwnd == pytest.approx(2 * cc.bdp_bytes())
 
 
 # --- RTC-BBR gain cycle (unit-level, state set directly) --------------------
@@ -150,7 +153,7 @@ def probe_bw_cc(gain=1.1, cycle_len=8, mstamp=0, bw=2e6, seed=1):
 def test_cycle_restart_after_cycle_len_rtts():
     cc = probe_bw_cc(gain=0.85, cycle_len=3)
     now = 3 * RTT + 1
-    cc.update_gain_cycle_phase(now, inflight=10**6, has_loss=True)
+    cc._update_gain_cycle_phase(now, inflight=10**6, has_loss=True)
     assert cc.pacing_gain == 1.1
     assert cc.cycle_mstamp == now
     assert 2 <= cc.cycle_len <= 8
@@ -162,28 +165,28 @@ def test_cycle_len_distribution_covers_2_to_8():
     now = 0
     for _ in range(500):
         now += cc.cycle_len * RTT + 1
-        cc.update_gain_cycle_phase(now, inflight=0, has_loss=False)
+        cc._update_gain_cycle_phase(now, inflight=0, has_loss=False)
         seen.add(cc.cycle_len)
     assert seen == {2, 3, 4, 5, 6, 7, 8}
 
 
 def test_gain_one_is_sticky_within_cycle():
     cc = probe_bw_cc(gain=1)
-    cc.update_gain_cycle_phase(int(1.5 * RTT), inflight=10**6, has_loss=True)
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=10**6, has_loss=True)
     assert cc.pacing_gain == 1
 
 
 def test_probe_down_rises_when_inflight_matches_bdp():
     cc = probe_bw_cc(gain=0.85)
     bdp = cc.bdp_bytes()
-    cc.update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp), has_loss=False)
+    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp), has_loss=False)
     assert cc.pacing_gain == 1
 
 
 def test_probe_down_holds_while_queue_drains():
     cc = probe_bw_cc(gain=0.85)
     bdp = cc.bdp_bytes()
-    cc.update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp) + 1, has_loss=False)
+    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp) + 1, has_loss=False)
     assert cc.pacing_gain == 0.85
 
 
@@ -192,32 +195,32 @@ def test_probe_down_exit_overridden_by_fresh_loss():
     # the loss branch within the same update.
     cc = probe_bw_cc(gain=0.85)
     bdp = cc.bdp_bytes()
-    cc.update_gain_cycle_phase(int(1.5 * RTT), inflight=int(bdp), has_loss=True)
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(bdp), has_loss=True)
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_exits_early_on_loss():
     cc = probe_bw_cc(gain=1.1)
-    cc.update_gain_cycle_phase(int(1.5 * RTT), inflight=0, has_loss=True)
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=0, has_loss=True)
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_exits_on_queue_buildup():
     cc = probe_bw_cc(gain=1.1)
     over = int(1.1 * cc.bdp_bytes()) + 100
-    cc.update_gain_cycle_phase(int(1.5 * RTT), inflight=over, has_loss=False)
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=over, has_loss=False)
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_holds_within_first_rtt():
     cc = probe_bw_cc(gain=1.1)
-    cc.update_gain_cycle_phase(int(0.5 * RTT), inflight=10**6, has_loss=True)
+    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=10**6, has_loss=True)
     assert cc.pacing_gain == 1.1
 
 
 def test_probe_up_holds_absent_pressure():
     cc = probe_bw_cc(gain=1.1)
-    cc.update_gain_cycle_phase(int(1.5 * RTT), inflight=int(cc.bdp_bytes()), has_loss=False)
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(cc.bdp_bytes()), has_loss=False)
     assert cc.pacing_gain == 1.1
 
 
@@ -250,7 +253,7 @@ def test_stock_cycle_walks_gain_vector():
     gains = [cc.pacing_gain]
     for _ in range(8):
         now += RTT + 1
-        cc.stock_bbr_cycle(now, inflight=10**6)
+        cc._stock_bbr_cycle(now, inflight=10**6)
         gains.append(cc.pacing_gain)
     assert gains == [1.25, 0.75, 1, 1, 1, 1, 1, 1, 1.25]
 
@@ -262,7 +265,7 @@ def test_stock_probe_down_exits_early_when_drained():
     cc.cycle_phase = 1
     cc.pacing_gain = 0.75
     cc.cycle_mstamp = 0
-    cc.stock_bbr_cycle(RTT // 2, inflight=int(cc.bdp_bytes()))
+    cc._stock_bbr_cycle(RTT // 2, inflight=int(cc.bdp_bytes()))
     assert cc.pacing_gain == 1
     assert cc.cycle_phase == 2
 
@@ -281,7 +284,7 @@ def test_probe_rtt_entry_dwell_and_exit():
     t = 10_050_000  # min-RTT stale by 10.05 s
     cc.on_delivery_sample(sample(2e6, rtt=60_000, inflight=50_000, das=10**6, daa=10**6 + 1000), t)
     assert cc.mode == PROBE_RTT
-    assert cc.cwnd() == PROBE_RTT_CWND == 4 * MSS
+    assert cc.cwnd == PROBE_RTT_CWND == 4 * MSS
     assert cc.pacing_gain == 1
     # dwell begins once inflight has drained to the probe window
     t += 30_000
@@ -324,14 +327,14 @@ def test_app_limited_sample_below_max_ignored():
     cc = make_cc()
     cc.on_delivery_sample(sample(2e6), now=0)
     cc.on_delivery_sample(sample(1e6, app=True, das=1000, daa=2000), now=1000)
-    assert cc.bw_es() == 2e6
+    assert cc.bw_es == 2e6
 
 
 def test_app_limited_sample_above_max_accepted():
     cc = make_cc()
     cc.on_delivery_sample(sample(2e6), now=0)
     cc.on_delivery_sample(sample(3e6, app=True, das=1000, daa=2000), now=1000)
-    assert cc.bw_es() == 3e6
+    assert cc.bw_es == 3e6
 
 
 def test_non_app_limited_always_inserted():
@@ -339,7 +342,7 @@ def test_non_app_limited_always_inserted():
     cc.on_delivery_sample(sample(2e6), now=0)
     for i in range(1, 11):
         cc.on_delivery_sample(sample(1e6, das=i * 10_000, daa=i * 10_000 + 1000), now=i * RTT)
-    assert cc.bw_es() == 1e6
+    assert cc.bw_es == 1e6
 
 
 # --- pause bookkeeping ------------------------------------------------------
@@ -359,3 +362,87 @@ def test_pause_resume_freezes_filter_clocks():
 def test_variant_validation():
     with pytest.raises(ValueError):
         BbrController(random.Random(0), variant="cubic")
+
+
+# --- stored outputs -----------------------------------------------------------
+
+def stored_outputs(cc):
+    return cc.bw_es, cc.pacing_rate, cc.cwnd
+
+
+def walk_all_modes(cc, check):
+    """StartUp, Drain, ProbeBW, a 3 s pause, ProbeRTT and back to ProbeBW,
+    calling check(cc) after every call into the controller."""
+    feeder = Feeder(cc)
+    now = 0
+    check(cc)
+    for i, bw in enumerate((1e6, 1.5e6, 2e6, 2e6, 2e6, 2e6, 2e6)):
+        now = i * RTT
+        feeder.round(bw, now=now, inflight=60_000)
+        check(cc)
+    for _ in range(3):  # inflight drains to the BDP: Drain ends
+        now += RTT
+        feeder.round(2e6, now=now, inflight=20_000, loss=True)
+        check(cc)
+    now += RTT
+    cc.pause(now)
+    check(cc)
+    now += 3 * US_PER_S
+    cc.resume(now)
+    check(cc)
+    # RTT samples that only rise let min-RTT expire after 10 s: ProbeRTT.
+    for i in range(140):
+        now += RTT
+        feeder.round(2e6 + 1e4 * (i % 5), now=now, rtt=RTT + 10 * i,
+                     inflight=3000 if i % 3 else 50_000, loss=i % 11 == 0)
+        check(cc)
+
+
+@pytest.mark.parametrize("variant", ["rtc-bbr", "bbr"])
+def test_stored_outputs_match_reference_through_every_mode(variant):
+    cc = make_cc(variant=variant, seed=3)
+    modes = []
+    cc.mode_hook = modes.append
+
+    def check(cc):
+        assert stored_outputs(cc) == reference_congestion.outputs(cc), cc.mode
+
+    walk_all_modes(cc, check)
+    assert {DRAIN, PROBE_BW, PROBE_RTT} <= set(modes)
+    assert modes.index(PROBE_RTT) < len(modes) - 1  # and left it again
+
+
+sample_steps = st.lists(st.tuples(
+    st.sampled_from(["sample"] * 8 + ["pause", "resume"]),
+    st.one_of(st.integers(0, 50_000), st.integers(0, 2_000_000)),  # gap, us
+    st.floats(1e5, 1e7),                                         # bandwidth
+    st.integers(0, 3_000),                                       # rtt rise, us
+    st.sampled_from([0, 3000, 20_000, 200_000]),                 # inflight
+    st.booleans(),                                               # loss
+    st.booleans(),                                               # app-limited
+    st.integers(0, 30_000),                                      # acked bytes
+), max_size=120)
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=st.sampled_from(["rtc-bbr", "bbr"]), seed=st.integers(0, 1000),
+       steps=sample_steps)
+def test_stored_outputs_match_reference(variant, seed, steps):
+    cc = make_cc(variant=variant, seed=seed)
+    assert stored_outputs(cc) == reference_congestion.outputs(cc)
+    now = 0
+    delivered = 0
+    rtt = 20_000
+    for kind, gap, bw, rise, inflight, loss, app, acked in steps:
+        now += gap
+        if kind == "pause":
+            cc.pause(now)
+        elif kind == "resume":
+            cc.resume(now)
+        else:
+            rtt = rtt + rise if rise else 20_000   # rising RTTs let min-RTT expire
+            das = delivered
+            delivered += acked
+            cc.on_delivery_sample(DeliveryRateSample(bw, rtt, inflight, loss, app,
+                                                     das, delivered), now)
+        assert stored_outputs(cc) == reference_congestion.outputs(cc)

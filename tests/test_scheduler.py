@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mprtc.scheduler import DECISION_LOG_LEN, Scheduler, UNSCHEDULABLE, wire_size
 from mprtc.transport import PAYLOAD_BUDGET, StreamFrame, packetize
@@ -42,19 +43,19 @@ def test_srtt_converges_to_constant():
 
 
 def test_expected_latency_terms():
-    sched = make_two(bw0=1e6)
-    assert sched.expected_latency(0) == pytest.approx(50_000)  # empty queue
+    sched = make_two(bw0=1e6, bw1=0)  # subflow 1 unschedulable: the minimum is subflow 0
+    assert sched.min_latency() == pytest.approx(50_000)  # empty queue
     sched.subflows[0].queued_bytes = 12_500
-    assert sched.expected_latency(0) == pytest.approx(150_000)  # +100 ms of queue
+    assert sched.min_latency() == pytest.approx(150_000)  # +100 ms of queue
     sched.subflows[0].queued_bytes = 25_000
-    assert sched.expected_latency(0) == pytest.approx(250_000)  # queue term doubled
+    assert sched.min_latency() == pytest.approx(250_000)  # queue term doubled
 
 
 def test_zero_bandwidth_is_unschedulable():
     sched = make_two(bw0=0)
-    assert sched.expected_latency(0) == UNSCHEDULABLE
     entries = sched.schedule_segments([seg()], now=0)
     assert entries[0].subflow == 1  # only the live subflow is considered
+    assert sched.decision_log[-1][4][0] == UNSCHEDULABLE
 
 
 def test_min_latency_export():
@@ -258,3 +259,43 @@ def test_evict_reports_in_first_send_order():
     for t in range(len(entries)):
         sched.next_segment(0, now=t)
     assert sched.evict(now=1_000_000) == entries
+
+
+# --- stored entry fields ------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stored_entry_fields_match_segment(data):
+    """An entry's stored size and key flag, and the queue byte counts built
+    from them, equal wire_size and the segment's flag through sends,
+    requeues on loss, acks and eviction."""
+    sched = make_two(bw0=2e6, bw1=1.3e6, srtt0=80_000, srtt1=120_000)
+    entries = []
+    in_flight = []
+    now = 0
+    for frame_index in range(data.draw(st.integers(1, 60))):
+        now += data.draw(st.integers(0, 150_000))
+        op = data.draw(st.sampled_from(["frame", "send", "send", "loss", "ack", "evict"]))
+        if op == "frame":
+            size = data.draw(st.integers(1, 5 * PAYLOAD_BUDGET))
+            entries += sched.schedule_segments(
+                packetize(size, frame_index, now, data.draw(st.booleans())), now)
+        elif op == "send":
+            entry = sched.next_segment(data.draw(st.sampled_from([0, 1])), now)
+            if entry is not None:
+                in_flight.append(entry)
+        elif op == "loss" and in_flight:
+            lost = data.draw(st.lists(st.sampled_from(in_flight), max_size=4, unique=True))
+            in_flight = [e for e in in_flight if e not in lost]
+            sched.on_loss(lost, now)
+        elif op == "ack" and in_flight:
+            entry = data.draw(st.sampled_from(in_flight))
+            in_flight.remove(entry)
+            sched.mark_acked(entry)
+        elif op == "evict":
+            sched.evict(now)
+        for entry in entries:
+            assert entry.size == wire_size(entry.segment)
+            assert entry.key_frame == entry.segment.key_frame
+        for sub in sched.subflows.values():
+            assert sub.queued_bytes == sum(wire_size(e.segment) for e in sub.queue)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_trace
 from mprtc.simnet import (
     EventLoop,
     Link,
@@ -38,6 +39,18 @@ def test_schedule_in_past_rejected():
     loop.run(10)
     with pytest.raises(SchedulingError):
         loop.schedule(9, lambda: None)
+
+
+def test_run_until_before_now_rejected():
+    loop = EventLoop()
+    fired = []
+    loop.schedule(8, fired.append, 8)
+    loop.run(10)
+    with pytest.raises(SchedulingError, match="5 < now 10"):
+        loop.run(5)
+    assert loop.now == 10
+    loop.run(10)  # running to the current time is allowed
+    assert fired == [8] and loop.now == 10
 
 
 def test_zero_delay_fires_after_current_event():
@@ -156,6 +169,17 @@ def test_link_config_rejects_negative_owd():
     assert LinkConfig(1_000_000, 0, 10_000).owd_us == 0
 
 
+@pytest.mark.parametrize("fields, name", [
+    ((1.5e6, 10, 3000), "capacity"),
+    ((1_000_000, 10.0, 3000), "owd_us"),
+    ((1_000_000, 10, 3000.7), "queue_capacity"),
+    ((1_000_000, 10, "3000"), "queue_capacity"),
+])
+def test_link_config_rejects_non_integer_fields(fields, name):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        LinkConfig(*fields)
+
+
 def test_drop_hook_reports_packet():
     loop = EventLoop()
     link = Link(loop, LinkConfig(3_000_000, 50_000, 1500))
@@ -182,6 +206,10 @@ class DropTailModel:
         self.queued = []     # (depart_us, size) of admitted packets
         self.free_at = 0     # when the server finishes the last admitted packet
 
+    def rate_at(self, t):
+        """Serialization rate of a packet whose service starts at t."""
+        return self.capacity
+
     def occupancy(self, t):
         self.queued = [(d, s) for d, s in self.queued if d > t]
         return sum(s for _, s in self.queued)
@@ -191,7 +219,7 @@ class DropTailModel:
         if self.occupancy(t) + size > self.queue_capacity:
             return None
         start = max(t, self.free_at)
-        self.free_at = start - (-size * 8 * US_PER_S // self.capacity)
+        self.free_at = start - (-size * 8 * US_PER_S // self.rate_at(start))
         self.queued.append((self.free_at, size))
         return self.free_at + self.owd_us
 
@@ -230,7 +258,115 @@ def test_link_matches_droptail_model(capacity, owd_us, queue_capacity, bursts):
     assert link.sent == link.delivered + link.dropped == len(probes)
 
 
+class TraceDropTailModel(DropTailModel):
+    """DropTailModel serializing at the reference trace lookup's rate."""
+
+    def __init__(self, trace, owd_us, queue_capacity):
+        super().__init__(None, owd_us, queue_capacity)
+        self.trace = trace
+
+    def rate_at(self, t):
+        return reference_trace.capacity_at(self.trace, t)
+
+
 # --- traces -----------------------------------------------------------------
+
+@st.composite
+def trace_entries(draw):
+    """A first entry at 0 or later (time before it plays the first rate),
+    then strictly increasing timestamps."""
+    t = draw(st.integers(0, 5_000))
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        entries.append((t, draw(st.integers(1, 10_000_000))))
+        t += draw(st.integers(1, 4_000))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=trace_entries(), queries=st.lists(st.integers(-1_000, 60_000), max_size=40))
+def test_capacity_at_matches_reference_lookup(entries, queries):
+    trace = TraceSchedule(entries)
+    period = trace.period_us or 7_919
+    # Each step's first and last microsecond, and the wrap, over three periods.
+    edges = [cycle * period + t + d for cycle in range(3)
+             for t in trace.times + [period] for d in (-1, 0, 1)]
+    for t in queries + edges + sorted(queries) + edges[::-1]:
+        assert trace.capacity_at(t) == reference_trace.capacity_at(trace, t), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=trace_entries(),
+       intervals=st.lists(st.tuples(st.integers(0, 40_000), st.integers(1, 40_000)),
+                          max_size=5))
+def test_trace_means_match_reference_walk(entries, intervals):
+    trace = TraceSchedule(entries)
+    assert trace.overall_mean() == reference_trace.overall_mean(trace)
+    if trace.period_us:
+        assert trace.overall_mean() == trace.mean_capacity(0, trace.period_us)
+    for start, length in intervals:
+        assert trace.mean_capacity(start, start + length) == \
+            reference_trace.mean_capacity(trace, start, start + length)
+
+
+def test_pool_trace_means_match_reference_walk():
+    for trace in synthetic_trace_pool():
+        assert trace.overall_mean() == reference_trace.overall_mean(trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=trace_entries(),
+    owd_us=st.integers(0, 5_000),
+    bursts=st.lists(st.tuples(st.integers(0, 3_000), st.booleans(),
+                              st.lists(st.integers(1, 1500), max_size=5)),
+                    max_size=25),
+)
+def test_links_sharing_a_trace_match_reference_lookup(entries, owd_us, bursts):
+    # Two links query one schedule at interleaved times, so its remembered
+    # step keeps moving between them.
+    trace = TraceSchedule(entries)
+    loop = EventLoop()
+    links = [Link(loop, LinkConfig(1, owd_us, 6_000), trace=trace) for _ in range(2)]
+    for link in links:
+        link.drop_hook = lambda p: p.log.append("dropped")
+    models = [TraceDropTailModel(trace, owd_us, 6_000) for _ in range(2)]
+    probes = []
+    expected = []
+    t = 0
+    for gap, second, sizes in bursts:
+        t += gap
+        loop.run(t)
+        for size in sizes:
+            probe = Probe(size, [])
+            probes.append(probe)
+            links[second].enqueue(probe)
+            arrival = models[second].offer(t, size)
+            expected.append(["dropped"] if arrival is None else [arrival])
+    loop.run(max([t] + [log[0] for log in expected if log != ["dropped"]]))
+    assert [p.log for p in probes] == expected
+
+
+@pytest.mark.parametrize("entries, match", [
+    ([(0, 0.4)], r"entry 0 \(0, 0\.4\): capacity"),
+    ([(0, 1e6), (0.5, 2e6)], r"entry 1 \(0\.5, 2000000\.0\): timestamp"),
+    ([(0, float("nan"))], r"entry 0 \(0, nan\): capacity"),
+    ([(0, float("inf"))], r"entry 0 \(0, inf\): capacity"),
+    ([(0, 1e6), (float("inf"), 2e6)], r"entry 1 \(inf, 2000000\.0\): timestamp"),
+    ([(0, 1e6), (1_000, 0)], r"entry 1 \(1000, 0\): capacity"),
+    ([(0, 1e6), (0, 2e6)], r"entry 1 \(0, 2000000\.0\): timestamp"),
+    ([(-5, 1e6)], r"entry 0 \(-5, 1000000\.0\): timestamp"),
+])
+def test_trace_rejects_entries_it_cannot_store(entries, match):
+    with pytest.raises(ValueError, match=match):
+        TraceSchedule(entries)
+
+
+def test_trace_stores_whole_floats_as_ints():
+    trace = TraceSchedule([(0, 1e6), (1e6, 2_000_000.0)])
+    assert trace.times == [0, 1_000_000] and trace.rates == [1_000_000, 2_000_000]
+    assert all(type(v) is int for v in trace.times + trace.rates + [trace.period_us])
+
 
 def test_trace_step_function(tmp_path):
     p = tmp_path / "t.csv"
@@ -266,9 +402,10 @@ def test_trace_parse_errors_name_line(tmp_path):
     bad.write_text("1000,3000\n500,2000\n")
     with pytest.raises(TraceParseError, match="non-increasing"):
         load_trace(bad)
-    bad.write_text("0,3000\n1000,0\n")
-    with pytest.raises(TraceParseError, match="non-positive"):
-        load_trace(bad)
+    for text in ("0,3000\n1000,0\n", "0,3000\n1000,0.0004\n"):
+        bad.write_text(text)
+        with pytest.raises(TraceParseError, match="bad.csv:2: non-positive"):
+            load_trace(bad)
     bad.write_text("")
     with pytest.raises(TraceParseError, match="empty"):
         load_trace(bad)
