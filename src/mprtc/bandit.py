@@ -8,9 +8,9 @@ slot the manager scores every candidate with
 
 and gives each subflow the argmax.  Bw is the maximum over samples of the
 last 10 s, but the newest sample is always kept, so a path unvisited for
-longer scores with its last sample; ``maxBw_`` is read only before a path's
-first sample.  Re-exploration comes from the sqrt term, which grows with T
-while an unpicked path's N stays put.
+longer scores with its last sample, and only a path never sampled has an
+empty window and Bw 0.0.  Re-exploration comes from the sqrt term, which
+grows with T while an unpicked path's N stays put.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ SLOT_US = 1_000_000
 
 
 class PathStats:
-    __slots__ = ("id", "flowid", "Bw", "Bw_hat", "N", "maxBw_", "samples_", "bwSamples_")
+    __slots__ = ("id", "flowid", "Bw", "Bw_hat", "N", "bwSamples_")
 
     def __init__(self, path_id: int, flowid: int) -> None:
         self.id = path_id
@@ -32,8 +32,6 @@ class PathStats:
         self.Bw = 0.0
         self.Bw_hat = 0.0
         self.N = 1
-        self.maxBw_ = 0.0
-        self.samples_ = 0
         self.bwSamples_: deque = deque()  # (bw, timestamp_us)
 
 
@@ -60,17 +58,12 @@ class PathManager:
 
     def on_new_bandwidth_sample(self, path_id: int, bw: float, now: int) -> None:
         p = self.by_id[path_id]
-        p.bwSamples_.append((bw, now))
-        if p.samples_ == 0:
-            p.Bw = bw
-            p.maxBw_ = bw
-            p.Bw_hat = bw
-        else:
+        if p.bwSamples_:
             p.Bw_hat = (1 - SMOOTHING_ALPHA) * p.Bw_hat + SMOOTHING_ALPHA * bw
-        if bw > p.maxBw_:
-            p.maxBw_ = bw
+        else:
+            p.Bw_hat = bw  # the first sample seeds the smoothed reward
+        p.bwSamples_.append((bw, now))
         self.delete_obsolete_samples(path_id, now)
-        p.samples_ += 1
 
     def delete_obsolete_samples(self, path_id: int, now: int) -> None:
         p = self.by_id[path_id]
@@ -85,8 +78,6 @@ class PathManager:
             if s_bw > bw:
                 bw = s_bw
         p.Bw = bw
-        if not samples:
-            p.Bw = p.maxBw_
 
     def select_paths(self, now: int) -> dict[int, int]:
         """One scored decision round; -1 means no candidate had positive score."""

@@ -74,7 +74,7 @@ class BbrController:
 
     __slots__ = (
         "rng", "variant", "mode",
-        "max_bw_filter", "round_count", "next_round_delivered", "delivered_bytes",
+        "max_bw_filter", "round_count", "next_round_delivered",
         "rtt_min", "rtt_min_ts", "probe_rtt_done_ts",
         "full_bw", "full_bw_count", "filled_pipe",
         "pacing_gain", "cwnd_gain", "cycle_mstamp", "cycle_len", "cycle_phase",
@@ -91,7 +91,6 @@ class BbrController:
         self.max_bw_filter = WindowedMaxFilter()
         self.round_count = 0
         self.next_round_delivered = 0
-        self.delivered_bytes = 0
         self.rtt_min = 0
         self.rtt_min_ts = 0
         self.probe_rtt_done_ts = 0
@@ -167,7 +166,6 @@ class BbrController:
     def _update_round(self, sample: DeliveryRateSample) -> bool:
         # A round ends when a packet sent after the previous round's end
         # is delivered; the send manager's delivered counter marks both.
-        self.delivered_bytes = sample.delivered_at_ack
         if sample.delivered_at_send >= self.next_round_delivered:
             self.round_count += 1
             self.next_round_delivered = sample.delivered_at_ack

@@ -246,8 +246,10 @@ class VideoSession:
 
     def _arm_pump(self, sid: int, ts: int) -> None:
         timer = self._pump_timers[sid]
-        if timer is not None and timer[2] is not None and timer[0] <= ts:
-            return
+        if timer is not None and timer[2] is not None:
+            if timer[0] <= ts:
+                return
+            timer[2] = None  # replaced: a live old timer would start a second chain
         self._pump_timers[sid] = self.loop.schedule(ts, self._on_pump_timer, sid)
 
     def _on_pump_timer(self, sid: int) -> None:

@@ -6,6 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from .scheduler import RETENTION_US
 from .simnet import US_PER_S
 
 FPS = 30
@@ -21,7 +22,7 @@ ENCODE_DELAY_BASE_US = 8_000
 ENCODE_DELAY_SPREAD_US = 2_000
 # A sink gives up on a delta frame only after the sender's own retention window
 # has certainly elapsed; earlier would race in-flight retransmissions.
-ABANDON_AGE_US = 400_000
+ABANDON_AGE_US = RETENTION_US
 
 # Key frames are KEY_FRAME_FACTOR times larger than delta frames.  Scaling both
 # by _GOP_NORM keeps the long-run bit rate equal to the encoder's actual rate:

@@ -6,8 +6,9 @@ The file name does not match test_*.py, so the plain test run does not
 collect it.  Each round builds a fresh scheduler in its untimed set-up and
 times one call, or the 49 next_segment calls that drain one key frame.
 The shapes follow overlay-ucb at about 3.5 Mbit/s: a key frame of about
-56 kB is 49 segments, and about 200 entries are retained when the 50 ms
-eviction tick ages out the oldest tenth of them.
+56 kB is 49 segments.  The eviction case is a path collapse: 200 delta
+segments sent 1.8 ms apart are all reported lost and requeued, and the
+next 50 ms eviction tick removes the oldest tenth of them from the queues.
 """
 
 from mprtc.scheduler import Scheduler
@@ -16,8 +17,10 @@ from test_scheduler import make_two, seg
 
 ROUNDS = 2000
 KEY_FRAME_BYTES = 56_000
-RETAINED = 200
-SEND_GAP_US = 2_250
+REQUEUED = 200
+SEND_GAP_US = 1_800
+LOSS_US = 386_000  # the oldest segment's age here is still within RETENTION_US
+EVICT_US = LOSS_US + 50_000
 
 
 def two_subflows():
@@ -46,15 +49,20 @@ def drain(sched):
     return sent
 
 
-def retained_window():
-    """RETAINED delta segments first sent SEND_GAP_US apart from time 0."""
+def requeued_window():
+    """REQUEUED delta segments first sent SEND_GAP_US apart from time 0, all
+    reported lost at LOSS_US and waiting in the queues at EVICT_US."""
     sched = two_subflows()
-    sched.schedule_segments([seg(frame_index=i) for i in range(RETAINED)], 0)
+    sched.schedule_segments([seg(frame_index=i) for i in range(REQUEUED)], 0)
+    sent = []
     now = 0
     for sid in (0, 1):
-        while sched.next_segment(sid, now) is not None:
+        while (entry := sched.next_segment(sid, now)) is not None:
+            sent.append(entry)
             now += SEND_GAP_US
-    return (sched, RETAINED * SEND_GAP_US), {}
+    sids, _ = sched.on_loss(sent, LOSS_US)
+    assert len(sids) == REQUEUED
+    return (sched, EVICT_US), {}
 
 
 def test_schedule_key_frame(benchmark):
@@ -68,6 +76,6 @@ def test_next_segment_drains_key_frame(benchmark):
     assert sent == len(key_segments())
 
 
-def test_evict_from_200_retained(benchmark):
-    evicted = benchmark.pedantic(Scheduler.evict, setup=retained_window, rounds=ROUNDS)
-    assert len(evicted) == 23
+def test_evict_from_200_requeued(benchmark):
+    evicted = benchmark.pedantic(Scheduler.evict, setup=requeued_window, rounds=ROUNDS)
+    assert len(evicted) == 20

@@ -8,7 +8,13 @@ from mprtc.bandit import OBSERVED_TIME_US, PathManager
 
 
 def snapshot(manager):
-    return {p.id: (p.Bw, p.Bw_hat, p.N, p.samples_) for p in manager.paths}
+    """(Bw, Bw_hat, N, whether it has a sample) per path."""
+    return {p.id: (p.Bw, p.Bw_hat, p.N, bool(p.bwSamples_)) for p in manager.paths}
+
+
+def reference_snapshot(ref):
+    return {pid: (bw, bw_hat, n, samples > 0)
+            for pid, (bw, bw_hat, n, samples) in reference_bandit.snapshot(ref).items()}
 
 
 def random_world(rng):
@@ -25,7 +31,9 @@ def random_world(rng):
 def run_equivalence_check(n_sequences=100, max_events=1000, base_seed=1000):
     """Replays randomized sample/selection sequences through the production
     manager and the reference interpreter, demanding exact equality of the
-    (Bw, Bw_hat, N, choice) trace.  Returns the number of events compared."""
+    (Bw, Bw_hat, N, choice) trace, and that a path's sample window is empty
+    exactly while the reference's sample counter is 0.  Returns the number of
+    events compared."""
     compared = 0
     for seq in range(n_sequences):
         rng = random.Random(base_seed + seq)
@@ -45,7 +53,7 @@ def run_equivalence_check(n_sequences=100, max_events=1000, base_seed=1000):
                 got = prod.select_paths(now)
                 assert got == want, f"seq {seq}: choice {got} != {want}"
                 assert prod.T == ref["T"]
-            assert snapshot(prod) == reference_bandit.snapshot(ref), f"seq {seq}"
+            assert snapshot(prod) == reference_snapshot(ref), f"seq {seq}"
             compared += 1
     return compared
 
@@ -64,7 +72,7 @@ def test_first_sample_seeds_all_fields():
     m = make_single()
     m.on_new_bandwidth_sample(0, 2e6, now=0)
     p = m.paths[0]
-    assert (p.Bw, p.maxBw_, p.Bw_hat, p.samples_) == (2e6, 2e6, 2e6, 1)
+    assert (p.Bw, p.Bw_hat, list(p.bwSamples_)) == (2e6, 2e6, [(2e6, 0)])
 
 
 def test_smoothed_reward_update():
@@ -73,9 +81,10 @@ def test_smoothed_reward_update():
     m.on_new_bandwidth_sample(0, 3e6, now=1_000_000)
     p = m.paths[0]
     assert p.Bw_hat == pytest.approx(0.1 * 2e6 + 0.9 * 3e6)
-    assert p.maxBw_ == 3e6
+    assert p.Bw == 3e6
     m.on_new_bandwidth_sample(0, 1e6, now=2_000_000)
-    assert p.maxBw_ == 3e6  # below the peak, peak stands
+    assert p.Bw_hat == pytest.approx(0.1 * (0.1 * 2e6 + 0.9 * 3e6) + 0.9 * 1e6)
+    assert p.Bw == 3e6  # below the peak, peak stands
 
 
 def test_stale_sample_pruned_and_window_max_recomputed():
@@ -85,8 +94,7 @@ def test_stale_sample_pruned_and_window_max_recomputed():
     m.delete_obsolete_samples(0, now=11_000_000)
     p = m.paths[0]
     assert list(p.bwSamples_) == [(1e6, 10_000_000)]
-    assert p.Bw == 1e6
-    assert p.maxBw_ == 2e6  # the all-time max survives pruning
+    assert p.Bw == 1e6  # the pruned peak no longer counts
 
 
 def test_single_stale_sample_is_retained():
@@ -98,17 +106,18 @@ def test_single_stale_sample_is_retained():
     assert p.Bw == 2e6
 
 
-def test_unsampled_path_falls_back_to_all_time_max():
+def test_unsampled_path_has_zero_window_max():
     m = make_single()
     m.delete_obsolete_samples(0, now=0)
-    assert m.paths[0].Bw == m.paths[0].maxBw_ == 0.0
+    assert m.paths[0].Bw == 0.0
+    assert not m.paths[0].bwSamples_
 
 
 def test_score_arithmetic_frozen_value():
     # Bw_hat 2.9 Mbps, Bw 3 Mbps, C=2, T=100, N=10 scores about 5.99 Mbps.
     m = PathManager([0, 1], [(0, 0), (1, 1)])
     p = m.paths[0]
-    p.Bw_hat, p.Bw, p.N, p.samples_ = 2.9e6, 3e6, 10, 5
+    p.Bw_hat, p.Bw, p.N = 2.9e6, 3e6, 10
     p.bwSamples_.append((3e6, 0))  # in-window backing for Bw
     m.T = 100
     m.select_paths(now=0)
@@ -169,7 +178,7 @@ def test_reward_stays_within_sample_envelope():
         m.on_new_bandwidth_sample(0, bw, now)
         p = m.paths[0]
         assert lo <= p.Bw_hat <= hi
-        assert p.Bw <= p.maxBw_
+        assert lo <= p.Bw <= hi
 
 
 # --- initial exploration ----------------------------------------------------

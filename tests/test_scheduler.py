@@ -1,9 +1,12 @@
 import random
+from collections import Counter
+from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mprtc.scheduler import DECISION_LOG_LEN, Scheduler, UNSCHEDULABLE, wire_size
+import reference_scheduler
+from mprtc.scheduler import DECISION_LOG_LEN, RETENTION_US, Scheduler, UNSCHEDULABLE, wire_size
 from mprtc.transport import PAYLOAD_BUDGET, StreamFrame, packetize
 
 
@@ -11,8 +14,8 @@ def seg(payload=PAYLOAD_BUDGET, frame_index=0, index=0, total=1, key=False):
     return StreamFrame(payload, frame_index, 0, total, index, key)
 
 
-def make_two(bw0=1e6, bw1=1e6, srtt0=100_000, srtt1=100_000):
-    sched = Scheduler([0, 1])
+def make_two(bw0=1e6, bw1=1e6, srtt0=100_000, srtt1=100_000, cls=Scheduler):
+    sched = cls([0, 1])
     sched.set_bw_es(0, bw0)
     sched.set_bw_es(1, bw1)
     if srtt0:
@@ -148,6 +151,10 @@ def send_all(sched, sid, now):
         out.append(e)
 
 
+def queued(sched):
+    return [e for sub in sched.subflows.values() for e in sub.queue]
+
+
 def test_key_frame_lost_is_always_retransmitted():
     sched = make_two()
     (entry,) = sched.schedule_segments([seg(key=True)], now=0)
@@ -155,7 +162,8 @@ def test_key_frame_lost_is_always_retransmitted():
     sids, dropped = sched.on_loss([entry], now=5_000_000)  # 5 s later
     assert dropped == []
     assert len(sids) == 1
-    assert entry in sched.retained
+    assert list(sched.subflows[sids[0]].queue) == [entry]
+    assert sched.next_segment(sids[0], now=5_000_001) is entry
 
 
 def test_nonkey_lost_past_cache_age_is_dropped():
@@ -164,7 +172,7 @@ def test_nonkey_lost_past_cache_age_is_dropped():
     send_all(sched, entry.subflow, 0)
     sids, dropped = sched.on_loss([entry], now=401_000)
     assert sids == [] and dropped == [entry]
-    assert entry not in sched.retained
+    assert queued(sched) == []
 
 
 def test_nonkey_lost_within_cache_age_is_retransmitted():
@@ -210,22 +218,20 @@ def test_acked_entry_skipped_in_queue():
 
 def test_evict_rules():
     sched = make_two()
-    key, old, fresh, unsent = sched.schedule_segments(
-        [seg(key=True), seg(frame_index=1), seg(frame_index=2), seg(frame_index=3)],
-        now=0)
-    for entry in (key, old, fresh):
-        entry_sid = entry.subflow
-        while sched.next_segment(entry_sid, now=0) not in (entry, None):
-            pass
-    # fresh resent later so its age stays low
-    fresh.first_sent_ts = 350_000
+    key, old = sched.schedule_segments([seg(key=True), seg(frame_index=1)], now=0)
+    send_all(sched, 0, 0)
+    send_all(sched, 1, 0)
+    (fresh,) = sched.schedule_segments([seg(frame_index=2)], now=350_000)
+    send_all(sched, fresh.subflow, 350_000)
+    (unsent,) = sched.schedule_segments([seg(frame_index=3)], now=380_000)
+    sids, _ = sched.on_loss([key, old, fresh], now=390_000)  # all young: requeued
+    assert len(sids) == 3
     evicted = sched.evict(now=401_000)
-    assert old in evicted
-    assert key in sched.retained           # key frames never age out
-    assert fresh in sched.retained
+    assert evicted == [old]
+    assert set(queued(sched)) == {key, fresh, unsent}  # key frames never age out
     assert not unsent.sent                 # unsent entries are never age-evicted
     sched.mark_acked(key)
-    assert key not in sched.retained
+    assert key not in send_all(sched, key.subflow, 402_000)
 
 
 def test_evict_clears_stale_requeued_entries():
@@ -250,15 +256,6 @@ def test_evict_drops_but_does_not_report_entry_acked_while_requeued():
     assert sched.evict(now=500_000) == []
     assert not sched.subflows[0].queue
     assert sched.subflows[0].queued_bytes == 0
-
-
-def test_evict_reports_in_first_send_order():
-    sched = Scheduler([0])
-    sched.set_bw_es(0, 1e9)
-    entries = sched.schedule_segments([seg(frame_index=i) for i in range(64)], now=0)
-    for t in range(len(entries)):
-        sched.next_segment(0, now=t)
-    assert sched.evict(now=1_000_000) == entries
 
 
 # --- stored entry fields ------------------------------------------------------
@@ -299,3 +296,131 @@ def test_stored_entry_fields_match_segment(data):
             assert entry.key_frame == entry.segment.key_frame
         for sub in sched.subflows.values():
             assert sub.queued_bytes == sum(wire_size(e.segment) for e in sub.queue)
+
+
+# --- against the reference scheduler ------------------------------------------
+
+entry_fields = attrgetter("subflow", "sent", "first_sent_ts", "acked", "size", "key_frame")
+
+
+def entry_key(entry):
+    return None if entry is None else (entry.segment.frame_index, entry.segment.segment_index)
+
+
+def keys(entries):
+    return [entry_key(e) for e in entries]
+
+
+def assert_same_state(new, old, new_entries, old_entries):
+    assert list(new.decision_log) == list(old.decision_log)
+    assert keys(new.unassigned) == keys(old.unassigned)
+    for sid, sub in new.subflows.items():
+        ref = old.subflows[sid]
+        assert keys(sub.queue) == keys(ref.queue)
+        assert (sub.queued_bytes, sub.srtt, sub.bw_es) == (ref.queued_bytes, ref.srtt, ref.bw_es)
+    for k, entry in new_entries.items():
+        assert entry_fields(entry) == entry_fields(old_entries[k])
+
+
+# One step of the oracle test: (clock advance, operation, subflow, offset
+# from the acted-on entry's retention edge or None, indices into the entries
+# an operation can act on, frame size, key frame, bandwidth, RTT sample).
+STEP = st.tuples(
+    st.integers(0, 150_000),
+    st.sampled_from(["frame", "send", "send", "loss", "loss", "ack", "late ack",
+                     "bw", "srtt", "evict", "evict"]),
+    st.sampled_from([0, 1]),
+    st.sampled_from([None, -1, 0, 1]),
+    st.lists(st.integers(0, 63), min_size=1, max_size=4),
+    st.integers(1, 3 * PAYLOAD_BUDGET),
+    st.booleans(),
+    st.sampled_from([0.0, 5e5, 1.3e6, 2e6, 8e6]),
+    st.integers(10_000, 300_000),
+)
+
+
+def retention_edge(entry, now, offset):
+    """now, or the later time at which a sent entry's age is RETENTION_US +
+    offset, when an offset was drawn."""
+    if entry is None or offset is None or not entry.sent:
+        return now
+    return max(now, entry.first_sent_ts + RETENTION_US + offset)
+
+
+def edge_case(*ops):
+    """Steps from (op, retention-edge offset) pairs, with a one-segment delta
+    frame on subflow 0 and every other field at its simplest."""
+    return [(0, op, 0, offset, [0], 100, False, 0.0, 10_000) for op, offset in ops]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(STEP, min_size=20, max_size=50))
+# A delta segment lost when its age is exactly RETENTION_US is resent.
+@example(edge_case(("frame", None), ("send", None), ("loss", 0)))
+# A stale resend acked while queued is evicted but not reported.
+@example(edge_case(("frame", None), ("send", None), ("loss", None), ("late ack", None),
+                   ("evict", 1)))
+def test_matches_reference_scheduler(steps):
+    """The scheduler and the reference one, which also keeps a retained set,
+    go through the same frames, sends, losses, acks (also late acks that race
+    a queued resend), estimate updates and evictions, and must make the same
+    decisions and hold the same state after every step.
+    evict reports only what it removes from a queue, so its result is
+    compared with the reference's restricted to entries queued before the
+    call, as a multiset: the reference lists them in first-send order."""
+    args = dict(bw0=2e6, bw1=1.3e6, srtt0=80_000, srtt1=120_000)
+    new = make_two(**args)
+    old = make_two(**args, cls=reference_scheduler.Scheduler)
+    new_entries, old_entries = {}, {}
+    in_flight = []  # sent, and neither reported lost nor acked since
+    unacked = []    # sent and not acked, whether in flight or not
+    now = 0
+    for frame_index, (advance, op, sid, offset, picks, size, key, bw, sample) \
+            in enumerate(steps):
+        now += advance
+        if op == "frame":
+            segments = packetize(size, frame_index, now, key)
+            for entry, ref in zip(new.schedule_segments(segments, now),
+                                  old.schedule_segments(segments, now)):
+                new_entries[entry_key(entry)] = entry
+                old_entries[entry_key(ref)] = ref
+        elif op == "send":
+            now = retention_edge(next(iter(new.subflows[sid].queue), None), now, offset)
+            k = entry_key(new.next_segment(sid, now))
+            assert k == entry_key(old.next_segment(sid, now))
+            if k is not None:
+                in_flight.append(k)
+                if k not in unacked:
+                    unacked.append(k)
+        elif op == "loss" and in_flight:
+            lost = list(dict.fromkeys(in_flight[i % len(in_flight)] for i in picks))
+            now = retention_edge(new_entries[lost[0]], now, offset)
+            in_flight = [k for k in in_flight if k not in lost]
+            sids, dropped = new.on_loss([new_entries[k] for k in lost], now)
+            ref_sids, ref_dropped = old.on_loss([old_entries[k] for k in lost], now)
+            assert (sids, keys(dropped)) == (ref_sids, keys(ref_dropped))
+        elif op in ("ack", "late ack"):
+            # A late ack is the first copy's, for a segment requeued on loss.
+            ackable = in_flight if op == "ack" else [k for k in keys(queued(new))
+                                                    if k in unacked]
+            if ackable:
+                k = ackable[picks[0] % len(ackable)]
+                unacked.remove(k)
+                if k in in_flight:
+                    in_flight.remove(k)
+                new.mark_acked(new_entries[k])
+                old.mark_acked(old_entries[k])
+        elif op == "bw":
+            new.set_bw_es(sid, bw)
+            old.set_bw_es(sid, bw)
+        elif op == "srtt":
+            assert new.update_srtt(sid, sample) == old.update_srtt(sid, sample)
+        elif op == "evict":
+            was_queued = keys(queued(new))
+            requeued = [k for k in was_queued if new_entries[k].sent]
+            if requeued:
+                now = retention_edge(new_entries[requeued[picks[0] % len(requeued)]], now, offset)
+            evicted = keys(new.evict(now))
+            ref_evicted = keys(old.evict(now))
+            assert Counter(evicted) == Counter(k for k in ref_evicted if k in was_queued)
+        assert_same_state(new, old, new_entries, old_entries)

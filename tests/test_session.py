@@ -160,6 +160,22 @@ def test_dumbbell_pinned():
                       for f, n in zip(flows, lost)]) == DUMBBELL_PIN
 
 
+def test_earlier_pump_timer_replaces_later_one():
+    loop = EventLoop()
+    rng = random.Random(5)
+    net = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
+                         traces=collapse_traces())
+    session = VideoSession(loop, rng, net.candidates)
+    sid = session.sids[0]
+    session._arm_pump(sid, 200)
+    session._arm_pump(sid, 100)
+    live = [entry[0] for entry in loop._heap
+            if entry[2] == session._on_pump_timer and entry[3] == (sid,)]
+    # A replaced timer left live fires, clears the newer handle, and from
+    # then on every pump arms a second timer for the same instant.
+    assert live == [100]
+
+
 def test_collapse_digest_independent_of_hash_seed():
     code = "import test_session as t; print(t.overlay_digest(t.run_collapse()))"
     path = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
