@@ -11,6 +11,11 @@ last 10 s, but the newest sample is always kept, so a path unvisited for
 longer scores with its last sample, and only a path never sampled has an
 empty window and Bw 0.0.  Re-exploration comes from the sqrt term, which
 grows with T while an unpicked path's N stays put.
+
+A push only smooths Bw_hat and appends; select_paths prunes each window and
+computes Bw just before it scores, the one place Bw is read.  Before scoring
+starts, decision T gives each subflow its (T-1) mod n-th candidate by id,
+while T is at most the largest candidate count n.
 """
 
 from __future__ import annotations
@@ -43,18 +48,10 @@ class PathManager:
         self.subflows = list(subflows)
         self.paths = [PathStats(pid, fid) for pid, fid in paths]
         self.by_id = {p.id: p for p in self.paths}
+        self.candidates = {fid: sorted(p.id for p in self.paths if p.flowid == fid)
+                           for fid in self.subflows}
         self.T = 1
         self.last_scores: dict[int, float] = {}
-        explore = []
-        slots = max((sum(1 for p in self.paths if p.flowid == fid) for fid in self.subflows),
-                    default=0)
-        for k in range(slots):
-            round_choices = {}
-            for fid in self.subflows:
-                cands = sorted(p.id for p in self.paths if p.flowid == fid)
-                round_choices[fid] = cands[k % len(cands)]
-            explore.append(round_choices)
-        self._exploration = explore
 
     def on_new_bandwidth_sample(self, path_id: int, bw: float, now: int) -> None:
         p = self.by_id[path_id]
@@ -63,7 +60,6 @@ class PathManager:
         else:
             p.Bw_hat = bw  # the first sample seeds the smoothed reward
         p.bwSamples_.append((bw, now))
-        self.delete_obsolete_samples(path_id, now)
 
     def delete_obsolete_samples(self, path_id: int, now: int) -> None:
         p = self.by_id[path_id]
@@ -105,8 +101,8 @@ class PathManager:
 
     def decide(self, now: int) -> dict[int, int]:
         """Per-slot decision: forced initial exploration, then UCB rounds."""
-        if self._exploration:
-            chosen = self._exploration.pop(0)
+        if self.exploring():
+            chosen = {fid: c[(self.T - 1) % len(c)] for fid, c in self.candidates.items()}
             self.last_scores = {}
             for path_id in chosen.values():
                 self.by_id[path_id].N += 1
@@ -115,4 +111,4 @@ class PathManager:
         return self.select_paths(now)
 
     def exploring(self) -> bool:
-        return bool(self._exploration)
+        return self.T <= max((len(c) for c in self.candidates.values()), default=0)

@@ -72,12 +72,13 @@ class PathConnection:
             return None
         return now
 
-    def send(self, segment: StreamFrame, now: int, app_limited: bool, context=None) -> None:
-        packet = self.sm.send_segment(segment, now, app_limited, context)
+    def send(self, segment: StreamFrame, size: int, now: int, app_limited: bool,
+             context=None) -> None:
+        self.sm.send_segment(segment, size, now, app_limited, context)
         rate = self.cc.pacing_rate
         if rate > self.rate_cap_bps:
             rate = self.rate_cap_bps
-        self.next_send_ts = pacer_next_send_time(now, packet.size, rate)
+        self.next_send_ts = pacer_next_send_time(now, size, rate)
 
     def advance_stop_waiting(self) -> None:
         """Send STOP_WAITING up to the oldest outstanding packet once it has moved."""
@@ -133,7 +134,7 @@ class CappedFlow:
                 return
             segment = StreamFrame(PAYLOAD_BUDGET, self._counter, now, 1, 0, False)
             self._counter += 1
-            conn.send(segment, now, False)
+            conn.send(segment, MSS, now, False)  # a full segment fills MSS exactly
 
     def _wake(self) -> None:
         if self._blocked:
@@ -242,7 +243,7 @@ class VideoSession:
             entry = sched.next_segment(sid, now)
             if entry is None:
                 return
-            conn.send(entry.segment, now, sub.queued_bytes <= 0, entry)
+            conn.send(entry.segment, entry.size, now, sub.queued_bytes <= 0, entry)
 
     def _arm_pump(self, sid: int, ts: int) -> None:
         timer = self._pump_timers[sid]

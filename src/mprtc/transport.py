@@ -183,11 +183,12 @@ class SendManager:
 
     # -- sending
 
-    def send_segment(self, segment: StreamFrame, now: int, app_limited: bool,
+    def send_segment(self, segment: StreamFrame, size: int, now: int, app_limited: bool,
                      context=None) -> SimPacket:
+        """Send ``segment`` in one data packet.  The caller supplies ``size``,
+        its ``wire_size``, worked out once per segment and not per send."""
         number = self.next_packet_number
         self.next_packet_number += 1
-        size = wire_size(segment)
         packet = SimPacket(number, size, segment, None, self.route, self.receiver_sink,
                            now, self.delivered_bytes, app_limited, context)
         self.records[number] = packet

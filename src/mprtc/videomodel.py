@@ -46,15 +46,6 @@ class EncodedFrame:
     rate_at_encode: float
 
 
-@dataclass(slots=True)
-class EncoderState:
-    """Mutable encoder knobs: reference rate, lagged output rate, delay estimate."""
-
-    target_rate: float
-    actual_rate: float
-    d_en_hat: float
-
-
 @dataclass(frozen=True)
 class QualityModelParams:
     theta: float = 3.2e6
@@ -97,11 +88,10 @@ class VideoSource:
         self.frame_sink = frame_sink
         self.reference_rate_fn = reference_rate_fn
         self.min_latency_fn = min_latency_fn
-        self.state = EncoderState(
-            target_rate=float(RATE_FLOOR_BPS),
-            actual_rate=0.0,
-            d_en_hat=float(ENCODE_DELAY_BASE_US),
-        )
+        # Encoder knobs: reference rate, lagged output rate, delay estimate.
+        self.target_rate = float(RATE_FLOOR_BPS)
+        self.actual_rate = 0.0
+        self.d_en_hat = float(ENCODE_DELAY_BASE_US)
         self.raw_queue: deque[RawFrame] = deque()
         self.busy = False
         self.frames_captured = 0
@@ -120,7 +110,7 @@ class VideoSource:
 
     def _rate_tick(self) -> None:
         raw = self.reference_rate_fn()
-        self.state.target_rate = float(min(max(raw, RATE_FLOOR_BPS), RATE_CAP_BPS))
+        self.target_rate = float(min(max(raw, RATE_FLOOR_BPS), RATE_CAP_BPS))
         self.loop.schedule(self.loop.now + RATE_TICK_US, self._rate_tick)
 
     def _capture(self, index: int) -> None:
@@ -132,11 +122,10 @@ class VideoSource:
         self._service(now)
 
     def _service(self, now: int) -> None:
-        state = self.state
         while not self.busy and self.raw_queue:
             raw = self.raw_queue.popleft()
             d_q = now - raw.capture_ts
-            projected = d_q + state.d_en_hat + self.min_latency_fn()
+            projected = d_q + self.d_en_hat + self.min_latency_fn()
             if projected > DROP_BUDGET_US:
                 self.frames_dropped += 1
                 key = raw.frame_index % GOP_FRAMES == 0
@@ -145,19 +134,18 @@ class VideoSource:
             self._begin_encode(raw, now)
 
     def _begin_encode(self, raw: RawFrame, now: int) -> None:
-        state = self.state
-        if state.actual_rate <= 0.0:
-            state.actual_rate = state.target_rate
+        if self.actual_rate <= 0.0:
+            self.actual_rate = self.target_rate
         else:
             dt = now - self._last_lag_ts
             gain = 1.0 - math.exp(-dt / ENCODER_TAU_US)
-            state.actual_rate += (state.target_rate - state.actual_rate) * gain
-        if state.actual_rate < RATE_FLOOR_BPS:
-            state.actual_rate = float(RATE_FLOOR_BPS)
+            self.actual_rate += (self.target_rate - self.actual_rate) * gain
+        if self.actual_rate < RATE_FLOOR_BPS:
+            self.actual_rate = float(RATE_FLOOR_BPS)
         self._last_lag_ts = now
 
         key = raw.frame_index % GOP_FRAMES == 0
-        base = state.actual_rate / (8 * FPS)
+        base = self.actual_rate / (8 * FPS)
         size = int(base * _GOP_NORM * (KEY_FRAME_FACTOR if key else 1))
         size = max(1, size)
         d_en = ENCODE_DELAY_BASE_US + int(
@@ -166,16 +154,13 @@ class VideoSource:
         d_en = max(1, d_en)
         self.busy = True
         self.loop.schedule(
-            now + d_en, self._finish_encode, raw, size, key, d_en, state.actual_rate
+            now + d_en, self._finish_encode, raw, size, key, d_en, self.actual_rate
         )
 
     def _finish_encode(self, raw: RawFrame, size: int, key: bool, d_en: int,
                        rate: float) -> None:
         now = self.loop.now
-        state = self.state
-        state.d_en_hat = (
-            (1.0 - ENCODE_DELAY_ALPHA) * state.d_en_hat + ENCODE_DELAY_ALPHA * d_en
-        )
+        self.d_en_hat = (1.0 - ENCODE_DELAY_ALPHA) * self.d_en_hat + ENCODE_DELAY_ALPHA * d_en
         self.frame_log.append((raw.frame_index, raw.capture_ts, size, key, False))
         self.busy = False
         self.frame_sink(EncodedFrame(
@@ -222,6 +207,8 @@ class VideoSink:
     abandoned once stop-waiting floors prove its received packets are settled
     on every connection involved and its age exceeds the sender's retention
     window.  Key frames are retransmitted until acked, so they always complete.
+    ``pending`` and ``_ready`` hold only frames above ``_released_through``:
+    a frame at or below it is never tracked again.
     """
 
     def __init__(self):
@@ -238,8 +225,8 @@ class VideoSink:
         fi = segment.frame_index
         if fi in self._abandoned_set:
             return
-        if fi <= self._released_through and fi not in self._ready:
-            return
+        if fi <= self._released_through:
+            return  # released already, or never seen before its successors
         frame = self.pending.get(fi)
         if frame is None:
             if fi in self._ready:

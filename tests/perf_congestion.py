@@ -16,7 +16,7 @@ import random
 from mprtc.congestion import BbrController
 from mprtc.session import CappedFlow, PathConnection
 from mprtc.simnet import EventLoop, PathDef, US_PER_S, build_topology
-from mprtc.transport import PAYLOAD_BUDGET, SendManager, StreamFrame
+from mprtc.transport import MSS, PAYLOAD_BUDGET, SendManager, StreamFrame
 
 ROUNDS = 200
 PACED = 60
@@ -76,7 +76,7 @@ def pace_out(conn, segment):
         if ts is None:
             break
         now = ts
-        conn.send(segment, now, False)
+        conn.send(segment, MSS, now, False)
         sent += 1
     return sent
 

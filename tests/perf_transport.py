@@ -9,7 +9,7 @@ outstanding records under a cumulative ack range of about 90 numbers per
 ack, and about 110 records per loss-timer fire on overlay-collapse.
 """
 
-from mprtc.transport import AckFrame, SendManager
+from mprtc.transport import MSS, AckFrame, SendManager
 from test_transport import advance_clock, primed_sender, seg
 
 ROUNDS = 2000
@@ -19,7 +19,7 @@ def window_of_eighty():
     """Packets 2-169 sent and 2-89 acked: 80 outstanding when 90-91 are acked."""
     loop, sm = primed_sender()
     for _ in range(168):
-        sm.send_segment(seg(), 20_000, False)
+        sm.send_segment(seg(), MSS, 20_000, False)
     sm.on_ack(AckFrame(89, 0, [(1, 89)]), 21_000)
     assert len(sm.records) == 80
     return (sm, AckFrame(91, 0, [(2, 91)]), 22_000), {}
@@ -29,24 +29,24 @@ def one_lost_of_110():
     """One packet past the 35 ms threshold ahead of 109 young ones, with the
     clock at the loss timer's fire time."""
     loop, sm = primed_sender()
-    sm.send_segment(seg(), 20_000, False)
+    sm.send_segment(seg(), MSS, 20_000, False)
     fire_at = sm._loss_timer[0]
     for _ in range(109):
-        sm.send_segment(seg(), 40_000, False)
+        sm.send_segment(seg(), MSS, 40_000, False)
     advance_clock(loop, fire_at)
     return (sm,), {}
 
 
 def live_timer():
     loop, sm = primed_sender()
-    sm.send_segment(seg(), 20_000, False)
+    sm.send_segment(seg(), MSS, 20_000, False)
     return (sm,), {}
 
 
 def send_burst(sm):
     segment = seg()
     for _ in range(100):
-        sm.send_segment(segment, 20_000, False)
+        sm.send_segment(segment, MSS, 20_000, False)
     return sm
 
 

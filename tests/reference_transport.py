@@ -16,16 +16,14 @@ from mprtc.transport import (
     SendManager,
     SimPacket,
     ewma_srtt,
-    wire_size,
 )
 
 
 class ReferenceSendManager(SendManager):
 
-    def send_segment(self, segment, now, app_limited, context=None):
+    def send_segment(self, segment, size, now, app_limited, context=None):
         number = self.next_packet_number
         self.next_packet_number += 1
-        size = wire_size(segment)
         packet = SimPacket(number, size, segment, None, self.route, self.receiver_sink,
                            now, self.delivered_bytes, app_limited, context)
         self.records[number] = packet

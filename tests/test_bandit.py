@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_bandit
 from mprtc.bandit import OBSERVED_TIME_US, PathManager
@@ -28,38 +29,88 @@ def random_world(rng):
     return subflows, paths
 
 
+class Replay:
+    """The production manager and the reference interpreter fed the same
+    pushes and decisions.  The reference refreshes Bw at every push, the
+    manager only when it decides, so the two are compared at decisions:
+    the choice, T, and (Bw, Bw_hat, N, has a sample) of every path."""
+
+    def __init__(self, subflows, paths):
+        self.ref = reference_bandit.new_state(subflows, paths)
+        self.prod = PathManager(subflows, paths)
+        self.decisions = 0
+
+    def push(self, path_id, bw, now):
+        reference_bandit.on_new_bandwidth_sample(self.ref, path_id, bw, now)
+        self.prod.on_new_bandwidth_sample(path_id, bw, now)
+
+    def decide(self, now):
+        want = reference_bandit.select_paths(self.ref, now)
+        got = self.prod.select_paths(now)
+        assert got == want, f"decision {self.decisions}: choice {got} != {want}"
+        assert self.prod.T == self.ref["T"]
+        assert snapshot(self.prod) == reference_snapshot(self.ref), \
+            f"decision {self.decisions}"
+        self.decisions += 1
+
+
 def run_equivalence_check(n_sequences=100, max_events=1000, base_seed=1000):
-    """Replays randomized sample/selection sequences through the production
-    manager and the reference interpreter, demanding exact equality of the
-    (Bw, Bw_hat, N, choice) trace, and that a path's sample window is empty
-    exactly while the reference's sample counter is 0.  Returns the number of
-    events compared."""
+    """Replays randomized sample/selection sequences, each closed by a
+    decision, and returns the number of decisions compared."""
     compared = 0
     for seq in range(n_sequences):
         rng = random.Random(base_seed + seq)
         subflows, paths = random_world(rng)
-        ref = reference_bandit.new_state(subflows, paths)
-        prod = PathManager(subflows, paths)
+        replay = Replay(subflows, paths)
         now = 0
         for _ in range(rng.randint(50, max_events)):
             now += rng.randint(0, 2_000_000)
             if rng.random() < 0.7:
-                path_id = rng.choice(paths)[0]
-                bw = rng.uniform(0, 6e6)
-                reference_bandit.on_new_bandwidth_sample(ref, path_id, bw, now)
-                prod.on_new_bandwidth_sample(path_id, bw, now)
+                replay.push(rng.choice(paths)[0], rng.uniform(0, 6e6), now)
             else:
-                want = reference_bandit.select_paths(ref, now)
-                got = prod.select_paths(now)
-                assert got == want, f"seq {seq}: choice {got} != {want}"
-                assert prod.T == ref["T"]
-            assert snapshot(prod) == reference_snapshot(ref), f"seq {seq}"
-            compared += 1
+                replay.decide(now)
+        replay.decide(now)
+        compared += replay.decisions
     return compared
 
 
 def test_matches_reference_interpreter():
-    assert run_equivalence_check(n_sequences=25) > 0
+    assert run_equivalence_check(n_sequences=25) > 25
+
+
+@st.composite
+def worlds_and_steps(draw):
+    """A world with one path that is never pushed, and steps whose clock
+    gaps reach past the 10 s window, so whole windows go stale between a
+    push and the next decision."""
+    per_subflow = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    subflows = list(range(len(per_subflow)))
+    paths = [(pid, fid) for pid, fid in enumerate(
+        fid for fid, n in enumerate(per_subflow) for _ in range(n))]
+    silent = draw(st.sampled_from(paths))[0]
+    pushed = [pid for pid, _ in paths if pid != silent] or [None]
+    gap = st.one_of(st.integers(0, 2_000_000),
+                    st.integers(OBSERVED_TIME_US - 1, OBSERVED_TIME_US + 1),
+                    st.integers(OBSERVED_TIME_US, 3 * OBSERVED_TIME_US))
+    step = st.one_of(
+        st.tuples(st.just("push"), gap, st.sampled_from(pushed), st.floats(0, 6e6)),
+        st.tuples(st.just("decide"), gap, st.none(), st.none()))
+    return subflows, paths, draw(st.lists(step, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds_and_steps())
+def test_matches_reference_with_long_gaps_and_a_silent_path(case):
+    subflows, paths, steps = case
+    replay = Replay(subflows, paths)
+    now = 0
+    for kind, gap, path_id, bw in steps:
+        now += gap
+        if kind == "decide":
+            replay.decide(now)
+        elif path_id is not None:
+            replay.push(path_id, bw, now)
+    replay.decide(now)
 
 
 # --- scripted walk-throughs -------------------------------------------------
@@ -72,7 +123,10 @@ def test_first_sample_seeds_all_fields():
     m = make_single()
     m.on_new_bandwidth_sample(0, 2e6, now=0)
     p = m.paths[0]
-    assert (p.Bw, p.Bw_hat, list(p.bwSamples_)) == (2e6, 2e6, [(2e6, 0)])
+    assert (p.Bw_hat, list(p.bwSamples_)) == (2e6, [(2e6, 0)])
+    assert p.Bw == 0.0  # a push does not refresh the window max; a decision does
+    m.select_paths(now=0)
+    assert p.Bw == 2e6
 
 
 def test_smoothed_reward_update():
@@ -81,9 +135,11 @@ def test_smoothed_reward_update():
     m.on_new_bandwidth_sample(0, 3e6, now=1_000_000)
     p = m.paths[0]
     assert p.Bw_hat == pytest.approx(0.1 * 2e6 + 0.9 * 3e6)
+    m.delete_obsolete_samples(0, now=1_000_000)
     assert p.Bw == 3e6
     m.on_new_bandwidth_sample(0, 1e6, now=2_000_000)
     assert p.Bw_hat == pytest.approx(0.1 * (0.1 * 2e6 + 0.9 * 3e6) + 0.9 * 1e6)
+    m.delete_obsolete_samples(0, now=2_000_000)
     assert p.Bw == 3e6  # below the peak, peak stands
 
 
@@ -176,6 +232,7 @@ def test_reward_stays_within_sample_envelope():
         bw = rng.uniform(0.2e6, 5e6)
         lo, hi = min(lo, bw), max(hi, bw)
         m.on_new_bandwidth_sample(0, bw, now)
+        m.delete_obsolete_samples(0, now)
         p = m.paths[0]
         assert lo <= p.Bw_hat <= hi
         assert lo <= p.Bw <= hi
@@ -193,6 +250,29 @@ def test_exploration_visits_every_candidate_in_id_order():
     assert not m.exploring()
     assert [p.N for p in m.paths] == [2, 2, 2, 2]
     assert m.T == 3
+
+
+def precomputed_exploration(subflows, paths):
+    """The exploration rounds as a list built up front, one dict per round:
+    round k gives each subflow its k-th candidate by id, wrapping."""
+    slots = max(sum(1 for _, f in paths if f == fid) for fid in subflows)
+    return [{fid: sorted(pid for pid, f in paths if f == fid)[k % sum(
+                 1 for _, f in paths if f == fid)] for fid in subflows}
+            for k in range(slots)]
+
+
+def test_exploration_rule_matches_precomputed_rounds():
+    for seed in range(50):
+        rng = random.Random(seed)
+        subflows, paths = random_world(rng)
+        rng.shuffle(paths)  # candidates are ordered by id, not by listing
+        m = PathManager(subflows, paths)
+        rounds = precomputed_exploration(subflows, paths)
+        for k, want in enumerate(rounds):
+            assert m.exploring()
+            assert m.decide(now=k * 1_000_000) == want
+        assert not m.exploring()
+        assert m.T == len(rounds) + 1
 
 
 def test_exploration_single_candidate_is_one_slot():

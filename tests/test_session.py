@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from mprtc import scheduler, session as session_module, transport
 from mprtc.scheduler import DECISION_LOG_LEN, wire_size
 from mprtc.session import CappedFlow, VideoSession
 from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
@@ -194,3 +195,28 @@ def test_other_schemes_keep_invariants(scheme):
     session = run_overlay(collapse_traces(), seed=5, sim_s=15, scheme=scheme)
     assert_overlay_invariants(session)
     assert len(session.sink.delivered) > 0
+
+
+def test_wire_size_computed_once_per_segment(monkeypatch):
+    """A segment's wire size is worked out when it enters the send buffer;
+    sends and retransmissions reuse it."""
+    calls = []
+    segments = []
+
+    def counted_wire_size(segment):
+        calls.append(segment)
+        return wire_size(segment)
+
+    def counted_packetize(*args):
+        out = packetize(*args)
+        segments.extend(out)
+        return out
+
+    packetize = session_module.packetize
+    monkeypatch.setattr(scheduler, "wire_size", counted_wire_size)
+    monkeypatch.setattr(transport, "wire_size", counted_wire_size)
+    monkeypatch.setattr(session_module, "packetize", counted_packetize)
+    session = run_overlay(collapse_traces(), seed=5, sim_s=12)  # 2 s into the outage
+    sent = sum(conn.sm.packets_sent for conn in session.paths.values())
+    assert sent > len(segments) > 0  # some segments were sent more than once
+    assert len(calls) == len(segments)

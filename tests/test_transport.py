@@ -76,7 +76,7 @@ def test_simulated_packet_sizes_are_encoded_sizes(frame):
         sm.send_stop_waiting(5)
         expected = PACKET_HEADER_SIZE + STOP_WAITING_SIZE
     else:
-        sm.send_segment(frame, 0, False)
+        sm.send_segment(frame, wire_size(frame), 0, False)
         expected = wire_size(frame)
         # A full payload budget fills the MSS exactly.
         assert (expected == MSS) == (frame.payload_length == PAYLOAD_BUDGET)
@@ -135,8 +135,8 @@ def test_two_packets_trigger_immediate_ack_and_samples():
         samples.extend(orig(ack, now))
 
     sm.on_ack = capture
-    sm.send_segment(seg(), 0, False)
-    sm.send_segment(seg(), 0, False)
+    sm.send_segment(seg(), MSS, 0, False)
+    sm.send_segment(seg(), MSS, 0, False)
     assert sm.inflight == 2400
     loop.run(US_PER_S)
     # arrivals at 11 ms and 12 ms; ack leaves at 12 ms, lands 10 ms later
@@ -154,7 +154,7 @@ def test_single_packet_acked_on_delay_timer():
     got = []
     orig = sm.on_ack
     sm.on_ack = lambda ack, now: got.append((ack, now, orig(ack, now)))
-    sm.send_segment(seg(), 0, False)
+    sm.send_segment(seg(), MSS, 0, False)
     loop.run(US_PER_S)
     (ack, at, samples) = got[0]
     assert at == 31_000          # 11 ms arrival + 10 ms ack delay + 10 ms reverse
@@ -165,8 +165,8 @@ def test_single_packet_acked_on_delay_timer():
 
 def test_duplicate_ack_yields_no_samples():
     loop, link, sm, rx = make_pair()
-    sm.send_segment(seg(), 0, False)
-    sm.send_segment(seg(), 0, False)
+    sm.send_segment(seg(), MSS, 0, False)
+    sm.send_segment(seg(), MSS, 0, False)
     loop.run(US_PER_S)
     again = AckFrame(2, 0, [(1, 2)])
     assert sm.on_ack(again, loop.now) == []
@@ -177,8 +177,8 @@ def test_app_limited_flag_rides_records():
     samples = []
     orig = sm.on_ack
     sm.on_ack = lambda ack, now: samples.extend(orig(ack, now))
-    sm.send_segment(seg(), 0, True)
-    sm.send_segment(seg(), 0, False)
+    sm.send_segment(seg(), MSS, 0, True)
+    sm.send_segment(seg(), MSS, 0, False)
     loop.run(US_PER_S)
     assert [s.app_limited for s in samples] == [True, False]
 
@@ -202,7 +202,7 @@ def test_reorder_loss_three_packets():
     lost = []
     sm.loss_hook = lambda recs: lost.extend(r.number for r in recs)
     for _ in range(4):
-        sm.send_segment(seg(), 0, False)
+        sm.send_segment(seg(), MSS, 0, False)
     samples = sm.on_ack(AckFrame(4, 0, [(2, 4)]), 5_000)
     assert lost == [1]
     assert all(s.has_loss for s in samples)
@@ -216,7 +216,7 @@ def test_ordered_acks_no_loss():
     lost = []
     sm.loss_hook = lambda recs: lost.extend(recs)
     for _ in range(20):
-        sm.send_segment(seg(), loop.now, False)
+        sm.send_segment(seg(), MSS, loop.now, False)
     loop.run(US_PER_S)
     assert lost == []
     assert sm.inflight == 0
@@ -226,13 +226,13 @@ def test_time_threshold_loss():
     loop, link, sm, rx = make_pair()
     lost = []
     sm.loss_hook = lambda recs: lost.extend(r.number for r in recs)
-    sm.send_segment(seg(), 0, False)
-    sm.send_segment(seg(), 0, False)
+    sm.send_segment(seg(), MSS, 0, False)
+    sm.send_segment(seg(), MSS, 0, False)
     loop.run(50_000)             # srtt established at 22 ms
     srtt = sm.srtt
     rx.ack_sink = lambda ack, now: None   # receiver goes silent
     sent_at = loop.now
-    sm.send_segment(seg(), loop.now, False)
+    sm.send_segment(seg(), MSS, loop.now, False)
     threshold = int(1.25 * srtt) + 10_000  # ack-delay allowance included
     loop.run(sent_at + threshold)
     assert lost == []            # not yet past the threshold
@@ -245,7 +245,8 @@ def test_inflight_matches_record_sum():
     loop, link, sm, rx = make_pair()
     rng = random.Random(3)
     for i in range(30):
-        sm.send_segment(seg(payload=rng.randint(1, PAYLOAD_BUDGET)), loop.now, False)
+        s = seg(payload=rng.randint(1, PAYLOAD_BUDGET))
+        sm.send_segment(s, wire_size(s), loop.now, False)
         loop.run(loop.now + rng.randint(0, 3000))
         assert sm.inflight == sum(r.size for r in sm.records.values())
     loop.run(US_PER_S)
@@ -263,7 +264,7 @@ def test_packet_numbers_strictly_increase():
 
     sm.receiver_sink = spy
     for _ in range(10):
-        sm.send_segment(seg(), loop.now, False)
+        sm.send_segment(seg(), MSS, loop.now, False)
         loop.run(loop.now + 5000)
     sm.send_stop_waiting(3)
     loop.run(US_PER_S)
@@ -370,7 +371,7 @@ def test_pacing_byte_budget_property():
 
     def send_loop():
         s = seg()
-        pkt = sm.send_segment(s, loop.now, False)
+        pkt = sm.send_segment(s, MSS, loop.now, False)
         sent_log.append((loop.now, pkt.size))
         if loop.now < 500_000:
             nxt = pacer_next_send_time(loop.now, pkt.size, rate)
@@ -399,7 +400,7 @@ def primed_sender():
     its loss threshold is 1.25 * 20 ms + 10 ms = 35 ms."""
     loop = EventLoop()
     sm = SendManager(loop, (NullLink(),))
-    sm.send_segment(seg(), 0, False)
+    sm.send_segment(seg(), MSS, 0, False)
     loop.run(20_000)
     sm.on_ack(AckFrame(1, 0, [(1, 1)]), 20_000)
     assert sm.srtt == 20_000 and not sm.records
@@ -412,7 +413,7 @@ def test_ack_below_oldest_record_still_detects_reorder_loss():
     lost = []
     sm.loss_hook = lambda recs: lost.extend(r.number for r in recs)
     for _ in range(8):
-        sm.send_segment(seg(), 0, False)
+        sm.send_segment(seg(), MSS, 0, False)
     sm.on_ack(AckFrame(2, 0, [(1, 2)]), 1_000)
     assert list(sm.records) == [3, 4, 5, 6, 7, 8]
     # every range is below the oldest record, but largest_acked moves to 7
@@ -426,12 +427,12 @@ def test_loss_timer_declares_only_old_records_and_rearms_for_young_one():
     loop, sm = primed_sender()
     lost = []
     sm.loss_hook = lambda recs: lost.extend(r.number for r in recs)
-    sm.send_segment(seg(), 20_000, False)
-    sm.send_segment(seg(), 20_000, False)
+    sm.send_segment(seg(), MSS, 20_000, False)
+    sm.send_segment(seg(), MSS, 20_000, False)
     loop.run(20_001)
-    sm.send_segment(seg(), 20_001, False)
+    sm.send_segment(seg(), MSS, 20_001, False)
     loop.run(40_000)
-    sm.send_segment(seg(), 40_000, False)
+    sm.send_segment(seg(), MSS, 40_000, False)
     assert sm._loss_timer[0] == 20_000 + 35_000 + 1
     loop.run(55_001)
     # packet 4 is exactly 35 ms old: at the threshold, not past it
@@ -443,32 +444,32 @@ def test_loss_timer_declares_only_old_records_and_rearms_for_young_one():
 def test_send_into_empty_window_arms_loss_timer():
     loop, sm = primed_sender()
     assert sm._loss_timer is None
-    sm.send_segment(seg(), 20_000, False)
+    sm.send_segment(seg(), MSS, 20_000, False)
     assert sm._loss_timer[0] == 20_000 + 35_000 + 1 and sm._loss_timer[2] is not None
 
 
 def test_send_behind_live_future_timer_keeps_its_handle():
     loop, sm = primed_sender()
-    sm.send_segment(seg(), 20_000, False)
+    sm.send_segment(seg(), MSS, 20_000, False)
     handle = sm._loss_timer
     loop.run(30_000)
-    sm.send_segment(seg(), 30_000, False)
+    sm.send_segment(seg(), MSS, 30_000, False)
     assert sm._loss_timer is handle and handle[2] is not None
     assert len(loop._heap) == 1
 
 
 def test_send_at_instant_of_due_timer_reschedules_it():
     loop, sm = primed_sender()
-    sm.send_segment(seg(), 20_000, False)
+    sm.send_segment(seg(), MSS, 20_000, False)
     loop.run(50_000)
-    sm.send_segment(seg(), 50_000, False)
+    sm.send_segment(seg(), MSS, 50_000, False)
     loop.run(54_000)
     # a 4 ms sample drops srtt to 6.4 ms, so packet 2 is past its deadline
     # and the timer is pulled in to now
     sm.on_ack(AckFrame(3, 0, [(3, 3)]), 54_000)
     due_now = sm._loss_timer
     assert due_now[0] == 54_000
-    sm.send_segment(seg(), 54_000, False)
+    sm.send_segment(seg(), MSS, 54_000, False)
     # the full re-arm reschedules an overdue timer, so it gets a later seq
     assert due_now[2] is None
     assert sm._loss_timer[0] == 54_000 and sm._loss_timer[1] > due_now[1]
@@ -552,7 +553,8 @@ def test_send_manager_matches_reference(data):
             else:
                 advance_clock(loop, t)
             if kind in ("send", "send_at_timer"):
-                sm.send_segment(seg(payload=payload), t, app_limited)
+                s = seg(payload=payload)
+                sm.send_segment(s, wire_size(s), t, app_limited)
             elif kind == "ack":
                 samples = sm.on_ack(ack, t)
             elif kind == "stop_waiting":

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mprtc import videomodel
 from mprtc.simnet import EventLoop
@@ -94,28 +95,28 @@ class TestSource:
         loop, src, _ = make_source(rate=6_000_000.0)
         src.start(0)
         loop.run(10_000)
-        assert src.state.target_rate == 4_000_000.0
+        assert src.target_rate == 4_000_000.0
 
         loop2, src2, _ = make_source(rate=10_000.0)
         src2.start(0)
         loop2.run(10_000)
-        assert src2.state.target_rate == 50_000.0
+        assert src2.target_rate == 50_000.0
 
     def test_encode_delay_estimate_fixed_point(self, monkeypatch):
         monkeypatch.setattr(videomodel, "ENCODE_DELAY_BASE_US", 10_000)
         monkeypatch.setattr(videomodel, "ENCODE_DELAY_SPREAD_US", 0)
         loop, src, frames = make_source()
-        src.state.d_en_hat = 10_000.0
+        src.d_en_hat = 10_000.0
         src.start(0)
         loop.run(200_000)
         assert len(frames) >= 3
-        assert src.state.d_en_hat == 10_000.0
+        assert src.d_en_hat == 10_000.0
 
     def test_drop_when_projected_delay_exceeds_budget(self):
         from mprtc.videomodel import RawFrame
 
         loop, src, frames = make_source(lam=50_000.0)
-        src.state.d_en_hat = 80_000.0
+        src.d_en_hat = 80_000.0
         src.raw_queue.append(RawFrame(0, 700_000))
         src._service(1_000_000)  # d_q 300ms + 80 + 50 = 430ms > 400
         assert src.frames_dropped == 1
@@ -125,7 +126,7 @@ class TestSource:
         from mprtc.videomodel import RawFrame
 
         loop, src, frames = make_source(lam=50_000.0)
-        src.state.d_en_hat = 80_000.0
+        src.d_en_hat = 80_000.0
         src.raw_queue.append(RawFrame(0, 730_000))
         src._service(1_000_000)  # 270 + 80 + 50 = 400ms exactly
         assert src.frames_dropped == 0
@@ -145,7 +146,7 @@ class TestSource:
         monkeypatch.setattr(videomodel, "ENCODE_DELAY_BASE_US", 50_000)
         monkeypatch.setattr(videomodel, "ENCODE_DELAY_SPREAD_US", 0)
         loop, src, frames = make_source(lam=0.0)
-        src.state.d_en_hat = 50_000.0
+        src.d_en_hat = 50_000.0
         src.start(0)
         loop.run(5_000_000)
         assert src.frames_dropped > 0
@@ -299,3 +300,43 @@ class TestSink:
         assert len(indices) == len(set(indices))
         resolved = set(indices) | {a[0] for a in sink.abandoned}
         assert len(resolved) == len(indices) + len(sink.abandoned)
+
+
+@st.composite
+def sink_steps(draw):
+    """Segments of 12 frames (with duplicates and resends after release),
+    stop-waiting floors and sweeps, over a clock that passes the abandon age."""
+    totals = draw(st.lists(st.integers(1, 3), min_size=12, max_size=12))
+    keys = draw(st.lists(st.booleans(), min_size=12, max_size=12))
+    gap = st.integers(0, 300_000)
+    segment = st.tuples(st.just("segment"), gap, st.integers(0, 11), st.integers(0, 2),
+                        st.integers(0, 1))
+    floor = st.tuples(st.just("floor"), gap, st.integers(0, 1), st.integers(1, 200))
+    sweep = st.tuples(st.just("sweep"), gap)
+    steps = draw(st.lists(st.one_of(segment, segment, floor, sweep), max_size=80))
+    return totals, keys, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(sink_steps())
+def test_sink_tracks_only_frames_above_released_through(case):
+    totals, keys, steps = case
+    sink = VideoSink()
+    now = 0
+    numbers = [0, 0]
+    for kind, dt, *args in steps:
+        now += dt
+        if kind == "segment":
+            fi, si, conn = args
+            numbers[conn] += 1
+            sink.on_segment(seg(fi, si % totals[fi], totals[fi], key=keys[fi]),
+                            numbers[conn], conn, now)
+        elif kind == "floor":
+            sink.on_stop_waiting(args[0], args[1], now)
+        else:
+            sink.sweep(now)
+        assert all(fi > sink._released_through for fi in sink.pending)
+        assert all(fi > sink._released_through for fi in sink._ready)
+        assert not set(sink.pending) & set(sink._ready)
+    indices = [r.frame_index for r in sink.delivered]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
