@@ -50,6 +50,9 @@ class PathManager:
         self.by_id = {p.id: p for p in self.paths}
         self.candidates = {fid: sorted(p.id for p in self.paths if p.flowid == fid)
                            for fid in self.subflows}
+        for fid, cands in self.candidates.items():
+            if not cands:
+                raise ValueError(f"paths: subflow {fid} has no candidate path")
         self.T = 1
         self.last_scores: dict[int, float] = {}
 

@@ -47,6 +47,8 @@ class PathConnection:
 
     def __init__(self, loop, rng, path, variant: str, conn_id: int, deliver_ack, *,
                  sid: int = 0, rate_cap_bps: float = float("inf")):
+        if not rate_cap_bps > 0:  # also false for NaN
+            raise ValueError(f"rate_cap_bps must be a positive number, got {rate_cap_bps!r}")
         self.loop = loop
         self.path = path
         self.sid = sid
@@ -165,6 +167,9 @@ class VideoSession:
                  variant: str = "rtc-bbr"):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
+        for sid, paths in candidates.items():
+            if not paths:
+                raise ValueError(f"candidates: subflow {sid} has no candidate path")
         self.loop = loop
         self.scheme = scheme
         self.sids = sorted(candidates)

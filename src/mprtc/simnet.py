@@ -103,6 +103,10 @@ class LinkConfig:
     @classmethod
     def from_mbps_ms(cls, capacity_mbps: float, owd_ms: float, queue_ms: float) -> "LinkConfig":
         """Table-style (BW, OWD, Q) row; queue bytes = capacity x queue-time."""
+        for name, value in (("capacity_mbps", capacity_mbps), ("owd_ms", owd_ms),
+                            ("queue_ms", queue_ms)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         capacity = int(capacity_mbps * 1e6)
         queue_bytes = int(capacity * queue_ms / 1000 / 8)
         return cls(capacity, int(owd_ms * US_PER_MS), queue_bytes)
@@ -337,9 +341,16 @@ def _route_reverse_delay(route) -> int:
     return sum(l.owd_us for l in route)
 
 
+def _link_specs(config: dict) -> list:
+    specs = config.get("links")
+    if not specs:
+        raise ValueError(f"links: {config.get('topology')} topology needs at least one link")
+    return specs
+
+
 def build_dumbbell(loop: EventLoop, config: dict) -> Network:
     """Shared single bottleneck; every flow's route is [L1]."""
-    spec = config["links"][0]
+    spec = _link_specs(config)[0]
     cfg = LinkConfig.from_mbps_ms(spec["capacity_mbps"], spec["owd_ms"], spec["queue_ms"])
     link = Link(loop, cfg, name=spec.get("id", "L1"))
     n_flows = len(config.get("flows", [])) or 3
@@ -353,7 +364,7 @@ def build_dumbbell(loop: EventLoop, config: dict) -> Network:
 def build_rtt_unfairness(loop: EventLoop, config: dict) -> Network:
     """Five links L0-L4; flow1 over L0+L1+L2, flow2 over L3+L1+L4."""
     links = {}
-    for spec in config["links"]:
+    for spec in _link_specs(config):
         cfg = LinkConfig.from_mbps_ms(spec["capacity_mbps"], spec["owd_ms"], spec["queue_ms"])
         links[spec["id"]] = Link(loop, cfg, name=spec["id"])
     try:

@@ -275,6 +275,11 @@ def test_exploration_rule_matches_precomputed_rounds():
         assert m.T == len(rounds) + 1
 
 
+def test_subflow_without_path_is_rejected():
+    with pytest.raises(ValueError, match="paths"):
+        PathManager([0, 1], [(0, 0), (1, 0)])
+
+
 def test_exploration_single_candidate_is_one_slot():
     m = make_single()
     assert m.decide(0) == {0: 0}

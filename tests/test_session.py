@@ -17,11 +17,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mprtc import scheduler, session as session_module, transport
 from mprtc.scheduler import DECISION_LOG_LEN, wire_size
-from mprtc.session import CappedFlow, VideoSession
-from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
+from mprtc.session import CappedFlow, PathConnection, VideoSession
+from mprtc.simnet import EventLoop, PathDef, TraceSchedule, build_topology, synthetic_trace_pool
 
 US_PER_S = 1_000_000
 TESTS_DIR = Path(__file__).resolve().parent
@@ -220,3 +221,59 @@ def test_wire_size_computed_once_per_segment(monkeypatch):
     sent = sum(conn.sm.packets_sent for conn in session.paths.values())
     assert sent > len(segments) > 0  # some segments were sent more than once
     assert len(calls) == len(segments)
+
+
+@pytest.mark.parametrize("cap", [0, -5, float("nan")])
+def test_rate_cap_must_be_a_positive_number(cap):
+    loop = EventLoop()
+    net = build_topology(loop, {"topology": "dumbbell", "links": [
+        {"capacity_mbps": 10, "owd_ms": 20, "queue_ms": 100}]})
+    with pytest.raises(ValueError, match="rate_cap_bps"):
+        CappedFlow(loop, random.Random(1), net.flow_paths[0], rate_cap_bps=cap)
+    with pytest.raises(ValueError, match="rate_cap_bps"):
+        PathConnection(loop, random.Random(1), net.flow_paths[0], "rtc-bbr", 0, None,
+                       rate_cap_bps=cap)
+
+
+def test_subflow_without_candidate_is_rejected():
+    loop = EventLoop()
+    rng = random.Random(5)
+    net = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
+                         traces=collapse_traces())
+    for scheme in ("ucb", "default", "oracle"):
+        with pytest.raises(ValueError, match="candidates"):
+            VideoSession(loop, rng, {0: net.candidates[0], 1: []}, scheme=scheme)
+
+
+# --- generated scenarios ------------------------------------------------------
+
+OUTAGE_BPS = 10_000
+
+
+@st.composite
+def step_traces(draw):
+    """Four step traces (one per overlay path) of 1-4 steps lasting 0.5-4 s,
+    each at an outage rate of 10 kbps or at 0.2-6 Mbps."""
+    traces = []
+    for _ in range(4):
+        entries = []
+        t = 0
+        for _ in range(draw(st.integers(1, 4))):
+            rate = draw(st.one_of(st.just(OUTAGE_BPS), st.integers(200_000, 2_000_000),
+                                  st.integers(2_000_001, 6_000_000)))
+            entries.append((t, rate))
+            t += draw(st.integers(500, 4_000)) * 1_000
+        traces.append(entries)
+    return traces
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(step_traces(), st.integers(0, 2**32 - 1), st.integers(5, 10))
+def test_generated_overlay_scenarios_keep_invariants(traces, seed, sim_s):
+    def run():
+        return run_overlay([TraceSchedule(entries) for entries in traces], seed, sim_s)
+
+    session = run()
+    assert_overlay_invariants(session)
+    assert overlay_digest(run()) == overlay_digest(session)

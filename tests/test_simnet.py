@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -512,3 +513,21 @@ def test_multipath_overlay_shape_and_determinism():
 def test_unknown_topology_rejected():
     with pytest.raises(ValueError, match="unknown topology"):
         build_topology(EventLoop(), {"topology": "ring"})
+
+
+@pytest.mark.parametrize("topology", ["dumbbell", "rtt-unfairness"])
+@pytest.mark.parametrize("links", [None, []])
+def test_topology_without_links_is_rejected(topology, links):
+    config = {"topology": topology}
+    if links is not None:
+        config["links"] = links
+    with pytest.raises(ValueError, match="links"):
+        build_topology(EventLoop(), config)
+
+
+@pytest.mark.parametrize("field", ["capacity_mbps", "owd_ms", "queue_ms"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_link_config_from_mbps_ms_rejects_non_finite(field, value):
+    args = {"capacity_mbps": 10, "owd_ms": 20, "queue_ms": 100, field: value}
+    with pytest.raises(ValueError, match=field):
+        LinkConfig.from_mbps_ms(**args)
