@@ -17,12 +17,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mprtc import scheduler, session as session_module, transport
 from mprtc.scheduler import DECISION_LOG_LEN, wire_size
 from mprtc.session import CappedFlow, PathConnection, VideoSession
-from mprtc.simnet import EventLoop, PathDef, TraceSchedule, build_topology, synthetic_trace_pool
+from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
 
 US_PER_S = 1_000_000
 TESTS_DIR = Path(__file__).resolve().parent
@@ -267,8 +267,7 @@ def step_traces(draw):
     return traces
 
 
-@settings(max_examples=50, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(step_traces(), st.integers(0, 2**32 - 1), st.integers(5, 10))
 def test_generated_overlay_scenarios_keep_invariants(traces, seed, sim_s):
     def run():
