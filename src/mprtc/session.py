@@ -174,7 +174,6 @@ class VideoSession:
         self.scheme = scheme
         self.sids = sorted(candidates)
         self.candidates = {sid: list(candidates[sid]) for sid in self.sids}
-        self.scheduler = Scheduler(self.sids)
         self.sink = VideoSink()
         self.selections: list[tuple[int, int, int]] = []
         self.lost_packets = 0
@@ -192,6 +191,8 @@ class VideoSession:
                 conn.sm.loss_hook = self._on_loss
                 self.paths[path.path_id] = conn
             self.active[sid] = self.paths[self.candidates[sid][0].path_id]
+        # Seeded from each first path's controller: schedulable before any ack.
+        self.scheduler = Scheduler({sid: self.active[sid].cc.bw_es for sid in self.sids})
         self._last_push_ts = {pid: -BANDIT_PUSH_INTERVAL_US for pid in self.paths}
 
         if scheme == SCHEME_UCB:
@@ -209,10 +210,6 @@ class VideoSession:
         )
 
     def start(self, now: int = 0) -> None:
-        for sid in self.sids:
-            # Prime the latency model so the first frame is schedulable before
-            # any ack arrives.
-            self.scheduler.set_bw_es(sid, self.active[sid].cc.bw_es)
         for conn in self.paths.values():
             if conn is not self.active[conn.sid]:
                 conn.cc.pause(now)
@@ -282,11 +279,9 @@ class VideoSession:
         self._pump(conn.sid)
 
     def _on_acked_records(self, newly_acked) -> None:
-        sched = self.scheduler
+        # Every data packet carries its send-buffer entry.
         for rec in newly_acked:
-            entry = rec.context
-            if entry is not None and not entry.acked:
-                sched.mark_acked(entry)
+            self.scheduler.mark_acked(rec.context)
 
     def _on_loss(self, lost) -> None:
         self.lost_packets += len(lost)

@@ -102,14 +102,21 @@ class LinkConfig:
 
     @classmethod
     def from_mbps_ms(cls, capacity_mbps: float, owd_ms: float, queue_ms: float) -> "LinkConfig":
-        """Table-style (BW, OWD, Q) row; queue bytes = capacity x queue-time."""
+        """Table-style (BW, OWD, Q) row; queue bytes = capacity x queue-time.
+        Each error message starts with the name of the argument at fault."""
         for name, value in (("capacity_mbps", capacity_mbps), ("owd_ms", owd_ms),
                             ("queue_ms", queue_ms)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         capacity = int(capacity_mbps * 1e6)
+        owd_us = int(owd_ms * US_PER_MS)
         queue_bytes = int(capacity * queue_ms / 1000 / 8)
-        return cls(capacity, int(owd_ms * US_PER_MS), queue_bytes)
+        for name, value, ok in (("capacity_mbps", capacity_mbps, capacity > 0),
+                                ("owd_ms", owd_ms, owd_us >= 0),
+                                ("queue_ms", queue_ms, queue_bytes > 0)):
+            if not ok:  # it rounds to nothing, or is negative
+                raise ValueError(f"{name} is too small, got {value!r}")
+        return cls(capacity, owd_us, queue_bytes)
 
 
 class TraceParseError(Exception):
@@ -348,25 +355,35 @@ def _link_specs(config: dict) -> list:
     return specs
 
 
+def _read_link(loop: EventLoop, spec: dict, i: int) -> Link:
+    """Link from the spec ``links[i]``; each error names its field as ``links[i].<field>``."""
+    for field in ("id", "capacity_mbps", "owd_ms", "queue_ms"):
+        if field not in spec:
+            raise ValueError(f"links[{i}].{field} is missing")
+    try:
+        cfg = LinkConfig.from_mbps_ms(spec["capacity_mbps"], spec["owd_ms"], spec["queue_ms"])
+    except ValueError as exc:  # its message starts with the argument's name
+        raise ValueError(f"links[{i}].{exc}") from None
+    return Link(loop, cfg, name=spec["id"])
+
+
 def build_dumbbell(loop: EventLoop, config: dict) -> Network:
-    """Shared single bottleneck; every flow's route is [L1]."""
-    spec = _link_specs(config)[0]
-    cfg = LinkConfig.from_mbps_ms(spec["capacity_mbps"], spec["owd_ms"], spec["queue_ms"])
-    link = Link(loop, cfg, name=spec.get("id", "L1"))
-    n_flows = len(config.get("flows", [])) or 3
-    paths = [
-        PathDef(path_id=i, route=(link,), reverse_delay_us=link.owd_us)
-        for i in range(n_flows)
-    ]
+    """Shared single bottleneck; every flow's route is [L1]; 3 flows unless listed."""
+    link = _read_link(loop, {"id": "L1", **_link_specs(config)[0]}, 0)
+    flows = config.get("flows", [{}] * 3)
+    if not isinstance(flows, list) or not flows:
+        raise ValueError(f"flows must be a non-empty list, got {flows!r}")
+    paths = [PathDef(path_id=i, route=(link,), reverse_delay_us=link.owd_us)
+             for i in range(len(flows))]
     return Network(links={link.name: link}, flow_paths=paths, candidates={})
 
 
 def build_rtt_unfairness(loop: EventLoop, config: dict) -> Network:
     """Five links L0-L4; flow1 over L0+L1+L2, flow2 over L3+L1+L4."""
     links = {}
-    for spec in _link_specs(config):
-        cfg = LinkConfig.from_mbps_ms(spec["capacity_mbps"], spec["owd_ms"], spec["queue_ms"])
-        links[spec["id"]] = Link(loop, cfg, name=spec["id"])
+    for i, spec in enumerate(_link_specs(config)):
+        link = _read_link(loop, spec, i)
+        links[link.name] = link
     try:
         r1 = (links["L0"], links["L1"], links["L2"])
         r2 = (links["L3"], links["L1"], links["L4"])

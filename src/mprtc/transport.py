@@ -11,7 +11,6 @@ delivery-rate samples for the congestion controller.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .simnet import US_PER_S
@@ -37,6 +36,7 @@ REORDER_THRESHOLD = 3
 TIME_LOSS_FACTOR = 1.25
 ACK_EVERY_N = 2
 ACK_DELAY_MAX_US = 10_000
+ACK_RANGES_MAX = 255  # ack ranges per ACK frame, the highest first
 
 
 @dataclass(slots=True)
@@ -337,7 +337,12 @@ class SendManager:
 
 
 class _RangeSet:
-    """Disjoint inclusive integer ranges, ascending; merges on insert."""
+    """Disjoint inclusive ranges, ascending, of one connection's received numbers.
+
+    A connection's packets follow one fixed route of FIFO links and each send
+    takes a fresh number, so numbers arrive ascending and never twice: ``add``
+    extends the top range or opens one above it, and raises a ValueError on a
+    number at or below the largest held."""
 
     __slots__ = ("starts", "ends")
 
@@ -345,31 +350,20 @@ class _RangeSet:
         self.starts: list[int] = []
         self.ends: list[int] = []
 
-    def add(self, n: int) -> bool:
-        starts, ends = self.starts, self.ends
+    def add(self, n: int) -> None:
+        ends = self.ends
+        if ends and n <= ends[-1]:
+            raise ValueError(f"packet number {n} is not above {ends[-1]}, the largest held")
         if ends and n == ends[-1] + 1:
-            ends[-1] = n  # in-order arrival, the common case: links are FIFO
-            return True
-        i = bisect_right(starts, n) - 1
-        if i >= 0 and n <= ends[i]:
-            return False  # duplicate
-        if i >= 0 and ends[i] == n - 1:
-            ends[i] = n
-            if i + 1 < len(starts) and starts[i + 1] == n + 1:
-                ends[i] = ends[i + 1]
-                del starts[i + 1], ends[i + 1]
-            return True
-        if i + 1 < len(starts) and starts[i + 1] == n + 1:
-            starts[i + 1] = n
-            return True
-        starts.insert(i + 1, n)
-        ends.insert(i + 1, n)
-        return True
+            ends[-1] = n  # the common case: nothing lost since the last arrival
+        else:
+            self.starts.append(n)
+            ends.append(n)
 
-    def descending(self, limit: int = 255):
-        starts, ends = self.starts, self.ends
-        stop = max(-1, len(starts) - 1 - limit)
-        return [(starts[i], ends[i]) for i in range(len(starts) - 1, stop, -1)]
+    def descending(self):
+        """The highest ACK_RANGES_MAX ranges, highest first."""
+        last = slice(None, -ACK_RANGES_MAX - 1, -1)  # the last ACK_RANGES_MAX, reversed
+        return list(zip(self.starts[last], self.ends[last]))
 
     def drop_below(self, floor: int) -> None:
         starts, ends = self.starts, self.ends
@@ -383,7 +377,8 @@ class ReceiveManager:
     """Receiver side of one path connection: ack policy and packet intake.
 
     An ACK goes out once ACK_EVERY_N packets are pending or ACK_DELAY_MAX_US
-    after the first pending arrival, whichever comes first.
+    after the first pending arrival, whichever comes first.  Packets arrive
+    in send order (see ``_RangeSet``), so each is new and the largest yet.
     """
 
     def __init__(self, loop, ack_sink, conn_id=0):
@@ -402,11 +397,9 @@ class ReceiveManager:
         self.data_packets = 0
 
     def on_packet(self, packet: SimPacket, now: int) -> None:
-        if not self.ranges.add(packet.number):
-            return
-        if packet.number > self.largest:
-            self.largest = packet.number
-            self.largest_arrival_ts = now
+        self.ranges.add(packet.number)
+        self.largest = packet.number
+        self.largest_arrival_ts = now
         if packet.stream is not None:
             self.bytes_received += packet.size
             self.data_packets += 1

@@ -236,9 +236,7 @@ class VideoSink:
                 bool(segment.key_frame), now,
             )
             self.pending[fi] = frame
-        prev = frame.high_numbers.get(conn_id, 0)
-        if packet_number > prev:
-            frame.high_numbers[conn_id] = packet_number
+        frame.high_numbers[conn_id] = packet_number  # numbers arrive in send order
         if segment.segment_index in frame.segment_bytes:
             return
         frame.segment_bytes[segment.segment_index] = segment.payload_length

@@ -1,4 +1,5 @@
-"""Microbenchmarks of the SendManager paths that settle acks and loss timers.
+"""Microbenchmarks of the SendManager paths that settle acks and loss timers,
+and of ReceiveManager packet intake.
 
     python -m pytest tests/perf_transport.py -q
 
@@ -6,11 +7,17 @@ The file name does not match test_*.py, so the plain test run does not
 collect it.  Each round builds a fresh sender in its untimed set-up and
 times one call.  The shapes follow the benchmark workloads: about 80
 outstanding records under a cumulative ack range of about 90 numbers per
-ack, and about 110 records per loss-timer fire on overlay-collapse.
+ack, and about 110 records per loss-timer fire on overlay-collapse.  The
+receiver takes 200 in-order arrivals in which every 40th number is missing,
+as a lossy FIFO route delivers them.
 """
 
-from mprtc.transport import MSS, AckFrame, SendManager
+from mprtc.simnet import EventLoop
+from mprtc.transport import MSS, AckFrame, ReceiveManager, SendManager, SimPacket
 from test_transport import advance_clock, primed_sender, seg
+
+ARRIVALS = 200
+GAP_EVERY = 40
 
 ROUNDS = 2000
 
@@ -64,3 +71,25 @@ def test_loss_timer_one_lost_of_110(benchmark):
 def test_send_burst_of_100(benchmark):
     sm = benchmark.pedantic(send_burst, setup=live_timer, rounds=ROUNDS)
     assert len(sm.records) == 101
+
+
+def arrivals_with_gaps():
+    rx = ReceiveManager(EventLoop(), lambda ack, now: None)
+    rx.segment_sink = lambda segment, number, conn_id, now: None
+    segment = seg()
+    packets = [SimPacket(n, MSS, segment, None, (), None)
+               for n in range(1, ARRIVALS + ARRIVALS // GAP_EVERY + 1) if n % GAP_EVERY]
+    return (rx, packets), {}
+
+
+def receive(rx, packets):
+    on_packet = rx.on_packet
+    for now, packet in enumerate(packets):
+        on_packet(packet, now)
+    return rx
+
+
+def test_on_packet_in_order_with_gaps(benchmark):
+    rx = benchmark.pedantic(receive, setup=arrivals_with_gaps, rounds=ROUNDS)
+    assert rx.data_packets == ARRIVALS
+    assert len(rx.ranges.descending()) == ARRIVALS // GAP_EVERY + 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_scheduler
-from mprtc.scheduler import DECISION_LOG_LEN, RETENTION_US, Scheduler, UNSCHEDULABLE, wire_size
+from mprtc.scheduler import DECISION_LOG_LEN, RETENTION_US, Scheduler, wire_size
 from mprtc.transport import PAYLOAD_BUDGET, StreamFrame, packetize
 
 
@@ -15,9 +15,10 @@ def seg(payload=PAYLOAD_BUDGET, frame_index=0, index=0, total=1, key=False):
 
 
 def make_two(bw0=1e6, bw1=1e6, srtt0=100_000, srtt1=100_000, cls=Scheduler):
-    sched = cls([0, 1])
-    sched.set_bw_es(0, bw0)
-    sched.set_bw_es(1, bw1)
+    sched = cls({0: bw0, 1: bw1})
+    if cls is not Scheduler:  # the reference takes subflow ids and starts at 0
+        sched.set_bw_es(0, bw0)
+        sched.set_bw_es(1, bw1)
     if srtt0:
         sched.update_srtt(0, srtt0)
     if srtt1:
@@ -28,37 +29,43 @@ def make_two(bw0=1e6, bw1=1e6, srtt0=100_000, srtt1=100_000, cls=Scheduler):
 # --- srtt and latency -------------------------------------------------------
 
 def test_srtt_first_sample_initializes():
-    sched = Scheduler([0])
+    sched = Scheduler({0: 1e6})
     assert sched.update_srtt(0, 100_000) == 100_000
 
 
 def test_srtt_smoothing_arithmetic():
-    sched = Scheduler([0])
+    sched = Scheduler({0: 1e6})
     sched.update_srtt(0, 100_000)
     assert sched.update_srtt(0, 200_000) == 185_000  # 0.15*100 + 0.85*200
 
 
 def test_srtt_converges_to_constant():
-    sched = Scheduler([0])
+    sched = Scheduler({0: 1e6})
     for _ in range(30):
         sched.update_srtt(0, 80_000)
     assert sched.subflows[0].srtt == 80_000
 
 
 def test_expected_latency_terms():
-    sched = make_two(bw0=1e6, bw1=0)  # subflow 1 unschedulable: the minimum is subflow 0
-    assert sched.min_latency() == pytest.approx(50_000)  # empty queue
+    sched = make_two(bw0=1e6, bw1=10_000)
+    sched.subflows[1].queued_bytes = 1_200  # 0.96 s of queue at 10 kbit/s
+    assert sched._fastest()[2][1] == pytest.approx(1_010_000)
+    assert sched.min_latency() == pytest.approx(50_000)  # subflow 0, empty queue
     sched.subflows[0].queued_bytes = 12_500
     assert sched.min_latency() == pytest.approx(150_000)  # +100 ms of queue
     sched.subflows[0].queued_bytes = 25_000
     assert sched.min_latency() == pytest.approx(250_000)  # queue term doubled
 
 
-def test_zero_bandwidth_is_unschedulable():
-    sched = make_two(bw0=0)
-    entries = sched.schedule_segments([seg()], now=0)
-    assert entries[0].subflow == 1  # only the live subflow is considered
-    assert sched.decision_log[-1][4][0] == UNSCHEDULABLE
+@pytest.mark.parametrize("bw", [0, 0.0, -1e6, float("nan"), float("-inf")])
+def test_initial_estimate_must_be_positive(bw):
+    with pytest.raises(ValueError, match="subflow 1: bandwidth estimate must be > 0"):
+        Scheduler({0: 1e6, 1: bw})
+
+
+def test_scheduler_needs_a_subflow():
+    with pytest.raises(ValueError, match="at least one subflow"):
+        Scheduler({})
 
 
 def test_min_latency_export():
@@ -127,17 +134,14 @@ def test_queued_bytes_tracks_assignments_and_sends():
     assert sched.subflows[1].queued_bytes == 0
 
 
-def test_unschedulable_segments_wait_then_flow():
-    sched = Scheduler([0])
-    sched.set_bw_es(0, 0)
-    sched.schedule_segments([seg()], now=0)
-    assert sched.next_segment(0, now=10) is None
-    assert len(sched.unassigned) == 1
-    sched.set_bw_es(0, 1e6)
-    entries = sched.schedule_segments([], now=20)
-    assert entries == []  # the late segment is not part of this batch
-    got = sched.next_segment(0, now=30)
-    assert got is not None and got.subflow == 0
+@pytest.mark.parametrize("bw", [0, -1.0, float("nan")])
+def test_set_bw_es_rejects_non_positive_estimate(bw):
+    sched = Scheduler({0: 1e6})
+    with pytest.raises(ValueError, match="subflow 0: bandwidth estimate must be > 0"):
+        sched.set_bw_es(0, bw)
+    assert sched.subflows[0].bw_es == 1e6  # the rejected value was not stored
+    (entry,) = sched.schedule_segments([seg()], now=0)
+    assert sched.next_segment(0, now=10) is entry  # assigned the moment it arrived
 
 
 # --- retention and loss -----------------------------------------------------
@@ -195,8 +199,7 @@ def test_retransmission_follows_current_best_path():
 
 
 def test_retransmissions_jump_the_queue():
-    sched = Scheduler([0])
-    sched.set_bw_es(0, 1e6)
+    sched = Scheduler({0: 1e6})
     first, second = sched.schedule_segments([seg(index=0, total=2), seg(index=1, total=2)], now=0)
     got = sched.next_segment(0, now=10)
     assert got is first
@@ -206,8 +209,7 @@ def test_retransmissions_jump_the_queue():
 
 
 def test_acked_entry_skipped_in_queue():
-    sched = Scheduler([0])
-    sched.set_bw_es(0, 1e6)
+    sched = Scheduler({0: 1e6})
     (entry,) = sched.schedule_segments([seg()], now=0)
     sched.next_segment(0, now=0)
     sched.on_loss([entry], now=1000)       # queued for retransmit
@@ -235,8 +237,7 @@ def test_evict_rules():
 
 
 def test_evict_clears_stale_requeued_entries():
-    sched = Scheduler([0])
-    sched.set_bw_es(0, 1e6)
+    sched = Scheduler({0: 1e6})
     (entry,) = sched.schedule_segments([seg()], now=0)
     sched.next_segment(0, now=0)
     sched.on_loss([entry], now=399_000)    # requeued just inside the window
@@ -247,8 +248,7 @@ def test_evict_clears_stale_requeued_entries():
 
 
 def test_evict_drops_but_does_not_report_entry_acked_while_requeued():
-    sched = Scheduler([0])
-    sched.set_bw_es(0, 1e6)
+    sched = Scheduler({0: 1e6})
     (entry,) = sched.schedule_segments([seg()], now=0)
     sched.next_segment(0, now=0)
     sched.on_loss([entry], now=100_000)    # young, so requeued for resend
@@ -313,7 +313,7 @@ def keys(entries):
 
 def assert_same_state(new, old, new_entries, old_entries):
     assert list(new.decision_log) == list(old.decision_log)
-    assert keys(new.unassigned) == keys(old.unassigned)
+    assert not old.unassigned  # every estimate is positive: nothing waits unassigned
     for sid, sub in new.subflows.items():
         ref = old.subflows[sid]
         assert keys(sub.queue) == keys(ref.queue)
@@ -334,7 +334,7 @@ STEP = st.tuples(
     st.lists(st.integers(0, 63), min_size=1, max_size=4),
     st.integers(1, 3 * PAYLOAD_BUDGET),
     st.booleans(),
-    st.sampled_from([0.0, 5e5, 1.3e6, 2e6, 8e6]),
+    st.sampled_from([5e5, 1.3e6, 2e6, 8e6]),
     st.integers(10_000, 300_000),
 )
 
@@ -350,7 +350,7 @@ def retention_edge(entry, now, offset):
 def edge_case(*ops):
     """Steps from (op, retention-edge offset) pairs, with a one-segment delta
     frame on subflow 0 and every other field at its simplest."""
-    return [(0, op, 0, offset, [0], 100, False, 0.0, 10_000) for op, offset in ops]
+    return [(0, op, 0, offset, [0], 100, False, 5e5, 10_000) for op, offset in ops]
 
 
 @settings(max_examples=200, deadline=None)

@@ -276,3 +276,60 @@ def test_generated_overlay_scenarios_keep_invariants(traces, seed, sim_s):
     session = run()
     assert_overlay_invariants(session)
     assert overlay_digest(run()) == overlay_digest(session)
+
+
+@st.composite
+def bottleneck_configs(draw):
+    """A dumbbell or rtt-unfairness config: each link at 0.5-10 Mbit/s with a
+    0-40 ms one-way delay and a queue of 1-40 full packets, and 1-4 flows."""
+    def link(link_id):
+        capacity_mbps = draw(st.integers(500, 10_000)) / 1000
+        packets = draw(st.one_of(st.just(1), st.integers(2, 40)))
+        # The 0.1% margin keeps float rounding from shaving the last byte off.
+        queue_ms = packets * transport.MSS * 8 / (capacity_mbps * 1000) * 1.001
+        return {"id": link_id, "capacity_mbps": capacity_mbps,
+                "owd_ms": draw(st.integers(0, 40)), "queue_ms": queue_ms}
+
+    flows = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return {"topology": "dumbbell", "links": [link("L1")], "flows": [{}] * flows}
+    return {"topology": "rtt-unfairness",
+            "links": [link(f"L{i}") for i in range(5)], "flows": [{}] * flows}
+
+
+def run_bottleneck(config, seed: int, sim_s: int):
+    """CappedFlows over a built topology, flow i on flow path i mod their
+    number, started up to 1 s apart; returns the network and the flows."""
+    loop = EventLoop()
+    rng = random.Random(seed)
+    net = build_topology(loop, config)
+    flows = []
+    for i in range(len(config["flows"])):
+        path = net.flow_paths[i % len(net.flow_paths)]
+        flows.append(CappedFlow(loop, rng, path, conn_id=i,
+                                rate_cap_bps=rng.randint(1, 12) * 1_000_000,
+                                start_ts=rng.randint(0, US_PER_S)))
+    for flow in flows:
+        flow.start()
+    loop.run(sim_s * US_PER_S)
+    return net, flows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(bottleneck_configs(), st.integers(0, 2**32 - 1), st.integers(3, 8))
+def test_generated_bottleneck_scenarios_keep_invariants(config, seed, sim_s):
+    """Every arrival reaches a receiver that rejects any packet number not
+    above the last, so a run that ends at all delivered in send order, drops
+    included.  Queues down to one packet make those drops frequent."""
+    net, flows = run_bottleneck(config, seed, sim_s)
+    for flow in flows:
+        assert_send_state_consistent(flow.sm)
+        assert flow.rm.data_packets <= flow.sm.packets_sent
+        assert flow.rm.bytes_received <= flow.sm.packets_sent * transport.MSS
+    for link in net.links.values():
+        assert link.delivered + link.dropped + len(link.queue) <= link.sent
+
+    def outcome(flows):
+        return [[f.rm.bytes_received, f.sm.packets_sent, f.rm.largest] for f in flows]
+
+    assert outcome(run_bottleneck(config, seed, sim_s)[1]) == outcome(flows)

@@ -531,3 +531,85 @@ def test_link_config_from_mbps_ms_rejects_non_finite(field, value):
     args = {"capacity_mbps": 10, "owd_ms": 20, "queue_ms": 100, field: value}
     with pytest.raises(ValueError, match=field):
         LinkConfig.from_mbps_ms(**args)
+
+
+# --- link specs -------------------------------------------------------------
+
+DUMBBELL_LINK = {"id": "L1", "capacity_mbps": 10, "owd_ms": 20, "queue_ms": 100}
+MISSING = object()
+
+
+def link_configs(field, value):
+    """A dumbbell and an rtt-unfairness config whose links[0] and links[2]
+    have ``field`` set to ``value``, or left out when it is MISSING, paired
+    with the index of the broken link."""
+    def broken(spec):
+        spec = dict(spec)
+        if value is MISSING:
+            del spec[field]
+        else:
+            spec[field] = value
+        return spec
+
+    rtt_links = list(RTT_CASE3_LINKS)
+    rtt_links[2] = broken(rtt_links[2])
+    return [({"topology": "dumbbell", "links": [broken(DUMBBELL_LINK)]}, 0),
+            ({"topology": "rtt-unfairness", "links": rtt_links}, 2)]
+
+
+@pytest.mark.parametrize("field", ["capacity_mbps", "owd_ms", "queue_ms"])
+@pytest.mark.parametrize("value, problem", [
+    (MISSING, "is missing"), ("10", "must be a finite number"),
+    (None, "must be a finite number"), ([10], "must be a finite number"),
+], ids=["missing", "str", "none", "list"])
+def test_link_spec_field_errors_name_the_field(field, value, problem):
+    for config, i in link_configs(field, value):
+        with pytest.raises(ValueError, match=rf"links\[{i}\]\.{field} {problem}"):
+            build_topology(EventLoop(), config)
+
+
+@pytest.mark.parametrize("field, value", [("capacity_mbps", math.nan), ("owd_ms", -1),
+                                          ("queue_ms", 1e-9), ("capacity_mbps", 1e-7)])
+def test_link_spec_value_errors_name_the_field(field, value):
+    for config, i in link_configs(field, value):
+        with pytest.raises(ValueError, match=rf"links\[{i}\]\.{field} "):
+            build_topology(EventLoop(), config)
+
+
+def test_rtt_unfairness_link_needs_an_id():
+    links = [dict(spec) for spec in RTT_CASE3_LINKS]
+    del links[1]["id"]
+    with pytest.raises(ValueError, match=r"links\[1\]\.id is missing"):
+        build_topology(EventLoop(), {"topology": "rtt-unfairness", "links": links})
+
+
+def test_dumbbell_link_id_defaults_to_l1():
+    spec = {k: v for k, v in DUMBBELL_LINK.items() if k != "id"}
+    net = build_topology(EventLoop(), {"topology": "dumbbell", "links": [spec]})
+    assert list(net.links) == ["L1"]
+
+
+@pytest.mark.parametrize("flows", [3, [], "abc", None, {"a": 1}],
+                         ids=["int", "empty", "str", "none", "dict"])
+def test_dumbbell_flows_must_be_a_non_empty_list(flows):
+    config = {"topology": "dumbbell", "links": [DUMBBELL_LINK], "flows": flows}
+    with pytest.raises(ValueError, match="flows must be a non-empty list"):
+        build_topology(EventLoop(), config)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_dumbbell_has_one_path_per_flow(n):
+    config = {"topology": "dumbbell", "links": [DUMBBELL_LINK], "flows": [{}] * n}
+    assert [p.path_id for p in build_topology(EventLoop(), config).flow_paths] == list(range(n))
+
+
+@pytest.mark.parametrize("args, field", [
+    ((1e-7, 20, 100), "capacity_mbps"),   # 0.1 bit/s rounds to 0
+    ((-1, 20, 100), "capacity_mbps"),
+    ((10, -0.5, 100), "owd_ms"),
+    ((10, 20, 1e-6), "queue_ms"),         # 0.00125 bytes rounds to 0
+    ((10, 20, 0), "queue_ms"),
+], ids=["tiny-capacity", "negative-capacity", "negative-owd", "tiny-queue", "zero-queue"])
+def test_link_config_from_mbps_ms_names_the_argument_out_of_range(args, field):
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        LinkConfig.from_mbps_ms(*args)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mprtc.simnet import EventLoop, Link, LinkConfig, US_PER_MS, US_PER_S
 from mprtc.transport import (
+    ACK_RANGES_MAX,
     AckFrame,
     MSS,
     PACKET_HEADER_SIZE,
@@ -13,6 +14,7 @@ from mprtc.transport import (
     STOP_WAITING_SIZE,
     ReceiveManager,
     SendManager,
+    SimPacket,
     StreamFrame,
     _RangeSet,
     packetize,
@@ -185,7 +187,6 @@ def test_app_limited_flag_rides_records():
 
 def test_bandwidth_sample_matches_delivery_arithmetic():
     # One packet of 125 000 bytes acked 100 ms after send is a 10 Mbps sample.
-    from mprtc.transport import SimPacket
     loop = EventLoop()
     sm = SendManager(loop, (None,))
     sm.records = {1: SimPacket(1, 125_000, None, None, (None,), None,
@@ -279,7 +280,6 @@ def test_receiver_gap_ranges_and_stop_waiting():
     route = ()
 
     def deliver(number):
-        from mprtc.transport import SimPacket
         p = SimPacket(number, 1200, seg(), None, route, None)
         rx.on_packet(p, loop.now)
 
@@ -306,17 +306,20 @@ def test_stop_waiting_sink_notified():
     assert hits == [(0, 7), (0, 9)]
 
 
-def test_receiver_duplicate_packet_ignored():
+@pytest.mark.parametrize("number", [5, 4, 1])
+def test_receiver_rejects_non_ascending_packet_number(number):
+    """A connection's packets arrive in send order, so a number at or below
+    the largest received is a broken invariant, not a duplicate to skip."""
     loop = EventLoop()
-    from mprtc.transport import SimPacket
     rx = ReceiveManager(loop, lambda ack, now: None)
     got = []
     rx.segment_sink = lambda s, num, conn, now: got.append(num)
-    p = SimPacket(5, 1200, seg(), None, (), None)
-    rx.on_packet(p, 0)
-    rx.on_packet(p, 10)
+    rx.on_packet(SimPacket(5, 1200, seg(), None, (), None), 0)
+    with pytest.raises(ValueError, match=f"packet number {number} is not above 5"):
+        rx.on_packet(SimPacket(number, 1200, seg(), None, (), None), 10)
     assert got == [5]
     assert rx.data_packets == 1
+    assert (rx.largest, rx.largest_arrival_ts) == (5, 0)
 
 
 def model_ranges(numbers):
@@ -331,36 +334,44 @@ def model_ranges(numbers):
 
 
 range_set_ops = st.lists(st.one_of(
-    st.tuples(st.just("next"), st.integers(1, 4)),      # in-order arrivals
-    st.tuples(st.just("add"), st.integers(0, 60)),      # any number
+    st.tuples(st.just("add"), st.integers(0, 3)),       # next number after a gap
+    st.tuples(st.just("stale"), st.integers(0, 3)),     # at or below the largest held
     st.tuples(st.just("drop"), st.integers(0, 60)),
-    st.tuples(st.just("descending"), st.integers(0, 6)),
 ), max_size=80)
 
 
 @settings(max_examples=300, deadline=None)
 @given(range_set_ops)
 def test_range_set_matches_set_model(ops):
+    """Ascending numbers with gaps, as a lossy FIFO route delivers them, and
+    stop-waiting floors, against a plain set."""
     ranges = _RangeSet()
     model = set()
+    last = 0  # the last number added: later ones are above it
     for op, arg in ops:
-        if op == "next":
-            for _ in range(arg):
-                n = max(model, default=0) + 1
-                assert ranges.add(n) is True
-                model.add(n)
-        elif op == "add":
-            assert ranges.add(arg) is (arg not in model)
-            model.add(arg)
+        if op == "add":
+            last += 1 + arg
+            ranges.add(last)
+            model.add(last)
+        elif op == "stale" and model:
+            with pytest.raises(ValueError):
+                ranges.add(max(model) - arg)
         elif op == "drop":
             ranges.drop_below(arg)
             model = {n for n in model if n >= arg}
-        else:
-            top = ranges.descending(arg)
-            assert top == model_ranges(model)[:arg]
-            assert all(s <= e for s, e in top)
-            assert all(e + 1 < s for (s, _), (_, e) in zip(top, top[1:]))
-        assert ranges.descending() == model_ranges(model)
+        top = ranges.descending()
+        assert top == model_ranges(model)
+        assert all(s <= e for s, e in top)
+        assert all(e + 1 < s for (s, _), (_, e) in zip(top, top[1:]))
+
+
+def test_ack_ranges_are_capped_at_the_highest():
+    ranges = _RangeSet()
+    for n in range(2, 2 * (ACK_RANGES_MAX + 10), 2):  # every other number: one range each
+        ranges.add(n)
+    top = ranges.descending()
+    assert len(top) == ACK_RANGES_MAX
+    assert top == [(n, n) for n in range(2 * (ACK_RANGES_MAX + 9), 18, -2)]
 
 
 def test_pacing_byte_budget_property():
