@@ -34,7 +34,10 @@ class EventLoop:
     another moment, earlier or later, does not: it takes a different
     ``seq``, so it can fire before or after another event due in the same
     microsecond.  A link that schedules one event per hop instead of one per
-    departure and one per arrival therefore moves output digests.
+    departure and one per arrival therefore moves output digests.  Calling
+    a different function in place of another, from the same ``schedule``
+    call at the same moment for the same time, does not: the event keeps
+    its ``(fire_time, seq)``, so every event keeps its order.
     """
 
     __slots__ = ("_heap", "_seq", "now")
@@ -272,6 +275,12 @@ class Link:
 
     A packet's serialization time is fixed when its transmission starts,
     using the trace capacity at that instant for trace-driven links.
+
+    The link forwards each packet, which carries ``size``, ``route`` (its
+    links), ``hop`` (the index of this link) and ``sink``.  Nothing on the
+    wire drops a packet, so it counts as delivered at departure, and
+    ``owd_us`` later ``route[hop + 1].enqueue(packet)`` runs, ``hop`` moved
+    on, or after the last link ``sink(packet, arrival_time)``.
     """
 
     __slots__ = (
@@ -318,13 +327,16 @@ class Link:
     def _depart(self) -> None:
         packet = self.queue.popleft()
         self.occupancy -= packet.size
-        self.loop.schedule(self.loop.now + self.owd_us, self._arrive, packet)
+        self.delivered += 1
+        arrival = self.loop.now + self.owd_us
+        hop = packet.hop + 1
+        if hop < len(packet.route):
+            packet.hop = hop
+            self.loop.schedule(arrival, packet.route[hop].enqueue, packet)
+        else:
+            self.loop.schedule(arrival, packet.sink, packet, arrival)
         if self.queue:
             self._start_service()
-
-    def _arrive(self, packet) -> None:
-        self.delivered += 1
-        packet.advance(self.loop.now)
 
 
 @dataclass
@@ -369,7 +381,10 @@ def _read_link(loop: EventLoop, spec: dict, i: int) -> Link:
 
 def build_dumbbell(loop: EventLoop, config: dict) -> Network:
     """Shared single bottleneck; every flow's route is [L1]; 3 flows unless listed."""
-    link = _read_link(loop, {"id": "L1", **_link_specs(config)[0]}, 0)
+    specs = _link_specs(config)
+    if len(specs) > 1:
+        raise ValueError(f"links[1]: dumbbell topology takes one link, got {len(specs)}")
+    link = _read_link(loop, {"id": "L1", **specs[0]}, 0)
     flows = config.get("flows", [{}] * 3)
     if not isinstance(flows, list) or not flows:
         raise ValueError(f"flows must be a non-empty list, got {flows!r}")
@@ -383,6 +398,8 @@ def build_rtt_unfairness(loop: EventLoop, config: dict) -> Network:
     links = {}
     for i, spec in enumerate(_link_specs(config)):
         link = _read_link(loop, spec, i)
+        if link.name in links:
+            raise ValueError(f"links[{i}].id {link.name!r} is already used")
         links[link.name] = link
     try:
         r1 = (links["L0"], links["L1"], links["L2"])

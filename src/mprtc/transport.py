@@ -56,9 +56,10 @@ def wire_size(segment: StreamFrame) -> int:
 
 @dataclass(slots=True)
 class AckFrame:
-    largest_acked: int
+    """As in QUIC, the largest acknowledged number is stated once: ``ack_ranges[0][1]``."""
+
     ack_delay: int
-    ack_ranges: list  # [(start, end)] inclusive, sorted descending, disjoint
+    ack_ranges: list  # [(start, end)] inclusive, sorted descending, disjoint, non-empty
 
 
 def packetize(size: int, frame_index: int, capture_ts: int,
@@ -112,6 +113,8 @@ class SimPacket:
     A data packet is also its sender's record of it until it is acked or
     declared lost: ``sent_ts``, ``delivered_at_send`` and ``app_limited``
     feed its delivery-rate sample, and ``context`` is the caller's tag.
+    The links of ``route`` forward it, moving ``hop`` on, and the last one
+    hands it to ``sink(packet, now)`` (see ``simnet.Link``).
     """
 
     __slots__ = ("number", "size", "stream", "stop_waiting", "route", "hop", "sink",
@@ -130,13 +133,6 @@ class SimPacket:
         self.delivered_at_send = delivered_at_send
         self.app_limited = app_limited
         self.context = context
-
-    def advance(self, now: int) -> None:
-        self.hop += 1
-        if self.hop < len(self.route):
-            self.route[self.hop].enqueue(self)
-        else:
-            self.sink(self, now)
 
 
 class SendManager:
@@ -241,8 +237,9 @@ class SendManager:
                 for rec in matched:
                     del records[rec.number]
                 newly_acked.extend(matched)
-        if ack.largest_acked > self.largest_acked:
-            self.largest_acked = ack.largest_acked
+        largest = ack.ack_ranges[0][1]
+        if largest > self.largest_acked:
+            self.largest_acked = largest
         if not newly_acked:
             self._detect_reorder_loss(now)
             return []
@@ -378,7 +375,10 @@ class ReceiveManager:
 
     An ACK goes out once ACK_EVERY_N packets are pending or ACK_DELAY_MAX_US
     after the first pending arrival, whichever comes first.  Packets arrive
-    in send order (see ``_RangeSet``), so each is new and the largest yet.
+    in send order (see ``_RangeSet``), so each is new and the largest yet,
+    and stop-waiting floors strictly rise: the sender sends one only above
+    the last.  A floor never passes the packet that carries it, so the top
+    range ends at the last arrival, the largest number an ACK states.
     """
 
     def __init__(self, loop, ack_sink, conn_id=0):
@@ -386,7 +386,6 @@ class ReceiveManager:
         self.ack_sink = ack_sink          # called with (AckFrame, now)
         self.conn_id = conn_id
         self.ranges = _RangeSet()
-        self.largest = 0
         self.largest_arrival_ts = 0
         self.least_unacked = 0
         self.pending = 0
@@ -398,7 +397,6 @@ class ReceiveManager:
 
     def on_packet(self, packet: SimPacket, now: int) -> None:
         self.ranges.add(packet.number)
-        self.largest = packet.number
         self.largest_arrival_ts = now
         if packet.stream is not None:
             self.bytes_received += packet.size
@@ -415,7 +413,8 @@ class ReceiveManager:
 
     def process_stop_waiting(self, least_unacked: int) -> None:
         if least_unacked <= self.least_unacked:
-            return
+            raise ValueError(f"stop-waiting floor {least_unacked} is not above "
+                             f"{self.least_unacked}, the last one")
         self.least_unacked = least_unacked
         self.ranges.drop_below(least_unacked)
         if self.stop_waiting_sink is not None:
@@ -431,5 +430,5 @@ class ReceiveManager:
             self._ack_timer[2] = None
             self._ack_timer = None
         self.pending = 0
-        ack = AckFrame(self.largest, now - self.largest_arrival_ts, self.ranges.descending())
+        ack = AckFrame(now - self.largest_arrival_ts, self.ranges.descending())
         self.ack_sink(ack, now)

@@ -252,9 +252,7 @@ class VideoSink:
             self._release()
 
     def on_stop_waiting(self, conn_id: int, least_unacked: int, now: int) -> None:
-        prev = self.floors.get(conn_id, 0)
-        if least_unacked > prev:
-            self.floors[conn_id] = least_unacked
+        self.floors[conn_id] = least_unacked  # floors strictly rise per connection
         self.sweep(now)
 
     def sweep(self, now: int) -> None:

@@ -18,12 +18,16 @@ SIZE = 1200
 
 
 class Sink:
-    __slots__ = ("size",)
+    """A packet on the one link of a one-link route whose sink drops it."""
+
+    __slots__ = ("size", "route", "hop")
 
     def __init__(self, size):
         self.size = size
+        self.route = (None,)
+        self.hop = 0
 
-    def advance(self, now):
+    def sink(self, packet, now):
         pass
 
 

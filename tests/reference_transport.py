@@ -48,8 +48,8 @@ class ReferenceSendManager(SendManager):
                 for rec in matched:
                     del records[rec.number]
                 newly_acked.extend(matched)
-        if ack.largest_acked > self.largest_acked:
-            self.largest_acked = ack.largest_acked
+        if ack.ack_ranges[0][1] > self.largest_acked:
+            self.largest_acked = ack.ack_ranges[0][1]
         if not newly_acked:
             self._detect_reorder_loss(now)
             return []

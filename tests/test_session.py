@@ -327,9 +327,10 @@ def test_generated_bottleneck_scenarios_keep_invariants(config, seed, sim_s):
         assert flow.rm.data_packets <= flow.sm.packets_sent
         assert flow.rm.bytes_received <= flow.sm.packets_sent * transport.MSS
     for link in net.links.values():
-        assert link.delivered + link.dropped + len(link.queue) <= link.sent
+        assert link.delivered + link.dropped + len(link.queue) == link.sent
 
     def outcome(flows):
-        return [[f.rm.bytes_received, f.sm.packets_sent, f.rm.largest] for f in flows]
+        return [[f.rm.bytes_received, f.sm.packets_sent, f.rm.ranges.descending()[:1]]
+                for f in flows]
 
     assert outcome(run_bottleneck(config, seed, sim_s)[1]) == outcome(flows)

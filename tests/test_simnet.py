@@ -22,13 +22,20 @@ from mprtc.simnet import (
 
 
 class Probe:
-    """Minimal packet stand-in recording its arrival time."""
+    """Minimal packet stand-in recording its arrival time.
 
-    def __init__(self, size, log):
+    It carries what a link reads: ``size`` and the ``route``/``hop``/``sink``
+    of ``Link``'s forwarding contract.  By default it is on the one link of
+    a one-link route, so the link it is enqueued on hands it to its sink.
+    """
+
+    def __init__(self, size, log, route=(None,)):
         self.size = size
         self.log = log
+        self.route = route
+        self.hop = 0
 
-    def advance(self, now):
+    def sink(self, packet, now):
         self.log.append(now)
 
 
@@ -145,13 +152,28 @@ def test_fifo_delivery_order():
             super().__init__(1500, [])
             self.tag = tag
 
-        def advance(self, now):
+        def sink(self, packet, now):
             order.append(self.tag)
 
     for tag in range(5):
         link.enqueue(Tagged(tag))
     loop.run(US_PER_S)
     assert order == [0, 1, 2, 3, 4]
+
+
+def test_two_link_route_reaches_sink_after_both_hops():
+    # 1500 B: 4 ms at 3 Mbps plus 50 ms, then 1 ms at 12 Mbps plus 10 ms.
+    loop = EventLoop()
+    first, second = make_link(loop, 3, 50), make_link(loop, 12, 10)
+    got = []
+    probe = Probe(1500, [], route=(first, second))
+    probe.sink = lambda packet, now: got.append((packet, now, loop.now))
+    first.enqueue(probe)
+    loop.run(US_PER_S)
+    arrival = (4 + 50 + 1 + 10) * US_PER_MS
+    assert got == [(probe, arrival, arrival)]
+    assert probe.hop == 1
+    assert (first.sent, first.delivered, second.sent, second.delivered) == (1, 1, 1, 1)
 
 
 def test_back_to_back_serialization_spacing():
@@ -246,6 +268,7 @@ def test_link_matches_droptail_model(capacity, owd_us, queue_capacity, bursts):
         t += gap
         loop.run(t)
         assert link.occupancy == model.occupancy(t)
+        assert link.sent == link.delivered + link.dropped + len(link.queue)
         for size in sizes:
             probe = Probe(size, [])
             probes.append(probe)
@@ -253,6 +276,7 @@ def test_link_matches_droptail_model(capacity, owd_us, queue_capacity, bursts):
             arrival = model.offer(t, size)
             expected.append(["dropped"] if arrival is None else [arrival])
             assert link.occupancy == model.occupancy(t)
+            assert link.sent == link.delivered + link.dropped + len(link.queue)
     loop.run(t + 10 * US_PER_S)
     assert [p.log for p in probes] == expected
     assert link.occupancy == 0
@@ -581,6 +605,19 @@ def test_rtt_unfairness_link_needs_an_id():
     del links[1]["id"]
     with pytest.raises(ValueError, match=r"links\[1\]\.id is missing"):
         build_topology(EventLoop(), {"topology": "rtt-unfairness", "links": links})
+
+
+def test_rtt_unfairness_rejects_a_repeated_link_id():
+    links = RTT_CASE3_LINKS + [{"id": "L1", "capacity_mbps": 1, "owd_ms": 300,
+                                "queue_ms": 200}]
+    with pytest.raises(ValueError, match=r"links\[5\]\.id 'L1' is already used"):
+        build_topology(EventLoop(), {"topology": "rtt-unfairness", "links": links})
+
+
+def test_dumbbell_rejects_a_second_link():
+    links = [DUMBBELL_LINK, dict(DUMBBELL_LINK, id="L2", capacity_mbps="oops")]
+    with pytest.raises(ValueError, match=r"links\[1\]: dumbbell topology takes one link"):
+        build_topology(EventLoop(), {"topology": "dumbbell", "links": links})
 
 
 def test_dumbbell_link_id_defaults_to_l1():

@@ -170,7 +170,7 @@ def test_duplicate_ack_yields_no_samples():
     sm.send_segment(seg(), MSS, 0, False)
     sm.send_segment(seg(), MSS, 0, False)
     loop.run(US_PER_S)
-    again = AckFrame(2, 0, [(1, 2)])
+    again = AckFrame(0, [(1, 2)])
     assert sm.on_ack(again, loop.now) == []
 
 
@@ -193,7 +193,7 @@ def test_bandwidth_sample_matches_delivery_arithmetic():
                                sent_ts=0, delivered_at_send=0)}
     sm.inflight = 125_000
     loop.run(100_000)
-    samples = sm.on_ack(AckFrame(1, 0, [(1, 1)]), 100_000)
+    samples = sm.on_ack(AckFrame(0, [(1, 1)]), 100_000)
     assert samples[0].bandwidth == pytest.approx(10e6)
     assert samples[0].rtt == 100_000
 
@@ -204,12 +204,12 @@ def test_reorder_loss_three_packets():
     sm.loss_hook = lambda recs: lost.extend(r.number for r in recs)
     for _ in range(4):
         sm.send_segment(seg(), MSS, 0, False)
-    samples = sm.on_ack(AckFrame(4, 0, [(2, 4)]), 5_000)
+    samples = sm.on_ack(AckFrame(0, [(2, 4)]), 5_000)
     assert lost == [1]
     assert all(s.has_loss for s in samples)
     assert sm.inflight == 0
     # late ack for the already-lost number is ignored
-    assert sm.on_ack(AckFrame(4, 0, [(1, 1)]), 6_000) == []
+    assert sm.on_ack(AckFrame(0, [(1, 1)]), 6_000) == []
 
 
 def test_ordered_acks_no_loss():
@@ -288,8 +288,10 @@ def test_receiver_gap_ranges_and_stop_waiting():
     assert acks[-1].ack_ranges == [(3, 3), (1, 1)]
     rx.process_stop_waiting(3)
     assert rx.ranges.descending() == [(3, 3)]
-    rx.process_stop_waiting(2)   # regression ignored
+    with pytest.raises(ValueError, match="floor 2 is not above 3"):
+        rx.process_stop_waiting(2)   # floors strictly rise
     assert rx.least_unacked == 3
+    assert rx.ranges.descending() == [(3, 3)]
     deliver(4)
     deliver(5)
     assert acks[-1].ack_ranges == [(3, 5)]
@@ -301,7 +303,8 @@ def test_stop_waiting_sink_notified():
     hits = []
     rx.stop_waiting_sink = lambda conn, least: hits.append((conn, least))
     rx.process_stop_waiting(7)
-    rx.process_stop_waiting(7)
+    with pytest.raises(ValueError, match="floor 7 is not above 7"):
+        rx.process_stop_waiting(7)
     rx.process_stop_waiting(9)
     assert hits == [(0, 7), (0, 9)]
 
@@ -319,7 +322,7 @@ def test_receiver_rejects_non_ascending_packet_number(number):
         rx.on_packet(SimPacket(number, 1200, seg(), None, (), None), 10)
     assert got == [5]
     assert rx.data_packets == 1
-    assert (rx.largest, rx.largest_arrival_ts) == (5, 0)
+    assert rx.ranges.descending() == [(5, 5)] and rx.largest_arrival_ts == 0
 
 
 def model_ranges(numbers):
@@ -413,7 +416,7 @@ def primed_sender():
     sm = SendManager(loop, (NullLink(),))
     sm.send_segment(seg(), MSS, 0, False)
     loop.run(20_000)
-    sm.on_ack(AckFrame(1, 0, [(1, 1)]), 20_000)
+    sm.on_ack(AckFrame(0, [(1, 1)]), 20_000)
     assert sm.srtt == 20_000 and not sm.records
     return loop, sm
 
@@ -425,13 +428,15 @@ def test_ack_below_oldest_record_still_detects_reorder_loss():
     sm.loss_hook = lambda recs: lost.extend(r.number for r in recs)
     for _ in range(8):
         sm.send_segment(seg(), MSS, 0, False)
-    sm.on_ack(AckFrame(2, 0, [(1, 2)]), 1_000)
+    sm.on_ack(AckFrame(0, [(1, 2)]), 1_000)
     assert list(sm.records) == [3, 4, 5, 6, 7, 8]
-    # every range is below the oldest record, but largest_acked moves to 7
-    assert sm.on_ack(AckFrame(7, 0, [(2, 2), (1, 1)]), 2_000) == []
-    assert lost == [3, 4]
-    assert sm.largest_acked == 7
-    assert list(sm.records) == [5, 6, 7, 8]
+    sm.send_stop_waiting(3)  # packet 9, which is never a record
+    # the other ranges are below the oldest record, so the ack settles no
+    # record, but its largest number, the STOP_WAITING packet, moves to 9
+    assert sm.on_ack(AckFrame(0, [(9, 9), (2, 2), (1, 1)]), 2_000) == []
+    assert lost == [3, 4, 5, 6]
+    assert sm.largest_acked == 9
+    assert list(sm.records) == [7, 8]
 
 
 def test_loss_timer_declares_only_old_records_and_rearms_for_young_one():
@@ -477,7 +482,7 @@ def test_send_at_instant_of_due_timer_reschedules_it():
     loop.run(54_000)
     # a 4 ms sample drops srtt to 6.4 ms, so packet 2 is past its deadline
     # and the timer is pulled in to now
-    sm.on_ack(AckFrame(3, 0, [(3, 3)]), 54_000)
+    sm.on_ack(AckFrame(0, [(3, 3)]), 54_000)
     due_now = sm._loss_timer
     assert due_now[0] == 54_000
     sm.send_segment(seg(), MSS, 54_000, False)
@@ -509,12 +514,12 @@ def send_state(sm, samples, hooked):
 
 
 def draw_ack_ranges(data, top):
-    """Descending disjoint ack ranges at or below top: the newest number
-    alone, or up to six ranges that often reach below the oldest record."""
-    if top >= 1 and data.draw(st.booleans()):
+    """Descending disjoint ack ranges at or below top, at least 1: the newest
+    number alone, or up to six ranges that often reach below the oldest record."""
+    if data.draw(st.booleans()):
         return [(top, top)]
     ranges = []
-    end = top - data.draw(st.integers(0, 3))
+    end = max(1, top - data.draw(st.integers(0, 3)))
     while end >= 1 and len(ranges) < 6:
         start = max(1, end - data.draw(st.integers(0, 40)))
         ranges.append((start, end))
@@ -537,8 +542,10 @@ def test_send_manager_matches_reference(data):
     gap = st.one_of(st.just(0), st.just(1), st.integers(0, 3_000), st.integers(0, 40_000))
     ack_delay = st.one_of(st.just(0), st.integers(0, 10_000), st.integers(0, 60_000))
     for _ in range(data.draw(st.integers(1, 80))):
-        kind = data.draw(st.sampled_from(
-            ["send", "send", "send", "send_at_timer", "ack", "ack", "fire", "stop_waiting"]))
+        kinds = ["send", "send", "send", "send_at_timer", "ack", "ack", "fire", "stop_waiting"]
+        if ref.next_packet_number == 1:  # an ACK states at least one number; none is sent yet
+            kinds = [k for k in kinds if k != "ack"]
+        kind = data.draw(st.sampled_from(kinds))
         timer = ref._loss_timer
         live_at = timer[0] if timer is not None and timer[2] is not None else None
         if kind in ("send", "stop_waiting"):
@@ -551,8 +558,7 @@ def test_send_manager_matches_reference(data):
         elif kind == "ack":
             t = ref_loop.now + data.draw(st.integers(0, 30_000))
             ranges = draw_ack_ranges(data, ref.next_packet_number - 1)
-            ack = AckFrame(ranges[0][1] if ranges else 0,
-                           data.draw(ack_delay), ranges)
+            ack = AckFrame(data.draw(ack_delay), ranges)
         elif kind == "fire":
             t = max(ref_loop.now, live_at if live_at is not None
                     else ref_loop.now + data.draw(st.integers(0, 50_000)))
