@@ -5,6 +5,10 @@ The "bbr" variant cycles the classic 8-phase gain vector
 randomized-length cycle (2..8 RTTs) that probes at 1.1, drops to 0.85 on
 queue growth or loss, and returns to 1.0 once inflight matches the BDP.
 Both share StartUp/Drain/ProbeRTT and the max-bandwidth / min-RTT filters.
+
+cwnd is STARTUP_GAIN x BDP (at least INITIAL_CWND) in StartUp and Drain,
+PROBE_BW_CWND_GAIN x BDP in ProbeBW and PROBE_RTT_CWND in ProbeRTT.  Unlike
+tcp_bbr.c, ProbeRTT is entered from ProbeBW only and always returns there.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from .transport import MSS, DeliveryRateSample
 
 STARTUP_GAIN = 2.885
 DRAIN_GAIN = 1 / 2.885
+PROBE_BW_CWND_GAIN = 2
 BW_WINDOW_ROUNDS = 10
 MIN_RTT_EXPIRY_US = 10_000_000
 PROBE_RTT_DURATION_US = 200_000
@@ -76,8 +81,8 @@ class BbrController:
         "rng", "variant", "mode",
         "max_bw_filter", "round_count", "next_round_delivered",
         "rtt_min", "rtt_min_ts", "probe_rtt_done_ts",
-        "full_bw", "full_bw_count", "filled_pipe",
-        "pacing_gain", "cwnd_gain", "cycle_mstamp", "cycle_len", "cycle_phase",
+        "full_bw", "full_bw_count",
+        "pacing_gain", "cycle_mstamp", "cycle_len", "cycle_phase",
         "loss_since_update", "paused", "pause_started",
         "mode_hook", "bw_es", "pacing_rate", "cwnd",
     )
@@ -96,9 +101,7 @@ class BbrController:
         self.probe_rtt_done_ts = 0
         self.full_bw = 0.0
         self.full_bw_count = 0
-        self.filled_pipe = False
         self.pacing_gain = STARTUP_GAIN
-        self.cwnd_gain = STARTUP_GAIN
         self.cycle_mstamp = 0
         self.cycle_len = GAIN_CYCLE_LEN
         self.cycle_phase = 0
@@ -122,14 +125,14 @@ class BbrController:
         return self.bw_es * self.rtt_min / 8 / 1_000_000
 
     def _set_outputs(self) -> None:
-        """Store pacing_rate and cwnd; run once bw_es, rtt_min, mode and gains are final."""
+        """Store pacing_rate and cwnd; run once bw_es, rtt_min, mode and pacing_gain are final."""
         self.pacing_rate = self.bw_es * self.pacing_gain
         if self.mode == PROBE_RTT:
             self.cwnd = PROBE_RTT_CWND
         elif self.mode == PROBE_BW:
-            self.cwnd = 2 * self.bdp_bytes()
-        else:
-            self.cwnd = max(self.cwnd_gain * self.bdp_bytes(), INITIAL_CWND)
+            self.cwnd = PROBE_BW_CWND_GAIN * self.bdp_bytes()
+        else:  # StartUp or Drain
+            self.cwnd = max(STARTUP_GAIN * self.bdp_bytes(), INITIAL_CWND)
 
     # -- sample intake
 
@@ -142,11 +145,8 @@ class BbrController:
         if not self.rtt_min or sample.rtt <= self.rtt_min or min_rtt_expired:
             self.rtt_min = sample.rtt
             self.rtt_min_ts = now
-        if self.mode == STARTUP:
-            if round_ended:
-                self._check_full_pipe(sample)
-            if self.filled_pipe:
-                self._enter_drain()
+        if self.mode == STARTUP and round_ended and self._check_full_pipe(sample):
+            self._enter_drain()
         if self.mode == DRAIN and sample.inflight <= self.bdp_bytes():
             self._enter_probe_bw(now)
         if self.mode == PROBE_BW:
@@ -180,26 +180,24 @@ class BbrController:
 
     # -- StartUp / Drain
 
-    def _check_full_pipe(self, sample: DeliveryRateSample) -> None:
+    def _check_full_pipe(self, sample: DeliveryRateSample) -> bool:
+        """True once bandwidth stopped growing for STARTUP_FULL_BW_ROUNDS rounds."""
         if sample.app_limited:
-            return  # an idle app, not the path, bounded this round
+            return False  # an idle app, not the path, bounded this round
         bw = self.max_bw_filter.get()
         if bw >= self.full_bw * STARTUP_GROWTH_TARGET:
             self.full_bw = bw
             self.full_bw_count = 0
-            return
+            return False
         self.full_bw_count += 1
-        if self.full_bw_count >= STARTUP_FULL_BW_ROUNDS:
-            self.filled_pipe = True
+        return self.full_bw_count >= STARTUP_FULL_BW_ROUNDS
 
     def _enter_drain(self) -> None:
         self._set_mode(DRAIN)
         self.pacing_gain = DRAIN_GAIN
-        self.cwnd_gain = STARTUP_GAIN
 
     def _enter_probe_bw(self, now: int) -> None:
         self._set_mode(PROBE_BW)
-        self.cwnd_gain = 2
         if self.variant == "rtc-bbr":
             self.cycle_mstamp = now
             self.cycle_len = GAIN_CYCLE_LEN - self.rng.randrange(CYCLE_RAND)
@@ -246,12 +244,7 @@ class BbrController:
             return
         if now >= self.probe_rtt_done_ts:
             self.rtt_min_ts = now
-            if self.filled_pipe:
-                self._enter_probe_bw(now)
-            else:
-                self._set_mode(STARTUP)
-                self.pacing_gain = STARTUP_GAIN
-                self.cwnd_gain = STARTUP_GAIN
+            self._enter_probe_bw(now)
 
     # -- pause/resume (bandit keeps non-exploited paths' state frozen)
 

@@ -240,20 +240,13 @@ class VideoSession:
             if ts is None:
                 return  # ack-clocked: the next _deliver_ack pumps again
             if ts > now:
-                self._arm_pump(sid, ts)
+                self._pump_timers[sid] = self.loop.schedule_by(
+                    self._pump_timers[sid], ts, self._on_pump_timer, sid)
                 return
             entry = sched.next_segment(sid, now)
             if entry is None:
                 return
             conn.send(entry.segment, entry.size, now, sub.queued_bytes <= 0, entry)
-
-    def _arm_pump(self, sid: int, ts: int) -> None:
-        timer = self._pump_timers[sid]
-        if timer is not None and timer[2] is not None:
-            if timer[0] <= ts:
-                return
-            timer[2] = None  # replaced: a live old timer would start a second chain
-        self._pump_timers[sid] = self.loop.schedule(ts, self._on_pump_timer, sid)
 
     def _on_pump_timer(self, sid: int) -> None:
         self._pump_timers[sid] = None

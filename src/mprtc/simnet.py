@@ -38,6 +38,11 @@ class EventLoop:
     a different function in place of another, from the same ``schedule``
     call at the same moment for the same time, does not: the event keeps
     its ``(fire_time, seq)``, so every event keeps its order.
+
+    ``schedule_by`` is the one rule for re-arming a timer due by a deadline:
+    keep the live handle due by then, else cancel it and schedule afresh at
+    the deadline, or now once it has passed.  A fired entry keeps its
+    callback and so looks live: its owner drops the handle in the callback.
     """
 
     __slots__ = ("_heap", "_seq", "now")
@@ -60,6 +65,15 @@ class EventLoop:
         entry = [fire_time, self._seq, fn, args]
         heapq.heappush(self._heap, entry)
         return entry
+
+    def schedule_by(self, handle: list | None, deadline: int, fn, *args) -> list:
+        """Keep a live handle due by deadline, else cancel it and schedule."""
+        if handle is not None and handle[2] is not None:
+            if handle[0] <= deadline:
+                return handle
+            handle[2] = None
+        now = self.now
+        return self.schedule(deadline if deadline > now else now, fn, *args)
 
     def run(self, until: int) -> None:
         """Run events with fire_time <= until (inclusive); clock ends at until.
@@ -252,22 +266,27 @@ def load_trace(path) -> TraceSchedule:
     return TraceSchedule(entries)
 
 
-def synthetic_trace(rng: random.Random, duration_s: int = 120) -> TraceSchedule:
+SYNTHETIC_TRACE_S = 120
+TRACE_POOL_SIZE = 100
+TRACE_POOL_SEED = 7
+
+
+def synthetic_trace(rng: random.Random) -> TraceSchedule:
     """Piecewise-constant capacity trace with a mean drawn from [0.4, 6] Mbps."""
     mean_bps = rng.uniform(0.4e6, 6e6)
     entries = []
     t_ms = 0
-    while t_ms < duration_s * 1000:
+    while t_ms < SYNTHETIC_TRACE_S * 1000:
         cap = max(150_000, int(mean_bps * rng.uniform(0.5, 1.5)))
         entries.append((t_ms * US_PER_MS, cap))
         t_ms += rng.randint(2000, 6000)
     return TraceSchedule(entries)
 
 
-def synthetic_trace_pool(count: int = 100, dataset_seed: int = 7) -> list[TraceSchedule]:
+def synthetic_trace_pool() -> list[TraceSchedule]:
     """Fixed pool of synthetic traces standing in for the public dataset."""
-    rng = random.Random(dataset_seed)
-    return [synthetic_trace(rng) for _ in range(count)]
+    rng = random.Random(TRACE_POOL_SEED)
+    return [synthetic_trace(rng) for _ in range(TRACE_POOL_SIZE)]
 
 
 class Link:

@@ -141,7 +141,7 @@ class SendManager:
     ``records`` holds the outstanding data packets in send order.  Numbers
     come from one counter and callers send at the loop's current time, so
     its keys strictly ascend and its ``sent_ts`` never decrease: the first
-    record is the oldest by both.  ``least_retained``, ``_loss_deadline``,
+    record is the oldest by both.  ``least_retained``, ``_arm_loss_timer``,
     ``_detect_reorder_loss`` and the three paths below rely on that order.
 
     - ``on_ack`` skips every ack range, or part of one, below the oldest
@@ -151,11 +151,11 @@ class SendManager:
     - ``_on_loss_timer`` walks from the oldest record and stops at the
       first one within the loss threshold: it costs the packets it declares
       lost, plus one.
-    - ``send_segment`` re-arms the loss timer only when the send went into
-      an empty ``records`` or no live timer is due after now.  Otherwise
-      the send moved neither the oldest record nor ``srtt``, and every ack
-      that changes ``srtt`` re-arms, so the live timer is already due no
-      later than the deadline.
+    - ``send_segment`` calls ``_arm_loss_timer`` (``EventLoop.schedule_by``)
+      only when the send went into an empty ``records`` or no live timer is
+      due after now.  Otherwise the send moved neither the oldest record
+      nor ``srtt``, and every ack that changes ``srtt`` re-arms, so the
+      live timer is already due no later than the deadline.
 
     ``srtt`` changes only in ``on_ack``, which then stores
     ``_loss_threshold()`` in ``_threshold`` for the loss timer to read.
@@ -294,33 +294,22 @@ class SendManager:
         if self.loss_hook is not None:
             self.loss_hook(lost)
 
-    def _loss_deadline(self):
-        if not self.records or not self.srtt:
-            return None
-        # send times are monotone, so the first record is the oldest
-        oldest = next(iter(self.records.values())).sent_ts
-        return oldest + self._threshold + 1
-
     def _loss_threshold(self) -> int:
         # The ack-delay allowance keeps a lone coalesced ack (up to 10 ms
         # at the receiver) from tripping the timer on sparse traffic.
         return int(TIME_LOSS_FACTOR * self.srtt) + ACK_DELAY_MAX_US
 
     def _arm_loss_timer(self) -> None:
-        deadline = self._loss_deadline()
-        if deadline is None:
-            return
-        if self._loss_timer is not None and self._loss_timer[2] is not None \
-                and self._loss_timer[0] <= deadline:
-            return
-        if self._loss_timer is not None:
-            self._loss_timer[2] = None
-        self._loss_timer = self.loop.schedule(max(deadline, self.loop.now), self._on_loss_timer)
+        """Have the timer fire once the oldest record passes the threshold."""
+        records = self.records
+        if records and self.srtt:
+            oldest = next(iter(records.values())).sent_ts  # send times ascend
+            self._loss_timer = self.loop.schedule_by(
+                self._loss_timer, oldest + self._threshold + 1, self._on_loss_timer)
 
     def _on_loss_timer(self) -> None:
+        # Armed only once srtt > 0, and srtt never returns to 0; no records, no walk.
         self._loss_timer = None
-        if not self.records or not self.srtt:
-            return
         threshold = self._threshold
         now = self.loop.now
         lost = []

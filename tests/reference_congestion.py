@@ -5,7 +5,14 @@ The congestion tests require the stored values to equal these after every
 call that can change the controller's state.
 """
 
-from mprtc.congestion import INITIAL_BW_BPS, INITIAL_CWND, PROBE_BW, PROBE_RTT, PROBE_RTT_CWND
+from mprtc.congestion import (
+    INITIAL_BW_BPS,
+    INITIAL_CWND,
+    PROBE_BW,
+    PROBE_RTT,
+    PROBE_RTT_CWND,
+    STARTUP_GAIN,
+)
 
 
 def bw_es(cc) -> float:
@@ -28,7 +35,7 @@ def cwnd(cc) -> float:
         return PROBE_RTT_CWND
     if cc.mode == PROBE_BW:
         return 2 * bdp_bytes(cc)
-    return max(cc.cwnd_gain * bdp_bytes(cc), INITIAL_CWND)
+    return max(STARTUP_GAIN * bdp_bytes(cc), INITIAL_CWND)
 
 
 def outputs(cc) -> tuple:

@@ -3,11 +3,13 @@ the whole ack range or the whole outstanding window, kept literal.
 
 ReferenceSendManager overrides send_segment (re-arming the loss timer on
 every send), on_ack (walking every number of every range, or every record),
-_loss_deadline and _on_loss_timer (testing every record against the
-threshold).  It works the threshold out from srtt at each use, so it never
-reads the value SendManager stores when srtt changes.  The
-production SendManager skips the work these do not need; the transport
-tests require both to give the same samples, hooks, records and timers.
+_arm_loss_timer (the oldest send time as a minimum over every record, and
+the keep-or-replace rule of EventLoop.schedule_by written out) and
+_on_loss_timer (testing every record against the threshold).  It works the
+threshold out from srtt at each use, so it never reads the value
+SendManager stores when srtt changes.  The production SendManager skips the
+work these do not need; the transport tests require both to give the same
+samples, hooks, records and timers.
 """
 
 from mprtc.simnet import US_PER_S
@@ -80,11 +82,17 @@ class ReferenceSendManager(SendManager):
         self._arm_loss_timer()
         return samples
 
-    def _loss_deadline(self):
+    def _arm_loss_timer(self):
         if not self.records or not self.srtt:
-            return None
+            return
         oldest = min(rec.sent_ts for rec in self.records.values())
-        return oldest + self._loss_threshold() + 1
+        deadline = oldest + self._loss_threshold() + 1
+        timer = self._loss_timer
+        if timer is not None and timer[2] is not None:
+            if timer[0] <= deadline:
+                return  # the live timer fires in time
+            timer[2] = None
+        self._loss_timer = self.loop.schedule(max(deadline, self.loop.now), self._on_loss_timer)
 
     def _on_loss_timer(self):
         self._loss_timer = None

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_congestion
+from mprtc import congestion
 from mprtc.congestion import (
     BW_WINDOW_ROUNDS,
     BbrController,
@@ -137,13 +138,24 @@ def test_drain_holds_until_inflight_matches_bdp():
     assert cc.cwnd == pytest.approx(2 * cc.bdp_bytes())
 
 
+def test_probe_bw_cwnd_is_its_gain_times_bdp(monkeypatch):
+    monkeypatch.setattr(congestion, "PROBE_BW_CWND_GAIN", 1.5)
+    feeder = Feeder(make_cc())
+    feeder.round(2e6, now=0)
+    for i in range(1, 4):
+        feeder.round(2e6, now=i * RTT, inflight=60_000)
+    feeder.round(2e6, now=4 * RTT, inflight=25_000)
+    cc = feeder.cc
+    assert cc.mode == PROBE_BW
+    assert cc.cwnd == pytest.approx(1.5 * cc.bdp_bytes())
+
+
 # --- RTC-BBR gain cycle (unit-level, state set directly) --------------------
 
 def probe_bw_cc(gain=1.1, cycle_len=8, mstamp=0, bw=2e6, seed=1):
     cc = make_cc(seed=seed)
     cc.on_delivery_sample(sample(bw), now=0)
     cc.mode = PROBE_BW
-    cc.filled_pipe = True
     cc.pacing_gain = gain
     cc.cycle_len = cycle_len
     cc.cycle_mstamp = mstamp
@@ -244,7 +256,6 @@ def test_stock_cycle_walks_gain_vector():
     cc = make_cc(variant="bbr")
     cc.on_delivery_sample(sample(2e6), now=0)
     cc.mode = PROBE_BW
-    cc.filled_pipe = True
     cc.cycle_phase = 0
     cc.pacing_gain = STOCK_GAIN_CYCLE[0]
     cc.cycle_mstamp = 0

@@ -36,13 +36,19 @@ def sha256_of(value) -> str:
     return hashlib.sha256(json.dumps(value, separators=(",", ":")).encode()).hexdigest()
 
 
-def run_overlay(traces, seed: int, sim_s: int, scheme: str = "ucb") -> VideoSession:
+def run_overlay(traces, seed: int, sim_s: int, scheme: str = "ucb",
+                each_second=None) -> VideoSession:
+    """Run a session for sim_s seconds, calling each_second(loop, session)
+    after every whole second if it is given."""
     loop = EventLoop()
     rng = random.Random(seed)
     net = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng, traces=traces)
     session = VideoSession(loop, rng, net.candidates, scheme=scheme)
     session.start(0)
-    loop.run(sim_s * US_PER_S)
+    for s in range(1, sim_s + 1):
+        loop.run(s * US_PER_S)
+        if each_second is not None:
+            each_second(loop, session)
     return session
 
 
@@ -80,6 +86,19 @@ def assert_send_state_consistent(sm) -> None:
     assert all(a < b for a, b in zip(numbers, numbers[1:]))
     sent = [rec.sent_ts for rec in sm.records.values()]
     assert all(a <= b for a, b in zip(sent, sent[1:]))
+
+
+def assert_one_live_timer_each(loop, session=None, send_managers=()) -> None:
+    """Each subflow has at most one live pump timer and each SendManager at
+    most one live loss timer in the heap, and it is the handle its owner holds."""
+    owners = [(sm._on_loss_timer, (), sm._loss_timer) for sm in send_managers]
+    if session is not None:
+        owners += [(session._on_pump_timer, (sid,), session._pump_timers[sid])
+                   for sid in session.sids]
+    live = [entry for entry in loop._heap if entry[2] is not None]
+    for fn, args, handle in owners:
+        entries = [entry for entry in live if entry[2] == fn and entry[3] == args]
+        assert len(entries) <= 1 and all(entry is handle for entry in entries)
 
 
 def assert_frames_conserved(session: VideoSession) -> None:
@@ -169,13 +188,18 @@ def test_earlier_pump_timer_replaces_later_one():
                          traces=collapse_traces())
     session = VideoSession(loop, rng, net.candidates)
     sid = session.sids[0]
-    session._arm_pump(sid, 200)
-    session._arm_pump(sid, 100)
-    live = [entry[0] for entry in loop._heap
-            if entry[2] == session._on_pump_timer and entry[3] == (sid,)]
-    # A replaced timer left live fires, clears the newer handle, and from
-    # then on every pump arms a second timer for the same instant.
-    assert live == [100]
+    segments = transport.packetize(20 * transport.PAYLOAD_BUDGET, 0, 0, True)
+    session.scheduler.schedule_segments(segments, 0)
+    assert session.scheduler.subflows[sid].queued_bytes > 0
+    conn = session.active[sid]
+    # The pacer holds the subflow until next_send_ts, so _pump arms a timer.
+    # A replaced timer left live would fire, clear the newer handle, and
+    # from then on every pump would arm a second timer for the same instant.
+    for send_ts, live in ((200, [200]), (100, [100]), (300, [100])):
+        conn.next_send_ts = send_ts
+        session._pump(sid)
+        assert [entry[0] for entry in loop._heap if entry[2] == session._on_pump_timer
+                and entry[3] == (sid,)] == live
 
 
 def test_collapse_digest_independent_of_hash_seed():
@@ -270,10 +294,15 @@ def step_traces(draw):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(step_traces(), st.integers(0, 2**32 - 1), st.integers(5, 10))
 def test_generated_overlay_scenarios_keep_invariants(traces, seed, sim_s):
-    def run():
-        return run_overlay([TraceSchedule(entries) for entries in traces], seed, sim_s)
+    def run(each_second=None):
+        return run_overlay([TraceSchedule(entries) for entries in traces], seed, sim_s,
+                           each_second=each_second)
 
-    session = run()
+    def timers_unique(loop, session):
+        sms = [conn.sm for conn in session.paths.values()]
+        assert_one_live_timer_each(loop, session, sms)
+
+    session = run(timers_unique)
     assert_overlay_invariants(session)
     assert overlay_digest(run()) == overlay_digest(session)
 
@@ -299,7 +328,8 @@ def bottleneck_configs(draw):
 
 def run_bottleneck(config, seed: int, sim_s: int):
     """CappedFlows over a built topology, flow i on flow path i mod their
-    number, started up to 1 s apart; returns the network and the flows."""
+    number, started up to 1 s apart; returns the network and the flows.
+    After every whole second each flow has at most one live loss timer."""
     loop = EventLoop()
     rng = random.Random(seed)
     net = build_topology(loop, config)
@@ -311,7 +341,9 @@ def run_bottleneck(config, seed: int, sim_s: int):
                                 start_ts=rng.randint(0, US_PER_S)))
     for flow in flows:
         flow.start()
-    loop.run(sim_s * US_PER_S)
+    for s in range(1, sim_s + 1):
+        loop.run(s * US_PER_S)
+        assert_one_live_timer_each(loop, send_managers=[flow.sm for flow in flows])
     return net, flows
 
 

@@ -104,6 +104,56 @@ def test_cancel_suppresses_event():
     assert loop.now == 10
 
 
+def test_schedule_by_keeps_a_live_handle_due_by_the_deadline():
+    loop = EventLoop()
+    fired = []
+    handle = loop.schedule(50, fired.append, "old")
+    for deadline in (50, 80):
+        assert loop.schedule_by(handle, deadline, fired.append, "new") is handle
+    assert loop._seq == 1 and handle[2] is not None  # no sequence number taken
+    loop.run(100)
+    assert fired == ["old"]
+
+
+def test_schedule_by_replaces_a_live_handle_due_later():
+    loop = EventLoop()
+    fired = []
+    handle = loop.schedule(80, fired.append, "old")
+    new = loop.schedule_by(handle, 50, fired.append, "new")
+    assert handle[2] is None
+    assert new[0] == 50 and new[1] > handle[1]
+    loop.run(100)
+    assert fired == ["new"]
+
+
+@pytest.mark.parametrize("cancelled", [False, True])
+def test_schedule_by_without_a_live_handle_schedules(cancelled):
+    loop = EventLoop()
+    fired = []
+    handle = None
+    if cancelled:
+        handle = loop.schedule(10, fired.append, "old")  # due earlier, but cancelled
+        handle[2] = None
+    new = loop.schedule_by(handle, 50, fired.append, "new")
+    assert new[0] == 50 and new[1] == loop._seq
+    loop.run(100)
+    assert fired == ["new"]
+
+
+def test_schedule_by_past_deadline_fires_now():
+    loop = EventLoop()
+    fired = []
+    loop.run(100)
+    handle = loop.schedule_by(None, 40, fired.append, "late")
+    assert handle[0] == 100
+    loop.schedule(100, fired.append, "other")
+    # due now, yet after the new deadline: it is replaced, behind "other"
+    again = loop.schedule_by(handle, 40, fired.append, "late")
+    assert handle[2] is None and again[0] == 100 and again[1] > handle[1]
+    loop.run(100)
+    assert fired == ["other", "late"]
+
+
 # --- link model -------------------------------------------------------------
 
 def make_link(loop, mbps, owd_ms, queue_ms=100):
@@ -465,12 +515,12 @@ def test_trace_driven_link_uses_schedule():
 
 
 def test_synthetic_pool_is_deterministic():
-    a = synthetic_trace_pool(count=5)
-    b = synthetic_trace_pool(count=5)
+    a = synthetic_trace_pool()[:5]
+    b = synthetic_trace_pool()[:5]
     for ta, tb in zip(a, b):
         assert ta.times == tb.times
         assert ta.rates == tb.rates
-    means = [t.overall_mean() for t in synthetic_trace_pool(count=50)]
+    means = [t.overall_mean() for t in synthetic_trace_pool()[:50]]
     assert all(m >= 150_000 for m in means)
     assert min(means) < 1_500_000 < max(means)
 
@@ -513,7 +563,7 @@ def test_rtt_unfairness_routes_and_delays():
 
 
 def test_multipath_overlay_shape_and_determinism():
-    traces = synthetic_trace_pool(count=4)
+    traces = synthetic_trace_pool()[:4]
     net_a = build_multipath_overlay(EventLoop(), {}, random.Random(42), traces)
     net_b = build_multipath_overlay(EventLoop(), {}, random.Random(42), traces)
     assert set(net_a.candidates) == {0, 1}
