@@ -54,7 +54,6 @@ class PathManager:
             if not cands:
                 raise ValueError(f"paths: subflow {fid} has no candidate path")
         self.T = 1
-        self.last_scores: dict[int, float] = {}
 
     def on_new_bandwidth_sample(self, path_id: int, bw: float, now: int) -> None:
         p = self.by_id[path_id]
@@ -84,7 +83,6 @@ class PathManager:
             self.delete_obsolete_samples(p.id, now)
         C = len(self.subflows)
         chosen = {}
-        self.last_scores = {}
         for flowid in self.subflows:
             x_max = 0.0
             path_id = -1
@@ -92,7 +90,6 @@ class PathManager:
                 if p.flowid != flowid:
                     continue
                 x = p.Bw_hat + p.Bw * math.sqrt(2 * math.log(C * self.T) / p.N)
-                self.last_scores[p.id] = x
                 if x > x_max:
                     x_max = x
                     path_id = p.id
@@ -106,7 +103,6 @@ class PathManager:
         """Per-slot decision: forced initial exploration, then UCB rounds."""
         if self.exploring():
             chosen = {fid: c[(self.T - 1) % len(c)] for fid, c in self.candidates.items()}
-            self.last_scores = {}
             for path_id in chosen.values():
                 self.by_id[path_id].N += 1
             self.T += 1

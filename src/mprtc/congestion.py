@@ -84,7 +84,7 @@ class BbrController:
         "full_bw", "full_bw_count",
         "pacing_gain", "cycle_mstamp", "cycle_len", "cycle_phase",
         "loss_since_update", "paused", "pause_started",
-        "mode_hook", "bw_es", "pacing_rate", "cwnd",
+        "bw_es", "pacing_rate", "cwnd",
     )
 
     def __init__(self, rng, variant: str = "rtc-bbr") -> None:
@@ -108,7 +108,6 @@ class BbrController:
         self.loss_since_update = False
         self.paused = False
         self.pause_started = 0
-        self.mode_hook = None
         self._set_bw_es()
         self._set_outputs()
 
@@ -151,7 +150,7 @@ class BbrController:
             self._enter_probe_bw(now)
         if self.mode == PROBE_BW:
             if min_rtt_expired:
-                self._set_mode(PROBE_RTT)
+                self.mode = PROBE_RTT
                 self.pacing_gain = 1
                 self.probe_rtt_done_ts = 0
             elif self.variant == "rtc-bbr":
@@ -193,11 +192,11 @@ class BbrController:
         return self.full_bw_count >= STARTUP_FULL_BW_ROUNDS
 
     def _enter_drain(self) -> None:
-        self._set_mode(DRAIN)
+        self.mode = DRAIN
         self.pacing_gain = DRAIN_GAIN
 
     def _enter_probe_bw(self, now: int) -> None:
-        self._set_mode(PROBE_BW)
+        self.mode = PROBE_BW
         if self.variant == "rtc-bbr":
             self.cycle_mstamp = now
             self.cycle_len = GAIN_CYCLE_LEN - self.rng.randrange(CYCLE_RAND)
@@ -259,8 +258,3 @@ class BbrController:
         shift = now - self.pause_started
         self.rtt_min_ts += shift
         self.cycle_mstamp += shift
-
-    def _set_mode(self, mode: str) -> None:
-        self.mode = mode
-        if self.mode_hook is not None:
-            self.mode_hook(mode)

@@ -186,7 +186,7 @@ class VideoSession:
                 conn = PathConnection(loop, rng, path, variant, path.path_id,
                                       self._deliver_ack, sid=sid)
                 conn.rm.segment_sink = self.sink.on_segment
-                conn.rm.stop_waiting_sink = self._on_stop_waiting
+                conn.rm.stop_waiting_sink = self.sink.on_stop_waiting
                 conn.sm.ack_hook = self._on_acked_records
                 conn.sm.loss_hook = self._on_loss
                 self.paths[path.path_id] = conn
@@ -219,11 +219,10 @@ class VideoSession:
 
     # -- sender datapath
 
-    def _on_encoded_frame(self, frame) -> None:
-        now = self.loop.now
-        segments = packetize(frame.size, frame.frame_index, frame.capture_ts,
-                             frame.key_frame)
-        self.scheduler.schedule_segments(segments, now)
+    def _on_encoded_frame(self, size: int, frame_index: int, capture_ts: int,
+                          key_frame: bool) -> None:
+        segments = packetize(size, frame_index, capture_ts, key_frame)
+        self.scheduler.schedule_segments(segments, self.loop.now)
         for sid in self.sids:
             self._pump(sid)
 
@@ -283,9 +282,6 @@ class VideoSession:
                                                      self.loop.now)
         for sid in set(retx_sids):
             self._pump(sid)
-
-    def _on_stop_waiting(self, conn_id: int, least_unacked: int) -> None:
-        self.sink.on_stop_waiting(conn_id, least_unacked, self.loop.now)
 
     # -- timers
 

@@ -136,10 +136,6 @@ class LinkConfig:
         return cls(capacity, owd_us, queue_bytes)
 
 
-class TraceParseError(Exception):
-    pass
-
-
 def _whole(value) -> int | None:
     """value as an int when it is a finite whole number, else None."""
     if isinstance(value, int):
@@ -234,38 +230,6 @@ class TraceSchedule:
         return self._mean
 
 
-def load_trace(path) -> TraceSchedule:
-    """Parse a 'milliseconds,kilobits-per-second' file into a TraceSchedule."""
-    entries = []
-    prev_ts = -1
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise TraceParseError(f"{path}:{lineno}: expected 'ms,kbps', got {line!r}")
-            try:
-                ms = float(parts[0])
-                kbps = float(parts[1])
-            except ValueError:
-                raise TraceParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-            if not (math.isfinite(ms) and math.isfinite(kbps)):
-                raise TraceParseError(f"{path}:{lineno}: non-finite field in {line!r}")
-            ts = int(ms * US_PER_MS)
-            if ts <= prev_ts:
-                raise TraceParseError(f"{path}:{lineno}: non-increasing timestamp {parts[0]} ms")
-            bps = int(kbps * 1000)
-            if bps < 1:
-                raise TraceParseError(f"{path}:{lineno}: non-positive capacity {parts[1]} kbps")
-            entries.append((ts, bps))
-            prev_ts = ts
-    if not entries:
-        raise TraceParseError(f"{path}: empty trace")
-    return TraceSchedule(entries)
-
-
 SYNTHETIC_TRACE_S = 120
 TRACE_POOL_SIZE = 100
 TRACE_POOL_SEED = 7
@@ -304,7 +268,7 @@ class Link:
 
     __slots__ = (
         "loop", "name", "capacity", "owd_us", "queue", "occupancy", "queue_capacity",
-        "trace", "sent", "delivered", "dropped", "drop_hook",
+        "trace", "sent", "delivered", "dropped",
     )
 
     def __init__(self, loop: EventLoop, config: LinkConfig, name: str = "",
@@ -320,14 +284,11 @@ class Link:
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
-        self.drop_hook = None
 
     def enqueue(self, packet) -> None:
         self.sent += 1
         if self.occupancy + packet.size > self.queue_capacity:
             self.dropped += 1
-            if self.drop_hook is not None:
-                self.drop_hook(packet)
             return
         self.queue.append(packet)
         self.occupancy += packet.size

@@ -380,7 +380,7 @@ class ReceiveManager:
         self.pending = 0
         self._ack_timer = None
         self.segment_sink = None          # called with (StreamFrame, number, conn_id, now)
-        self.stop_waiting_sink = None     # called with (conn_id, least_unacked)
+        self.stop_waiting_sink = None     # called with (conn_id, least_unacked, now)
         self.bytes_received = 0
         self.data_packets = 0
 
@@ -393,21 +393,21 @@ class ReceiveManager:
             if self.segment_sink is not None:
                 self.segment_sink(packet.stream, packet.number, self.conn_id, now)
         if packet.stop_waiting is not None:
-            self.process_stop_waiting(packet.stop_waiting)
+            self.process_stop_waiting(packet.stop_waiting, now)
         self.pending += 1
         if self.pending == 1:
             self._ack_timer = self.loop.schedule(now + ACK_DELAY_MAX_US, self._on_ack_timer)
         if self.pending >= ACK_EVERY_N:
             self._emit_ack(now)
 
-    def process_stop_waiting(self, least_unacked: int) -> None:
+    def process_stop_waiting(self, least_unacked: int, now: int) -> None:
         if least_unacked <= self.least_unacked:
             raise ValueError(f"stop-waiting floor {least_unacked} is not above "
                              f"{self.least_unacked}, the last one")
         self.least_unacked = least_unacked
         self.ranges.drop_below(least_unacked)
         if self.stop_waiting_sink is not None:
-            self.stop_waiting_sink(self.conn_id, least_unacked)
+            self.stop_waiting_sink(self.conn_id, least_unacked, now)
 
     def _on_ack_timer(self) -> None:
         self._ack_timer = None

@@ -36,42 +36,6 @@ class RawFrame:
     capture_ts: int
 
 
-@dataclass(slots=True)
-class EncodedFrame:
-    frame_index: int
-    size: int
-    key_frame: bool
-    capture_ts: int
-    encode_done_ts: int
-    rate_at_encode: float
-
-
-@dataclass(frozen=True)
-class QualityModelParams:
-    theta: float = 3.2e6
-    r0: float = 50_000.0
-    d0: float = 2.0
-
-
-DEFAULT_QUALITY = QualityModelParams()
-
-
-def distortion(rate_bps: float, params: QualityModelParams = DEFAULT_QUALITY) -> float:
-    """Rate-distortion curve theta / (R - r0) + d0; defined only for R > r0."""
-    if rate_bps <= params.r0:
-        raise ValueError(
-            f"distortion undefined for rate {rate_bps} <= r0 {params.r0}"
-        )
-    return params.theta / (rate_bps - params.r0) + params.d0
-
-
-def quality_score(dist: float) -> float:
-    """PSNR-style proxy 10*log10(255^2 / D).  Not calibrated against any codec."""
-    if dist <= 0:
-        raise ValueError(f"quality score undefined for distortion {dist}")
-    return 10.0 * math.log10(255.0 ** 2 / dist)
-
-
 class VideoSource:
     """Captures frames on a fixed cadence, encodes them one at a time, and drops
     raw frames whose projected sender-side delay exceeds the 400 ms budget.
@@ -79,7 +43,10 @@ class VideoSource:
     The encoder's output rate chases the reference rate with a first-order lag
     (time constant 1 s).  ``reference_rate_fn`` supplies the raw reference
     (sum of per-subflow bandwidth estimates); ``min_latency_fn`` supplies the
-    cheapest subflow's expected delivery latency in microseconds.
+    cheapest subflow's expected delivery latency in microseconds.  Each
+    encoded frame goes to ``frame_sink(size, frame_index, capture_ts,
+    key_frame)`` when its encode finishes, the argument order of
+    ``packetize``.
     """
 
     def __init__(self, loop, rng, *, frame_sink, reference_rate_fn, min_latency_fn):
@@ -153,25 +120,14 @@ class VideoSource:
         )
         d_en = max(1, d_en)
         self.busy = True
-        self.loop.schedule(
-            now + d_en, self._finish_encode, raw, size, key, d_en, self.actual_rate
-        )
+        self.loop.schedule(now + d_en, self._finish_encode, raw, size, key, d_en)
 
-    def _finish_encode(self, raw: RawFrame, size: int, key: bool, d_en: int,
-                       rate: float) -> None:
-        now = self.loop.now
+    def _finish_encode(self, raw: RawFrame, size: int, key: bool, d_en: int) -> None:
         self.d_en_hat = (1.0 - ENCODE_DELAY_ALPHA) * self.d_en_hat + ENCODE_DELAY_ALPHA * d_en
         self.frame_log.append((raw.frame_index, raw.capture_ts, size, key, False))
         self.busy = False
-        self.frame_sink(EncodedFrame(
-            frame_index=raw.frame_index,
-            size=size,
-            key_frame=key,
-            capture_ts=raw.capture_ts,
-            encode_done_ts=now,
-            rate_at_encode=rate,
-        ))
-        self._service(now)
+        self.frame_sink(size, raw.frame_index, raw.capture_ts, key)
+        self._service(self.loop.now)
 
 
 @dataclass(slots=True)

@@ -170,16 +170,23 @@ def test_unsampled_path_has_zero_window_max():
 
 
 def test_score_arithmetic_frozen_value():
-    # Bw_hat 2.9 Mbps, Bw 3 Mbps, C=2, T=100, N=10 scores about 5.99 Mbps.
-    m = PathManager([0, 1], [(0, 0), (1, 1)])
-    p = m.paths[0]
-    p.Bw_hat, p.Bw, p.N = 2.9e6, 3e6, 10
-    p.bwSamples_.append((3e6, 0))  # in-window backing for Bw
-    m.T = 100
-    m.select_paths(now=0)
-    x = m.last_scores[0]
-    assert x == pytest.approx(2.9e6 + 3e6 * math.sqrt(2 * math.log(200) / 10))
-    assert x == pytest.approx(5.988e6, rel=1e-3)
+    # Bw_hat 2.9 Mbps, Bw 3 Mbps, C=2, T=100, N=10 scores about 5.988 Mbps
+    # (2.9e6 + 3e6 * sqrt(2 ln 200 / 10)).  Path 1 scores its Bw_hat plus
+    # 1 bit/s times the same root, so a rival 0.1% either side of that
+    # value flips the choice, in the manager and in the reference alike.
+    subflows, paths = [0, 1], [(0, 0), (1, 0), (2, 1)]
+    for rival, chosen in ((5.982e6, 0), (5.994e6, 1)):
+        m = PathManager(subflows, paths)
+        ref = reference_bandit.new_state(subflows, paths)
+        for pid, bw_hat, bw, n in ((0, 2.9e6, 3e6, 10), (1, rival, 1.0, 10)):
+            p = m.by_id[pid]
+            p.Bw_hat, p.N = bw_hat, n
+            p.bwSamples_.append((bw, 0))
+            ref["paths"][pid].update(Bw_hat=bw_hat, N=n, bwSamples_=[(bw, 0)],
+                                     samples_=1, maxBw_=bw)
+        m.T = ref["T"] = 100
+        assert m.select_paths(now=0) == reference_bandit.select_paths(ref, now=0) \
+            == {0: chosen, 1: -1}
 
 
 def test_single_candidate_always_chosen_and_n_counts_slots():

@@ -321,15 +321,21 @@ def test_min_rtt_can_rise_after_expiry():
 
 
 def test_probe_rtt_at_most_once_per_ten_seconds():
+    # RTT samples that only rise let min-RTT expire.  A sample that enters
+    # ProbeRTT cannot also leave it (the dwell starts no earlier than that
+    # sample), so each entry shows in the mode read after its sample.
     cc = make_cc(seed=5)
     entries = []
-    cc.mode_hook = lambda mode: entries.append(mode) if mode == PROBE_RTT else None
     feeder = Feeder(cc)
     now = 0
-    for _ in range(300):  # 30 s of steady 100 ms rounds
+    for i in range(300):  # 30 s of steady 100 ms rounds
         now += RTT
-        feeder.round(2e6, now=now, rtt=RTT + (now % 7) * 10, inflight=3000)
-    assert len(entries) <= 3
+        before = cc.mode
+        feeder.round(2e6, now=now, rtt=RTT + 10 * i, inflight=3000)
+        if before != PROBE_RTT and cc.mode == PROBE_RTT:
+            entries.append(now)
+    assert len(entries) >= 2
+    assert all(b - a > 10 * US_PER_S for a, b in zip(entries, entries[1:]))
 
 
 # --- app-limited guard ------------------------------------------------------
@@ -413,10 +419,11 @@ def walk_all_modes(cc, check):
 def test_stored_outputs_match_reference_through_every_mode(variant):
     cc = make_cc(variant=variant, seed=3)
     modes = []
-    cc.mode_hook = modes.append
 
     def check(cc):
         assert stored_outputs(cc) == reference_congestion.outputs(cc), cc.mode
+        if not modes or modes[-1] != cc.mode:
+            modes.append(cc.mode)
 
     walk_all_modes(cc, check)
     assert {DRAIN, PROBE_BW, PROBE_RTT} <= set(modes)

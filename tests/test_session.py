@@ -101,6 +101,15 @@ def assert_one_live_timer_each(loop, session=None, send_managers=()) -> None:
         assert len(entries) <= 1 and all(entry is handle for entry in entries)
 
 
+def assert_one_live_pump_each(loop, flows) -> None:
+    """Each CappedFlow has at most one live _pump entry in the heap, and none
+    while it is blocked: then only an ack or a loss pumps it again."""
+    live = [entry for entry in loop._heap if entry[2] is not None]
+    for flow in flows:
+        pumps = sum(1 for entry in live if entry[2] == flow._pump)
+        assert pumps <= (0 if flow._blocked else 1)
+
+
 def assert_frames_conserved(session: VideoSession) -> None:
     """Every captured frame is in exactly one sender state, and the sink
     holds each encoded frame in at most one receiver state."""
@@ -329,7 +338,8 @@ def bottleneck_configs(draw):
 def run_bottleneck(config, seed: int, sim_s: int):
     """CappedFlows over a built topology, flow i on flow path i mod their
     number, started up to 1 s apart; returns the network and the flows.
-    After every whole second each flow has at most one live loss timer."""
+    After every whole second each flow has at most one live loss timer and
+    at most one live pump timer, none while it is blocked."""
     loop = EventLoop()
     rng = random.Random(seed)
     net = build_topology(loop, config)
@@ -344,6 +354,7 @@ def run_bottleneck(config, seed: int, sim_s: int):
     for s in range(1, sim_s + 1):
         loop.run(s * US_PER_S)
         assert_one_live_timer_each(loop, send_managers=[flow.sm for flow in flows])
+        assert_one_live_pump_each(loop, flows)
     return net, flows
 
 

@@ -10,13 +10,11 @@ from mprtc.simnet import (
     Link,
     LinkConfig,
     SchedulingError,
-    TraceParseError,
     TraceSchedule,
     US_PER_MS,
     US_PER_S,
     build_multipath_overlay,
     build_topology,
-    load_trace,
     synthetic_trace_pool,
 )
 
@@ -253,18 +251,6 @@ def test_link_config_rejects_non_integer_fields(fields, name):
         LinkConfig(*fields)
 
 
-def test_drop_hook_reports_packet():
-    loop = EventLoop()
-    link = Link(loop, LinkConfig(3_000_000, 50_000, 1500))
-    dropped = []
-    link.drop_hook = dropped.append
-    keeper = Probe(1500, [])
-    loser = Probe(1500, [])
-    link.enqueue(keeper)
-    link.enqueue(loser)
-    assert dropped == [loser]
-
-
 class DropTailModel:
     """Independent FIFO droptail reference: ceil serialization, one server.
 
@@ -309,10 +295,9 @@ class DropTailModel:
 def test_link_matches_droptail_model(capacity, owd_us, queue_capacity, bursts):
     loop = EventLoop()
     link = Link(loop, LinkConfig(capacity, owd_us, queue_capacity))
-    link.drop_hook = lambda p: p.log.append("dropped")
     model = DropTailModel(capacity, owd_us, queue_capacity)
     probes = []
-    expected = []
+    expected = []   # the arrival times each probe's sink sees: none when dropped
     t = 0
     for gap, sizes in bursts:
         t += gap
@@ -324,7 +309,8 @@ def test_link_matches_droptail_model(capacity, owd_us, queue_capacity, bursts):
             probes.append(probe)
             link.enqueue(probe)
             arrival = model.offer(t, size)
-            expected.append(["dropped"] if arrival is None else [arrival])
+            expected.append([] if arrival is None else [arrival])
+            assert link.dropped == expected.count([])
             assert link.occupancy == model.occupancy(t)
             assert link.sent == link.delivered + link.dropped + len(link.queue)
     loop.run(t + 10 * US_PER_S)
@@ -403,8 +389,6 @@ def test_links_sharing_a_trace_match_reference_lookup(entries, owd_us, bursts):
     trace = TraceSchedule(entries)
     loop = EventLoop()
     links = [Link(loop, LinkConfig(1, owd_us, 6_000), trace=trace) for _ in range(2)]
-    for link in links:
-        link.drop_hook = lambda p: p.log.append("dropped")
     models = [TraceDropTailModel(trace, owd_us, 6_000) for _ in range(2)]
     probes = []
     expected = []
@@ -417,9 +401,12 @@ def test_links_sharing_a_trace_match_reference_lookup(entries, owd_us, bursts):
             probes.append(probe)
             links[second].enqueue(probe)
             arrival = models[second].offer(t, size)
-            expected.append(["dropped"] if arrival is None else [arrival])
-    loop.run(max([t] + [log[0] for log in expected if log != ["dropped"]]))
-    assert [p.log for p in probes] == expected
+            expected.append((second, [] if arrival is None else [arrival]))
+    loop.run(max([t] + [log[0] for _, log in expected if log]))
+    assert [p.log for p in probes] == [log for _, log in expected]
+    for i, link in enumerate(links):
+        assert link.dropped == expected.count((i, []))
+        assert link.sent == link.delivered + link.dropped + len(link.queue)
 
 
 @pytest.mark.parametrize("entries, match", [
@@ -443,19 +430,15 @@ def test_trace_stores_whole_floats_as_ints():
     assert all(type(v) is int for v in trace.times + trace.rates + [trace.period_us])
 
 
-def test_trace_step_function(tmp_path):
-    p = tmp_path / "t.csv"
-    p.write_text("0,3000\n1000,5000\n")
-    trace = load_trace(p)
+def test_trace_step_function():
+    trace = TraceSchedule([(0, 3_000_000), (1_000_000, 5_000_000)])
     assert trace.capacity_at(0) == 3_000_000
     assert trace.capacity_at(999_999) == 3_000_000
     assert trace.capacity_at(1_000_000) == 5_000_000
 
 
-def test_single_entry_trace_constant_forever(tmp_path):
-    p = tmp_path / "t.csv"
-    p.write_text("0,2500\n")
-    trace = load_trace(p)
+def test_single_entry_trace_constant_forever():
+    trace = TraceSchedule([(0, 2_500_000)])
     assert trace.capacity_at(0) == 2_500_000
     assert trace.capacity_at(10**9) == 2_500_000
 
@@ -467,28 +450,6 @@ def test_trace_wraps_when_exhausted():
     assert trace.period_us == 300 * US_PER_S
     assert trace.capacity_at(301 * US_PER_S) == trace.capacity_at(1 * US_PER_S)
     assert trace.capacity_at(300 * US_PER_S) == trace.capacity_at(0)
-
-
-def test_trace_parse_errors_name_line(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("0,3000\noops\n")
-    with pytest.raises(TraceParseError, match="bad.csv:2"):
-        load_trace(bad)
-    bad.write_text("1000,3000\n500,2000\n")
-    with pytest.raises(TraceParseError, match="non-increasing"):
-        load_trace(bad)
-    for text in ("0,3000\n1000,0\n", "0,3000\n1000,0.0004\n"):
-        bad.write_text(text)
-        with pytest.raises(TraceParseError, match="bad.csv:2: non-positive"):
-            load_trace(bad)
-    bad.write_text("")
-    with pytest.raises(TraceParseError, match="empty"):
-        load_trace(bad)
-    for text in ("nan,200\n", "0,inf\n", "0,3000\n1e400,5\n"):
-        bad.write_text(text)
-        lineno = text.count("\n")
-        with pytest.raises(TraceParseError, match=f"bad.csv:{lineno}: non-finite"):
-            load_trace(bad)
 
 
 def test_trace_mean_capacity_time_weighted():

@@ -286,10 +286,10 @@ def test_receiver_gap_ranges_and_stop_waiting():
     deliver(1)
     deliver(3)
     assert acks[-1].ack_ranges == [(3, 3), (1, 1)]
-    rx.process_stop_waiting(3)
+    rx.process_stop_waiting(3, loop.now)
     assert rx.ranges.descending() == [(3, 3)]
     with pytest.raises(ValueError, match="floor 2 is not above 3"):
-        rx.process_stop_waiting(2)   # floors strictly rise
+        rx.process_stop_waiting(2, loop.now)   # floors strictly rise
     assert rx.least_unacked == 3
     assert rx.ranges.descending() == [(3, 3)]
     deliver(4)
@@ -301,12 +301,12 @@ def test_stop_waiting_sink_notified():
     loop = EventLoop()
     rx = ReceiveManager(loop, lambda ack, now: None)
     hits = []
-    rx.stop_waiting_sink = lambda conn, least: hits.append((conn, least))
-    rx.process_stop_waiting(7)
+    rx.stop_waiting_sink = lambda conn, least, now: hits.append((conn, least, now))
+    rx.process_stop_waiting(7, 100)
     with pytest.raises(ValueError, match="floor 7 is not above 7"):
-        rx.process_stop_waiting(7)
-    rx.process_stop_waiting(9)
-    assert hits == [(0, 7), (0, 9)]
+        rx.process_stop_waiting(7, 200)
+    rx.process_stop_waiting(9, 300)
+    assert hits == [(0, 7, 100), (0, 9, 300)]
 
 
 @pytest.mark.parametrize("number", [5, 4, 1])

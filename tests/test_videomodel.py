@@ -1,9 +1,8 @@
-"""Video source, encoder lag, drop rule, quality curve, and sink reassembly."""
+"""Video source, encoder lag, drop rule, and sink reassembly."""
 
-import math
 import random
+from typing import NamedTuple
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from mprtc import videomodel
@@ -11,24 +10,39 @@ from mprtc.simnet import EventLoop
 from mprtc.transport import StreamFrame
 from mprtc.videomodel import (
     DROP_BUDGET_US,
-    QualityModelParams,
     VideoSink,
     VideoSource,
-    distortion,
-    quality_score,
 )
+
+
+class Encoded(NamedTuple):
+    """One frame_sink call, with the clock and the encoder rate it saw."""
+    size: int
+    frame_index: int
+    capture_ts: int
+    key_frame: bool
+    encode_done_ts: int
+    rate_at_encode: float
+
+
+def recording_source(loop, rng, reference_rate_fn, min_latency_fn):
+    """A VideoSource whose frame_sink records each call as an Encoded; the
+    encoder's rate holds still between an encode's start and its sink call."""
+    frames = []
+    src = VideoSource(
+        loop,
+        rng,
+        frame_sink=lambda size, fi, capture_ts, key: frames.append(
+            Encoded(size, fi, capture_ts, key, loop.now, src.actual_rate)),
+        reference_rate_fn=reference_rate_fn,
+        min_latency_fn=min_latency_fn,
+    )
+    return src, frames
 
 
 def make_source(rate=3_000_000.0, lam=50_000.0, seed=1):
     loop = EventLoop()
-    frames = []
-    src = VideoSource(
-        loop,
-        random.Random(seed),
-        frame_sink=frames.append,
-        reference_rate_fn=lambda: rate,
-        min_latency_fn=lambda: lam,
-    )
+    src, frames = recording_source(loop, random.Random(seed), lambda: rate, lambda: lam)
     return loop, src, frames
 
 
@@ -75,14 +89,8 @@ class TestSource:
         # exp(-3) of the step, just under 5%.
         rate_box = {"r": 3_000_000.0}
         loop = EventLoop()
-        frames = []
-        src = VideoSource(
-            loop,
-            random.Random(3),
-            frame_sink=frames.append,
-            reference_rate_fn=lambda: rate_box["r"],
-            min_latency_fn=lambda: 50_000.0,
-        )
+        src, frames = recording_source(loop, random.Random(3), lambda: rate_box["r"],
+                                       lambda: 50_000.0)
         src.start(0)
         loop.run(999_999)
         rate_box["r"] = 1_000_000.0
@@ -163,33 +171,6 @@ class TestSource:
         loop2.run(2_000_000)
         assert src1.frame_log == src2.frame_log
         assert [f.size for f in f1] == [f.size for f in f2]
-
-
-class TestQualityCurve:
-    def test_direct_substitution(self):
-        p = QualityModelParams(theta=1.0, r0=0.0, d0=0.0)
-        assert distortion(2.0, p) == 0.5
-
-    def test_domain_error(self):
-        p = QualityModelParams(theta=1.0, r0=100.0, d0=0.0)
-        with pytest.raises(ValueError):
-            distortion(100.0, p)
-        with pytest.raises(ValueError):
-            distortion(50.0, p)
-
-    def test_asymptote_and_monotonicity(self):
-        p = QualityModelParams(theta=3.2e6, r0=50_000.0, d0=2.0)
-        assert abs(distortion(1e12, p) - 2.0) < 1e-5
-        rates = [100_000.0, 500_000.0, 1e6, 2e6, 4e6]
-        values = [distortion(r, p) for r in rates]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert all(v > 2.0 for v in values)
-
-    def test_quality_score(self):
-        assert abs(quality_score(255.0 ** 2) - 0.0) < 1e-12
-        assert quality_score(10.0) > quality_score(20.0)
-        with pytest.raises(ValueError):
-            quality_score(0.0)
 
 
 class TestSink:
