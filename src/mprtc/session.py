@@ -107,11 +107,11 @@ class CappedFlow:
                                    rate_cap_bps=rate_cap_bps)
         self.cc, self.sm, self.rm = self.conn.cc, self.conn.sm, self.conn.rm
         self.sm.loss_hook = self._on_loss
-        self._blocked = False
+        self._pump_timer = None
         self._counter = 0
 
     def start(self) -> None:
-        self.loop.schedule(self.start_ts, self._pump)
+        self._pump_timer = self.loop.schedule(self.start_ts, self._pump)
         self.loop.schedule(self.start_ts + EVICT_TICK_US, self._floor_tick)
 
     def _floor_tick(self) -> None:
@@ -122,25 +122,23 @@ class CappedFlow:
         self.loop.schedule(self.loop.now + EVICT_TICK_US, self._floor_tick)
 
     def _pump(self) -> None:
-        # At most one pump timer is ever pending: it is armed only here, and
-        # while it is pending the flow is not blocked, so _wake cannot pump.
+        # It returns only by arming _pump_timer or finding cwnd full, and
+        # _wake pumps only once that timer is dead: at most one is pending.
         now = self.loop.now
         conn = self.conn
         while True:
             ts = conn.gate(now)
             if ts is None:
-                self._blocked = True
                 return
             if ts > now:
-                self.loop.schedule(ts, self._pump)
+                self._pump_timer = self.loop.schedule(ts, self._pump)
                 return
             segment = StreamFrame(PAYLOAD_BUDGET, self._counter, now, 1, 0, False)
             self._counter += 1
             conn.send(segment, MSS, now, False)  # a full segment fills MSS exactly
 
     def _wake(self) -> None:
-        if self._blocked:
-            self._blocked = False
+        if self._pump_timer[2] is None:
             self._pump()
 
     def _deliver_ack(self, conn: PathConnection, ack) -> None:
@@ -240,16 +238,12 @@ class VideoSession:
                 return  # ack-clocked: the next _deliver_ack pumps again
             if ts > now:
                 self._pump_timers[sid] = self.loop.schedule_by(
-                    self._pump_timers[sid], ts, self._on_pump_timer, sid)
+                    self._pump_timers[sid], ts, self._pump, sid)
                 return
             entry = sched.next_segment(sid, now)
             if entry is None:
                 return
             conn.send(entry.segment, entry.size, now, sub.queued_bytes <= 0, entry)
-
-    def _on_pump_timer(self, sid: int) -> None:
-        self._pump_timers[sid] = None
-        self._pump(sid)
 
     # -- feedback path
 

@@ -39,10 +39,12 @@ class EventLoop:
     call at the same moment for the same time, does not: the event keeps
     its ``(fire_time, seq)``, so every event keeps its order.
 
-    ``schedule_by`` is the one rule for re-arming a timer due by a deadline:
-    keep the live handle due by then, else cancel it and schedule afresh at
-    the deadline, or now once it has passed.  A fired entry keeps its
-    callback and so looks live: its owner drops the handle in the callback.
+    A handle is live exactly until it fires or is cancelled: ``run`` clears
+    each entry's callback as it fires it, so an owner reads a timer's
+    liveness from its handle alone.  ``schedule_by`` is the one rule for
+    re-arming a timer due by a deadline: keep the live handle due by then,
+    else cancel it and schedule afresh at the deadline, or now once it has
+    passed.
     """
 
     __slots__ = ("_heap", "_seq", "now")
@@ -86,9 +88,10 @@ class EventLoop:
         heap = self._heap
         pop = heapq.heappop
         while heap and heap[0][0] <= until:
-            t, _, fn, args = pop(heap)
+            t, _, fn, args = entry = pop(heap)
             if fn is None:
                 continue
+            entry[2] = None
             self.now = t
             fn(*args)
         self.now = until

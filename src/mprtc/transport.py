@@ -146,8 +146,8 @@ class SendManager:
 
     - ``on_ack`` skips every ack range, or part of one, below the oldest
       record, because those numbers were settled earlier.  Ranges descend,
-      so it stops at the first one wholly below that floor.  Per range it
-      costs the smaller of the range above that floor and ``len(records)``.
+      so it stops at the first one wholly below that floor.  It pops each
+      number of a range above that floor, all sent since the oldest record.
     - ``_on_loss_timer`` walks from the oldest record and stops at the
       first one within the loss threshold: it costs the packets it declares
       lost, plus one.
@@ -226,17 +226,10 @@ class SendManager:
                 break  # ranges descend, so every later one is below the floor too
             if start < floor:
                 start = floor
-            if end - start < len(records):
-                for number in range(start, end + 1):
-                    rec = records.pop(number, None)
-                    if rec is not None:
-                        newly_acked.append(rec)
-            else:
-                matched = [rec for number, rec in records.items()
-                           if start <= number <= end]
-                for rec in matched:
-                    del records[rec.number]
-                newly_acked.extend(matched)
+            for number in range(start, end + 1):
+                rec = records.pop(number, None)
+                if rec is not None:
+                    newly_acked.append(rec)
         largest = ack.ack_ranges[0][1]
         if largest > self.largest_acked:
             self.largest_acked = largest
@@ -309,7 +302,6 @@ class SendManager:
 
     def _on_loss_timer(self) -> None:
         # Armed only once srtt > 0, and srtt never returns to 0; no records, no walk.
-        self._loss_timer = None
         threshold = self._threshold
         now = self.loop.now
         lost = []
@@ -410,14 +402,11 @@ class ReceiveManager:
             self.stop_waiting_sink(self.conn_id, least_unacked, now)
 
     def _on_ack_timer(self) -> None:
-        self._ack_timer = None
         if self.pending:
             self._emit_ack(self.loop.now)
 
     def _emit_ack(self, now: int) -> None:
-        if self._ack_timer is not None:
-            self._ack_timer[2] = None
-            self._ack_timer = None
+        self._ack_timer[2] = None  # cancels it, unless it has fired already
         self.pending = 0
         ack = AckFrame(now - self.largest_arrival_ts, self.ranges.descending())
         self.ack_sink(ack, now)

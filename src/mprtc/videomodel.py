@@ -140,11 +140,10 @@ class DeliveredFrame:
 
 
 class _PendingFrame:
-    __slots__ = ("frame_index", "total_segments", "capture_ts", "key_frame",
+    __slots__ = ("total_segments", "capture_ts", "key_frame",
                  "segment_bytes", "high_numbers", "first_arrival")
 
-    def __init__(self, frame_index, total_segments, capture_ts, key_frame, now):
-        self.frame_index = frame_index
+    def __init__(self, total_segments, capture_ts, key_frame, now):
         self.total_segments = total_segments
         self.capture_ts = capture_ts
         self.key_frame = key_frame
@@ -188,7 +187,7 @@ class VideoSink:
             if fi in self._ready:
                 return
             frame = _PendingFrame(
-                fi, segment.total_segments, segment.capture_ts,
+                segment.total_segments, segment.capture_ts,
                 bool(segment.key_frame), now,
             )
             self.pending[fi] = frame

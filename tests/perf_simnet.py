@@ -1,11 +1,11 @@
-"""Microbenchmarks of the network model's per-packet paths.
+"""Microbenchmarks of event dispatch and the network model's per-packet paths.
 
     python -m pytest tests/perf_simnet.py -q
 
 The file name does not match test_*.py, so the plain test run does not
-collect it.  Each round builds a fresh loop and link in its untimed set-up.
-The link is trace-driven like the overlay workloads' access links, so
-every service start also looks up the trace.
+collect it.  Each round builds a fresh loop (and link) in its untimed
+set-up.  The link is trace-driven like the overlay workloads' access links,
+so every service start also looks up the trace.
 """
 
 import random
@@ -15,6 +15,7 @@ from mprtc.simnet import EventLoop, Link, LinkConfig, US_PER_S, synthetic_trace
 ROUNDS = 200
 BURST = 1000
 SIZE = 1200
+EVENTS = 10_000
 
 
 class Sink:
@@ -56,6 +57,30 @@ def look_up_all(trace, times):
     capacity_at = trace.capacity_at
     for t in times:
         capacity_at(t)
+
+
+def noop():
+    pass
+
+
+def loaded_loop():
+    """EVENTS no-op entries, one per microsecond, every third one cancelled."""
+    loop = EventLoop()
+    for t in range(EVENTS):
+        handle = loop.schedule(t, noop)
+        if t % 3 == 0:
+            handle[2] = None
+    return (loop,), {}
+
+
+def run_all(loop):
+    loop.run(EVENTS)
+    return loop
+
+
+def test_dispatch_10000_events(benchmark):
+    loop = benchmark.pedantic(run_all, setup=loaded_loop, rounds=ROUNDS)
+    assert not loop._heap
 
 
 def test_link_burst_of_1000(benchmark):

@@ -34,13 +34,15 @@ def window_of_eighty():
 
 def one_lost_of_110():
     """One packet past the 35 ms threshold ahead of 109 young ones, with the
-    clock at the loss timer's fire time."""
+    clock at the loss timer's fire time and its entry retired, as
+    EventLoop.run leaves an entry it fires."""
     loop, sm = primed_sender()
     sm.send_segment(seg(), MSS, 20_000, False)
     fire_at = sm._loss_timer[0]
     for _ in range(109):
         sm.send_segment(seg(), MSS, 40_000, False)
     advance_clock(loop, fire_at)
+    sm._loss_timer[2] = None
     return (sm,), {}
 
 

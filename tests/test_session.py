@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mprtc import scheduler, session as session_module, transport
+from mprtc import scheduler, session as session_module, simnet, transport
 from mprtc.scheduler import DECISION_LOG_LEN, wire_size
 from mprtc.session import CappedFlow, PathConnection, VideoSession
 from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
@@ -93,7 +93,7 @@ def assert_one_live_timer_each(loop, session=None, send_managers=()) -> None:
     most one live loss timer in the heap, and it is the handle its owner holds."""
     owners = [(sm._on_loss_timer, (), sm._loss_timer) for sm in send_managers]
     if session is not None:
-        owners += [(session._on_pump_timer, (sid,), session._pump_timers[sid])
+        owners += [(session._pump, (sid,), session._pump_timers[sid])
                    for sid in session.sids]
     live = [entry for entry in loop._heap if entry[2] is not None]
     for fn, args, handle in owners:
@@ -102,12 +102,15 @@ def assert_one_live_timer_each(loop, session=None, send_managers=()) -> None:
 
 
 def assert_one_live_pump_each(loop, flows) -> None:
-    """Each CappedFlow has at most one live _pump entry in the heap, and none
-    while it is blocked: then only an ack or a loss pumps it again."""
+    """The live _pump entries of each CappedFlow in the heap are exactly its
+    _pump_timer, or none once that handle is dead: then only an ack or a
+    loss pumps it again."""
     live = [entry for entry in loop._heap if entry[2] is not None]
     for flow in flows:
-        pumps = sum(1 for entry in live if entry[2] == flow._pump)
-        assert pumps <= (0 if flow._blocked else 1)
+        pumps = [entry for entry in live if entry[2] == flow._pump]
+        handle = flow._pump_timer
+        assert pumps == ([handle] if handle[2] is not None else [])
+        assert all(entry is handle for entry in pumps)
 
 
 def assert_frames_conserved(session: VideoSession) -> None:
@@ -202,12 +205,11 @@ def test_earlier_pump_timer_replaces_later_one():
     assert session.scheduler.subflows[sid].queued_bytes > 0
     conn = session.active[sid]
     # The pacer holds the subflow until next_send_ts, so _pump arms a timer.
-    # A replaced timer left live would fire, clear the newer handle, and
-    # from then on every pump would arm a second timer for the same instant.
+    # A replaced timer left live would fire too, pumping the subflow twice.
     for send_ts, live in ((200, [200]), (100, [100]), (300, [100])):
         conn.next_send_ts = send_ts
         session._pump(sid)
-        assert [entry[0] for entry in loop._heap if entry[2] == session._on_pump_timer
+        assert [entry[0] for entry in loop._heap if entry[2] == session._pump
                 and entry[3] == (sid,)] == live
 
 
@@ -222,6 +224,29 @@ def test_collapse_digest_independent_of_hash_seed():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests == [COLLAPSE_PIN, COLLAPSE_PIN]
+
+
+@pytest.mark.parametrize("queue_ms", [1, 2_000])
+def test_collapse_with_queues_not_from_trace_means_keeps_invariants(monkeypatch, queue_ms):
+    """Access queues sized by a queueing time other than the default 200 ms:
+    at 1 ms every one sits at its 6,000-byte floor, at 2 s far above it."""
+    monkeypatch.setattr(simnet, "TRACE_QUEUE_MS", queue_ms)
+
+    def checked(loop, session):
+        sms = [conn.sm for conn in session.paths.values()]
+        assert_one_live_timer_each(loop, session, sms)
+        for sm in sms:
+            assert_send_state_consistent(sm)
+
+    session = run_overlay(collapse_traces(), seed=5, sim_s=30, each_second=checked)
+    access = [conn.path.route[0].queue_capacity for conn in session.paths.values()]
+    if queue_ms == 1:
+        assert set(access) == {6_000}
+    else:
+        assert min(access) > 10 * 6_000
+    assert_overlay_invariants(session)
+    assert overlay_digest(run_overlay(collapse_traces(), seed=5, sim_s=30)) == \
+        overlay_digest(session)
 
 
 @pytest.mark.parametrize("scheme", ["default", "oracle"])

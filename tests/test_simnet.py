@@ -152,6 +152,23 @@ def test_schedule_by_past_deadline_fires_now():
     assert fired == ["other", "late"]
 
 
+def test_fired_handle_is_dead_so_its_callback_can_re_arm_it():
+    loop = EventLoop()
+    fired = []
+
+    def tick():
+        nonlocal handle
+        fired.append(loop.now)
+        if loop.now < 50:
+            handle = loop.schedule_by(handle, 50, tick)
+
+    handle = loop.schedule(10, tick)
+    loop.run(100)
+    # Were a fired entry still live, schedule_by would keep it, due at 10.
+    assert fired == [10, 50]
+    assert handle[2] is None
+
+
 # --- link model -------------------------------------------------------------
 
 def make_link(loop, mbps, owd_ms, queue_ms=100):

@@ -500,6 +500,9 @@ def advance_clock(loop, t):
 
 
 def send_state(sm, samples, hooked):
+    """What the caller and the loop can observe.  A loss timer counts only
+    while it is live: SendManager keeps its fired handle, the reference
+    drops it, and neither reads a dead handle's fields."""
     timer = sm._loss_timer
     return (
         sm.loop._seq,
@@ -509,7 +512,7 @@ def send_state(sm, samples, hooked):
         sm.inflight,
         sm.srtt,
         sm.largest_acked,
-        None if timer is None else (timer[0], timer[1], timer[2] is not None),
+        None if timer is None or timer[2] is None else (timer[0], timer[1]),
     )
 
 
