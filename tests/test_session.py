@@ -249,11 +249,15 @@ def test_collapse_with_queues_not_from_trace_means_keeps_invariants(monkeypatch,
         overlay_digest(session)
 
 
-@pytest.mark.parametrize("scheme", ["default", "oracle"])
-def test_other_schemes_keep_invariants(scheme):
+@pytest.mark.parametrize("scheme, pin", [
+    ("default", "c884f2b345ff632b714a9a8337505649fa1921082fb25ad31eccd9e9f87d67a4"),
+    ("oracle", "cb44a6eec4eb30e5b08f31582266661f18c868083df7a09edf25a7566a93accb"),
+], ids=["default", "oracle"])
+def test_other_schemes_keep_invariants(scheme, pin):
     session = run_overlay(collapse_traces(), seed=5, sim_s=15, scheme=scheme)
     assert_overlay_invariants(session)
     assert len(session.sink.delivered) > 0
+    assert overlay_digest(session) == pin
 
 
 def test_wire_size_computed_once_per_segment(monkeypatch):
