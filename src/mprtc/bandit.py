@@ -1,21 +1,23 @@
-"""UCB path manager: per-path reward bookkeeping and per-slot selection.
+"""Path-selection policies; POLICIES[scheme](candidates) builds a session's.
 
-Each candidate path carries a smoothed reward (Bw_hat), a windowed maximum
-of recent bandwidth samples (Bw), and a pull counter (N).  Once per decision
-slot the manager scores every candidate with
+candidates maps each subflow id to its PathDefs.  Each slot the session
+calls decide(now) for a path id per subflow, where -1 keeps the subflow on
+its current path.  At most once per push interval it hands an active
+path's bandwidth estimate to on_new_bandwidth_sample(path_id, bw, now).
 
-    X = Bw_hat + Bw * sqrt(2 * ln(C * T) / N)
-
-and gives each subflow the argmax.  Bw is the maximum over samples of the
-last 10 s, but the newest sample is always kept, so a path unvisited for
-longer scores with its last sample, and only a path never sampled has an
-empty window and Bw 0.0.  Re-exploration comes from the sqrt term, which
-grows with T while an unpicked path's N stays put.
-
-A push only smooths Bw_hat and appends; select_paths prunes each window and
-computes Bw just before it scores, the one place Bw is read.  Before scoring
-starts, decision T gives each subflow its (T-1) mod n-th candidate by id,
-while T is at most the largest candidate count n.
+- "ucb", PathManager: each candidate has a smoothed reward Bw_hat, the
+  maximum Bw of its samples of the last 10 s (the newest is always kept,
+  so only a never-sampled path has Bw 0.0) and a pull count N.  Decision T
+  gives each subflow its (T-1) mod n-th candidate by id while T is at most
+  the largest candidate count n; later decisions score every candidate
+  with X = Bw_hat + Bw * sqrt(2 ln(C T) / N) and give each subflow the
+  argmax, or -1 if no score is positive.  A push only smooths Bw_hat and
+  appends; select_paths prunes the windows and computes Bw just before it
+  scores, the one place Bw is read.
+- "default", DefaultPolicy: every subflow stays on its first candidate.
+- "oracle", OraclePolicy: the candidate whose trace has the largest mean
+  capacity over the coming slot, the earlier one on a tie.  Neither this
+  nor the default policy reads its samples.
 """
 
 from __future__ import annotations
@@ -111,3 +113,34 @@ class PathManager:
 
     def exploring(self) -> bool:
         return self.T <= max((len(c) for c in self.candidates.values()), default=0)
+
+
+def ucb_policy(candidates: dict) -> PathManager:
+    return PathManager(candidates, [(p.path_id, sid) for sid, paths in candidates.items()
+                                    for p in paths])
+
+
+class DefaultPolicy:
+    """Every subflow stays on its first candidate path; samples are ignored."""
+
+    def __init__(self, candidates: dict) -> None:
+        self.candidates = candidates
+
+    def decide(self, now: int) -> dict[int, int]:
+        return {sid: paths[0].path_id for sid, paths in self.candidates.items()}
+
+    def on_new_bandwidth_sample(self, path_id: int, bw: float, now: int) -> None:
+        pass
+
+
+class OraclePolicy(DefaultPolicy):
+    """Each subflow takes the candidate whose trace has the largest mean over
+    the coming slot (max keeps the first of equal means); samples are ignored."""
+
+    def decide(self, now: int) -> dict[int, int]:
+        end = now + SLOT_US
+        return {sid: max(paths, key=lambda p: p.trace.mean_capacity(now, end)).path_id
+                for sid, paths in self.candidates.items()}
+
+
+POLICIES = {"ucb": ucb_policy, "default": DefaultPolicy, "oracle": OraclePolicy}

@@ -62,7 +62,7 @@ class Scheduler:
         for sid, bw in initial_bw_es.items():
             self.set_bw_es(sid, bw)
         self._by_id = [self.subflows[sid] for sid in sorted(self.subflows)]
-        # (now, frame_index, segment_index, sid, lambdas) of the latest assignments
+        # (now, frame_index, segment_index, sid) of the latest assignments
         self.decision_log: deque = deque(maxlen=DECISION_LOG_LEN)
 
     # -- subflow estimates
@@ -80,8 +80,8 @@ class Scheduler:
     def min_latency(self) -> float:
         return self._fastest()[1]
 
-    def _fastest(self):
-        """(fastest subflow id, its expected latency, all latencies by id).
+    def _fastest(self) -> tuple[int, float]:
+        """(fastest subflow id, its expected latency).
 
         A subflow's expected latency is SRTT/2 + queued_bytes/bw_es.  This is
         the one place that formula is written.  Every bw_es is positive, so a
@@ -89,14 +89,12 @@ class Scheduler:
         """
         best_sid = self._by_id[0].sid  # kept only if every latency is infinite
         best_lat = math.inf
-        lambdas = []
         for sub in self._by_id:
             lat = sub.srtt / 2 + sub.queued_bytes * 8 * US_PER_S / sub.bw_es
-            lambdas.append(lat)
             if lat < best_lat:
                 best_lat = lat
                 best_sid = sub.sid
-        return best_sid, best_lat, lambdas
+        return best_sid, best_lat
 
     # -- assignment
 
@@ -107,10 +105,9 @@ class Scheduler:
         return entries
 
     def _assign(self, entry: SendBufferEntry, now: int) -> None:
-        best_sid, _, lambdas = self._fastest()
+        best_sid = self._fastest()[0]
         seg = entry.segment
-        self.decision_log.append(
-            (now, seg.frame_index, seg.segment_index, best_sid, tuple(lambdas)))
+        self.decision_log.append((now, seg.frame_index, seg.segment_index, best_sid))
         entry.subflow = best_sid
         sub = self.subflows[best_sid]
         sub.queue.append(entry)

@@ -9,12 +9,12 @@ every scheduled callback is an owner method.  CappedFlow drives one connection w
 rate-capped source (the bottleneck-sharing experiments).  VideoSession
 drives one per candidate path under the full stack: video source,
 per-segment scheduler across two subflows, and slot-based path selection
-(learning, pinned default, or trace-mean oracle).
+by the policy that bandit.POLICIES builds for the session's scheme.
 """
 
 from __future__ import annotations
 
-from .bandit import SLOT_US, PathManager
+from .bandit import POLICIES, SLOT_US
 from .congestion import BbrController
 from .scheduler import Scheduler
 from .transport import (
@@ -32,11 +32,6 @@ EVICT_TICK_US = 50_000
 # Bandwidth estimates move on round-trip timescales; feeding the path manager
 # more often than this just burns time rescanning its sample window.
 BANDIT_PUSH_INTERVAL_US = 100_000
-
-SCHEME_UCB = "ucb"
-SCHEME_DEFAULT = "default"
-SCHEME_ORACLE = "oracle"
-SCHEMES = (SCHEME_UCB, SCHEME_DEFAULT, SCHEME_ORACLE)
 
 
 class PathConnection:
@@ -157,19 +152,19 @@ class VideoSession:
 
     Every candidate path keeps its own connection (packet numbering, loss
     state) and congestion controller; controllers of unselected paths are
-    paused so their clocks do not run while idle.  A decision timer picks
-    one path per subflow each slot according to the configured scheme.
+    paused so their clocks do not run while idle.  A decision timer asks
+    the scheme's policy (bandit.POLICIES) for one path per subflow each slot.
     """
 
-    def __init__(self, loop, rng, candidates: dict, *, scheme: str = SCHEME_UCB,
+    def __init__(self, loop, rng, candidates: dict, *, scheme: str = "ucb",
                  variant: str = "rtc-bbr"):
-        if scheme not in SCHEMES:
+        make_policy = POLICIES.get(scheme)
+        if make_policy is None:
             raise ValueError(f"unknown scheme {scheme!r}")
         for sid, paths in candidates.items():
             if not paths:
                 raise ValueError(f"candidates: subflow {sid} has no candidate path")
         self.loop = loop
-        self.scheme = scheme
         self.sids = sorted(candidates)
         self.candidates = {sid: list(candidates[sid]) for sid in self.sids}
         self.sink = VideoSink()
@@ -192,13 +187,7 @@ class VideoSession:
         # Seeded from each first path's controller: schedulable before any ack.
         self.scheduler = Scheduler({sid: self.active[sid].cc.bw_es for sid in self.sids})
         self._last_push_ts = {pid: -BANDIT_PUSH_INTERVAL_US for pid in self.paths}
-
-        if scheme == SCHEME_UCB:
-            pairs = [(p.path_id, sid) for sid in self.sids
-                     for p in self.candidates[sid]]
-            self.pm = PathManager(self.sids, pairs)
-        else:
-            self.pm = None
+        self.policy = make_policy(self.candidates)
 
         self.source = VideoSource(
             loop, rng,
@@ -259,9 +248,9 @@ class VideoSession:
                 sched.update_srtt(conn.sid, sample.rtt)
             sched.set_bw_es(conn.sid, cc.bw_es)
             pid = conn.path.path_id
-            if self.pm is not None and now - self._last_push_ts[pid] >= BANDIT_PUSH_INTERVAL_US:
+            if now - self._last_push_ts[pid] >= BANDIT_PUSH_INTERVAL_US:
                 self._last_push_ts[pid] = now
-                self.pm.on_new_bandwidth_sample(pid, cc.bw_es, now)
+                self.policy.on_new_bandwidth_sample(pid, cc.bw_es, now)
         self._pump(conn.sid)
 
     def _on_acked_records(self, newly_acked) -> None:
@@ -289,31 +278,13 @@ class VideoSession:
 
     def _decision_tick(self) -> None:
         now = self.loop.now
-        mapping = self._decide(now)
+        mapping = self.policy.decide(now)
         for sid in self.sids:
-            target = mapping.get(sid, -1)
-            current = self.active[sid].path.path_id
-            if target != -1 and target != current:
+            target = mapping[sid]
+            if target != -1 and target != self.active[sid].path.path_id:
                 self._switch(sid, target, now)
             self.selections.append((now, sid, self.active[sid].path.path_id))
         self.loop.schedule(now + SLOT_US, self._decision_tick)
-
-    def _decide(self, now: int) -> dict[int, int]:
-        if self.scheme == SCHEME_UCB:
-            return self.pm.decide(now)
-        if self.scheme == SCHEME_DEFAULT:
-            return {sid: self.candidates[sid][0].path_id for sid in self.sids}
-        chosen = {}
-        for sid in self.sids:
-            best_id = -1
-            best_mean = -1.0
-            for path in self.candidates[sid]:
-                mean = path.trace.mean_capacity(now, now + SLOT_US)
-                if mean > best_mean:
-                    best_mean = mean
-                    best_id = path.path_id
-            chosen[sid] = best_id
-        return chosen
 
     def _switch(self, sid: int, path_id: int, now: int) -> None:
         self.active[sid].cc.pause(now)

@@ -402,8 +402,7 @@ class ReceiveManager:
             self.stop_waiting_sink(self.conn_id, least_unacked, now)
 
     def _on_ack_timer(self) -> None:
-        if self.pending:
-            self._emit_ack(self.loop.now)
+        self._emit_ack(self.loop.now)
 
     def _emit_ack(self, now: int) -> None:
         self._ack_timer[2] = None  # cancels it, unless it has fired already

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_bandit
-from mprtc.bandit import OBSERVED_TIME_US, PathManager
+from mprtc.bandit import OBSERVED_TIME_US, SLOT_US, DefaultPolicy, OraclePolicy, PathManager
+from mprtc.session import VideoSession
+from mprtc.simnet import EventLoop, PathDef, TraceSchedule
 
 
 def snapshot(manager):
@@ -322,3 +324,49 @@ def test_two_arm_convergence_prefers_faster_arm():
             if slot >= 20 and current == 1:
                 best_picks += 1
         assert best_picks >= 0.8 * 40, f"seed {seed}: {best_picks}/40"
+
+
+# --- the default and oracle policies ----------------------------------------
+
+def trace_path(path_id, entries):
+    return PathDef(path_id, (), 0, trace=TraceSchedule(entries))
+
+
+def test_oracle_picks_the_larger_mean_over_the_slot():
+    # Against a steady 2 Mbit/s: path 2 starts the slot at 1 Mbit/s but
+    # alternates with 5 Mbit/s every 0.2 s (slot mean 2.6 Mbit/s); path 4
+    # starts it at 5 Mbit/s but drops to 1 Mbit/s after 0.1 s (1.4 Mbit/s).
+    rising = trace_path(2, [(0, 1_000_000), (200_000, 5_000_000)])
+    falling = trace_path(4, [(0, 5_000_000), (100_000, 1_000_000), (1_000_000, 5_000_000)])
+    oracle = OraclePolicy({0: [trace_path(1, [(0, 2_000_000)]), rising],
+                           1: [trace_path(3, [(0, 2_000_000)]), falling]})
+    assert rising.trace.capacity_at(0) < 2_000_000 < falling.trace.capacity_at(0)
+    assert rising.trace.mean_capacity(0, SLOT_US) == pytest.approx(2_600_000)
+    assert falling.trace.mean_capacity(0, SLOT_US) == pytest.approx(1_400_000)
+    assert oracle.decide(0) == {0: 2, 1: 3}
+
+
+def test_oracle_breaks_a_tie_towards_the_earlier_candidate():
+    # Listed order, not path id, decides a tie.
+    oracle = OraclePolicy({0: [trace_path(5, [(0, 3_000_000)]),
+                               trace_path(2, [(0, 3_000_000)])],
+                           1: [trace_path(7, [(0, 1_000_000), (500_000, 3_000_000)]),
+                               trace_path(4, [(0, 2_000_000)])]})
+    assert oracle.decide(0) == {0: 5, 1: 7}
+
+
+def test_default_never_leaves_the_first_candidate():
+    paths = {0: [trace_path(3, [(0, 1_000_000)]), trace_path(1, [(0, 6_000_000)])],
+             1: [trace_path(0, [(0, 1_000_000)]), trace_path(2, [(0, 6_000_000)])]}
+    policy = DefaultPolicy(paths)
+    for slot in range(20):
+        now = slot * SLOT_US
+        for pid, bw in ((1, 6e6), (2, 6e6), (3, 1e5), (0, 1e5)):
+            policy.on_new_bandwidth_sample(pid, bw, now)
+        assert policy.decide(now) == {0: 3, 1: 0}
+
+
+def test_unknown_scheme_is_rejected_by_the_session():
+    paths = {0: [trace_path(0, [(0, 2_000_000)])]}
+    with pytest.raises(ValueError, match="unknown scheme 'thompson'"):
+        VideoSession(EventLoop(), random.Random(1), paths, scheme="thompson")
