@@ -5,15 +5,17 @@ calls decide(now) for a path id per subflow, where -1 keeps the subflow on
 its current path.  At most once per push interval it hands an active
 path's bandwidth estimate to on_new_bandwidth_sample(path_id, bw, now).
 
-- "ucb", PathManager: each candidate has a smoothed reward Bw_hat, the
-  maximum Bw of its samples of the last 10 s (the newest is always kept,
-  so only a never-sampled path has Bw 0.0) and a pull count N.  Decision T
-  gives each subflow its (T-1) mod n-th candidate by id while T is at most
-  the largest candidate count n; later decisions score every candidate
-  with X = Bw_hat + Bw * sqrt(2 ln(C T) / N) and give each subflow the
-  argmax, or -1 if no score is positive.  A push only smooths Bw_hat and
-  appends; select_paths prunes the windows and computes Bw just before it
-  scores, the one place Bw is read.
+- "ucb", PathManager: built from the candidates map, it keeps each
+  subflow's candidates in path id order.  Each candidate has a smoothed
+  reward Bw_hat, the maximum Bw of its samples of the last 10 s (the newest
+  is always kept, so only a never-sampled path has Bw 0.0) and a pull count
+  N.  Decision T gives each subflow its (T-1) mod n-th candidate while T
+  is at most the largest candidate count n; later decisions score each
+  subflow's candidates with X = Bw_hat + Bw * sqrt(2 ln(C T) / N) for C
+  subflows and give it the argmax, the lower id on a tie, or -1 if no
+  score is positive.  A push only smooths Bw_hat and appends; select_paths
+  prunes the windows and computes Bw just before it scores, the one place
+  Bw is read.
 - "default", DefaultPolicy: every subflow stays on its first candidate.
 - "oracle", OraclePolicy: the candidate whose trace has the largest mean
   capacity over the coming slot, the earlier one on a tie.  Neither this
@@ -31,11 +33,10 @@ SLOT_US = 1_000_000
 
 
 class PathStats:
-    __slots__ = ("id", "flowid", "Bw", "Bw_hat", "N", "bwSamples_")
+    __slots__ = ("id", "Bw", "Bw_hat", "N", "bwSamples_")
 
-    def __init__(self, path_id: int, flowid: int) -> None:
+    def __init__(self, path_id: int) -> None:
         self.id = path_id
-        self.flowid = flowid
         self.Bw = 0.0
         self.Bw_hat = 0.0
         self.N = 1
@@ -43,18 +44,12 @@ class PathStats:
 
 
 class PathManager:
-    """Bookkeeping plus selection over (subflow, candidate path) pairs."""
+    """UCB over each subflow's candidate paths, in path id order."""
 
-    def __init__(self, subflows, paths) -> None:
-        """subflows: iterable of flow ids; paths: iterable of (path_id, flowid)."""
-        self.subflows = list(subflows)
-        self.paths = [PathStats(pid, fid) for pid, fid in paths]
-        self.by_id = {p.id: p for p in self.paths}
-        self.candidates = {fid: sorted(p.id for p in self.paths if p.flowid == fid)
-                           for fid in self.subflows}
-        for fid, cands in self.candidates.items():
-            if not cands:
-                raise ValueError(f"paths: subflow {fid} has no candidate path")
+    def __init__(self, candidates: dict) -> None:
+        self.candidates = {sid: [PathStats(pid) for pid in sorted(p.path_id for p in paths)]
+                           for sid, paths in candidates.items()}
+        self.by_id = {p.id: p for stats in self.candidates.values() for p in stats}
         self.T = 1
 
     def on_new_bandwidth_sample(self, path_id: int, bw: float, now: int) -> None:
@@ -81,21 +76,19 @@ class PathManager:
 
     def select_paths(self, now: int) -> dict[int, int]:
         """One scored decision round; -1 means no candidate had positive score."""
-        for p in self.paths:
-            self.delete_obsolete_samples(p.id, now)
-        C = len(self.subflows)
+        for path_id in self.by_id:
+            self.delete_obsolete_samples(path_id, now)
+        C = len(self.candidates)
         chosen = {}
-        for flowid in self.subflows:
+        for sid, stats in self.candidates.items():
             x_max = 0.0
             path_id = -1
-            for p in self.paths:
-                if p.flowid != flowid:
-                    continue
+            for p in stats:
                 x = p.Bw_hat + p.Bw * math.sqrt(2 * math.log(C * self.T) / p.N)
                 if x > x_max:
                     x_max = x
                     path_id = p.id
-            chosen[flowid] = path_id
+            chosen[sid] = path_id
             if path_id != -1:
                 self.by_id[path_id].N += 1
         self.T += 1
@@ -104,7 +97,7 @@ class PathManager:
     def decide(self, now: int) -> dict[int, int]:
         """Per-slot decision: forced initial exploration, then UCB rounds."""
         if self.exploring():
-            chosen = {fid: c[(self.T - 1) % len(c)] for fid, c in self.candidates.items()}
+            chosen = {sid: c[(self.T - 1) % len(c)].id for sid, c in self.candidates.items()}
             for path_id in chosen.values():
                 self.by_id[path_id].N += 1
             self.T += 1
@@ -113,11 +106,6 @@ class PathManager:
 
     def exploring(self) -> bool:
         return self.T <= max((len(c) for c in self.candidates.values()), default=0)
-
-
-def ucb_policy(candidates: dict) -> PathManager:
-    return PathManager(candidates, [(p.path_id, sid) for sid, paths in candidates.items()
-                                    for p in paths])
 
 
 class DefaultPolicy:
@@ -143,4 +131,4 @@ class OraclePolicy(DefaultPolicy):
                 for sid, paths in self.candidates.items()}
 
 
-POLICIES = {"ucb": ucb_policy, "default": DefaultPolicy, "oracle": OraclePolicy}
+POLICIES = {"ucb": PathManager, "default": DefaultPolicy, "oracle": OraclePolicy}

@@ -29,8 +29,9 @@ from .transport import (
 from .videomodel import RATE_CAP_BPS, VideoSink, VideoSource
 
 EVICT_TICK_US = 50_000
-# Bandwidth estimates move on round-trip timescales; feeding the path manager
-# more often than this just burns time rescanning its sample window.
+# The least spacing of one path's bandwidth samples to the policy.  For ucb
+# it sets the samples that Bw_hat smooths and how many a 10 s window holds
+# when select_paths scans it; changing it moves every ucb digest.
 BANDIT_PUSH_INTERVAL_US = 100_000
 
 
@@ -161,9 +162,14 @@ class VideoSession:
         make_policy = POLICIES.get(scheme)
         if make_policy is None:
             raise ValueError(f"unknown scheme {scheme!r}")
+        listed = set()
         for sid, paths in candidates.items():
             if not paths:
                 raise ValueError(f"candidates: subflow {sid} has no candidate path")
+            for path in paths:
+                if path.path_id in listed:
+                    raise ValueError(f"candidates: path {path.path_id} is listed twice")
+                listed.add(path.path_id)
         self.loop = loop
         self.sids = sorted(candidates)
         self.candidates = {sid: list(candidates[sid]) for sid in self.sids}

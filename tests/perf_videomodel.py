@@ -13,6 +13,7 @@ workload's 2 subflows x 2 paths with 10 s of samples pushed every 100 ms.
 """
 
 from mprtc.bandit import PathManager
+from mprtc.simnet import PathDef
 from mprtc.transport import PAYLOAD_BUDGET, StreamFrame
 from mprtc.videomodel import ABANDON_AGE_US, VideoSink
 
@@ -63,7 +64,8 @@ def pending_frames():
 
 
 def manager_with_samples():
-    pm = PathManager([0, 1], [(0, 0), (1, 0), (2, 1), (3, 1)])
+    pm = PathManager({0: [PathDef(0, (), 0), PathDef(1, (), 0)],
+                      1: [PathDef(2, (), 0), PathDef(3, (), 0)]})
     for k in range(100):
         now = k * 100_000
         for pid in range(4):

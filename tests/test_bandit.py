@@ -5,14 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_bandit
-from mprtc.bandit import OBSERVED_TIME_US, SLOT_US, DefaultPolicy, OraclePolicy, PathManager
+from mprtc.bandit import (OBSERVED_TIME_US, POLICIES, SLOT_US, DefaultPolicy, OraclePolicy,
+                          PathManager)
 from mprtc.session import VideoSession
 from mprtc.simnet import EventLoop, PathDef, TraceSchedule
 
 
+def make_manager(subflows, pairs):
+    """A PathManager over the reference's world: subflow ids and
+    (path_id, sid) pairs, each subflow's candidates in listed order."""
+    return PathManager({sid: [PathDef(pid, (), 0) for pid, s in pairs if s == sid]
+                        for sid in subflows})
+
+
 def snapshot(manager):
     """(Bw, Bw_hat, N, whether it has a sample) per path."""
-    return {p.id: (p.Bw, p.Bw_hat, p.N, bool(p.bwSamples_)) for p in manager.paths}
+    return {p.id: (p.Bw, p.Bw_hat, p.N, bool(p.bwSamples_)) for p in manager.by_id.values()}
 
 
 def reference_snapshot(ref):
@@ -39,7 +47,7 @@ class Replay:
 
     def __init__(self, subflows, paths):
         self.ref = reference_bandit.new_state(subflows, paths)
-        self.prod = PathManager(subflows, paths)
+        self.prod = make_manager(subflows, paths)
         self.decisions = 0
 
     def push(self, path_id, bw, now):
@@ -118,13 +126,13 @@ def test_matches_reference_with_long_gaps_and_a_silent_path(case):
 # --- scripted walk-throughs -------------------------------------------------
 
 def make_single():
-    return PathManager([0], [(0, 0)])
+    return make_manager([0], [(0, 0)])
 
 
 def test_first_sample_seeds_all_fields():
     m = make_single()
     m.on_new_bandwidth_sample(0, 2e6, now=0)
-    p = m.paths[0]
+    p = m.by_id[0]
     assert (p.Bw_hat, list(p.bwSamples_)) == (2e6, [(2e6, 0)])
     assert p.Bw == 0.0  # a push does not refresh the window max; a decision does
     m.select_paths(now=0)
@@ -135,7 +143,7 @@ def test_smoothed_reward_update():
     m = make_single()
     m.on_new_bandwidth_sample(0, 2e6, now=0)
     m.on_new_bandwidth_sample(0, 3e6, now=1_000_000)
-    p = m.paths[0]
+    p = m.by_id[0]
     assert p.Bw_hat == pytest.approx(0.1 * 2e6 + 0.9 * 3e6)
     m.delete_obsolete_samples(0, now=1_000_000)
     assert p.Bw == 3e6
@@ -150,7 +158,7 @@ def test_stale_sample_pruned_and_window_max_recomputed():
     m.on_new_bandwidth_sample(0, 2e6, now=0)
     m.on_new_bandwidth_sample(0, 1e6, now=10_000_000)
     m.delete_obsolete_samples(0, now=11_000_000)
-    p = m.paths[0]
+    p = m.by_id[0]
     assert list(p.bwSamples_) == [(1e6, 10_000_000)]
     assert p.Bw == 1e6  # the pruned peak no longer counts
 
@@ -159,7 +167,7 @@ def test_single_stale_sample_is_retained():
     m = make_single()
     m.on_new_bandwidth_sample(0, 2e6, now=0)
     m.delete_obsolete_samples(0, now=OBSERVED_TIME_US * 5)
-    p = m.paths[0]
+    p = m.by_id[0]
     assert len(p.bwSamples_) == 1
     assert p.Bw == 2e6
 
@@ -167,8 +175,8 @@ def test_single_stale_sample_is_retained():
 def test_unsampled_path_has_zero_window_max():
     m = make_single()
     m.delete_obsolete_samples(0, now=0)
-    assert m.paths[0].Bw == 0.0
-    assert not m.paths[0].bwSamples_
+    assert m.by_id[0].Bw == 0.0
+    assert not m.by_id[0].bwSamples_
 
 
 def test_score_arithmetic_frozen_value():
@@ -178,7 +186,7 @@ def test_score_arithmetic_frozen_value():
     # value flips the choice, in the manager and in the reference alike.
     subflows, paths = [0, 1], [(0, 0), (1, 0), (2, 1)]
     for rival, chosen in ((5.982e6, 0), (5.994e6, 1)):
-        m = PathManager(subflows, paths)
+        m = make_manager(subflows, paths)
         ref = reference_bandit.new_state(subflows, paths)
         for pid, bw_hat, bw, n in ((0, 2.9e6, 3e6, 10), (1, rival, 1.0, 10)):
             p = m.by_id[pid]
@@ -197,18 +205,18 @@ def test_single_candidate_always_chosen_and_n_counts_slots():
     for slot in range(30):
         chosen = m.select_paths(now=slot * 1_000_000)
         assert chosen == {0: 0}
-    assert m.paths[0].N == 31
+    assert m.by_id[0].N == 31
     assert m.T == 31
 
 
 def test_unsampled_world_selects_nobody():
-    m = PathManager([0], [(0, 0), (1, 0)])
+    m = make_manager([0], [(0, 0), (1, 0)])
     assert m.select_paths(now=0) == {0: -1}
-    assert m.paths[0].N == 1 and m.paths[1].N == 1
+    assert m.by_id[0].N == 1 and m.by_id[1].N == 1
 
 
 def test_equal_scores_break_to_lower_path_id():
-    m = PathManager([0], [(1, 0), (2, 0)])
+    m = make_manager([0], [(2, 0), (1, 0)])  # listed out of id order
     for pid in (1, 2):
         m.on_new_bandwidth_sample(pid, 2e6, now=0)
     assert m.select_paths(now=0) == {0: 1}
@@ -217,7 +225,7 @@ def test_equal_scores_break_to_lower_path_id():
 def test_scale_invariance_of_choices():
     def run(scale):
         rng = random.Random(77)
-        m = PathManager([0, 1], [(0, 0), (1, 0), (2, 1), (3, 1)])
+        m = make_manager([0, 1], [(0, 0), (1, 0), (2, 1), (3, 1)])
         choices = []
         now = 0
         for _ in range(400):
@@ -242,7 +250,7 @@ def test_reward_stays_within_sample_envelope():
         lo, hi = min(lo, bw), max(hi, bw)
         m.on_new_bandwidth_sample(0, bw, now)
         m.delete_obsolete_samples(0, now)
-        p = m.paths[0]
+        p = m.by_id[0]
         assert lo <= p.Bw_hat <= hi
         assert lo <= p.Bw <= hi
 
@@ -250,14 +258,14 @@ def test_reward_stays_within_sample_envelope():
 # --- initial exploration ----------------------------------------------------
 
 def test_exploration_visits_every_candidate_in_id_order():
-    m = PathManager([0, 1], [(0, 0), (1, 0), (2, 1), (3, 1)])
+    m = make_manager([0, 1], [(0, 0), (1, 0), (2, 1), (3, 1)])
     assert m.exploring()
     first = m.decide(now=0)
     second = m.decide(now=1_000_000)
     assert first == {0: 0, 1: 2}
     assert second == {0: 1, 1: 3}
     assert not m.exploring()
-    assert [p.N for p in m.paths] == [2, 2, 2, 2]
+    assert [m.by_id[pid].N for pid in range(4)] == [2, 2, 2, 2]
     assert m.T == 3
 
 
@@ -275,18 +283,13 @@ def test_exploration_rule_matches_precomputed_rounds():
         rng = random.Random(seed)
         subflows, paths = random_world(rng)
         rng.shuffle(paths)  # candidates are ordered by id, not by listing
-        m = PathManager(subflows, paths)
+        m = make_manager(subflows, paths)
         rounds = precomputed_exploration(subflows, paths)
         for k, want in enumerate(rounds):
             assert m.exploring()
             assert m.decide(now=k * 1_000_000) == want
         assert not m.exploring()
         assert m.T == len(rounds) + 1
-
-
-def test_subflow_without_path_is_rejected():
-    with pytest.raises(ValueError, match="paths"):
-        PathManager([0, 1], [(0, 0), (1, 0)])
 
 
 def test_exploration_single_candidate_is_one_slot():
@@ -296,7 +299,7 @@ def test_exploration_single_candidate_is_one_slot():
 
 
 def test_post_exploration_uses_scores():
-    m = PathManager([0], [(0, 0), (1, 0)])
+    m = make_manager([0], [(0, 0), (1, 0)])
     m.decide(0)
     m.decide(1_000_000)
     m.on_new_bandwidth_sample(0, 1e6, 1_500_000)
@@ -309,7 +312,7 @@ def test_post_exploration_uses_scores():
 def test_two_arm_convergence_prefers_faster_arm():
     for seed in range(20):
         rng = random.Random(4000 + seed)
-        m = PathManager([0], [(0, 0), (1, 0)])
+        m = make_manager([0], [(0, 0), (1, 0)])
         capacity = {0: 2e6, 1: 3e6}
         current = 0
         best_picks = 0
@@ -370,3 +373,15 @@ def test_unknown_scheme_is_rejected_by_the_session():
     paths = {0: [trace_path(0, [(0, 2_000_000)])]}
     with pytest.raises(ValueError, match="unknown scheme 'thompson'"):
         VideoSession(EventLoop(), random.Random(1), paths, scheme="thompson")
+
+
+def test_each_policy_applies_its_own_order_to_the_same_candidates():
+    # Listed out of id order.  Default takes the first listed candidate,
+    # oracle the largest slot mean (subflow 1 ties, and the earlier listed
+    # wins), ucb explores the lowest id first.
+    candidates = {0: [trace_path(3, [(0, 1_000_000)]), trace_path(1, [(0, 4_000_000)]),
+                      trace_path(2, [(0, 2_000_000)])],
+                  1: [trace_path(6, [(0, 3_000_000)]), trace_path(5, [(0, 1_000_000)]),
+                      trace_path(4, [(0, 3_000_000)])]}
+    first = {scheme: make_policy(candidates).decide(0) for scheme, make_policy in POLICIES.items()}
+    assert first == {"default": {0: 3, 1: 6}, "oracle": {0: 1, 1: 6}, "ucb": {0: 1, 1: 4}}

@@ -302,9 +302,15 @@ def test_subflow_without_candidate_is_rejected():
     rng = random.Random(5)
     net = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
                          traces=collapse_traces())
-    for scheme in ("ucb", "default", "oracle"):
-        with pytest.raises(ValueError, match="candidates"):
-            VideoSession(loop, rng, {0: net.candidates[0], 1: []}, scheme=scheme)
+    (p0, p1), (p2, p3) = net.candidates[0], net.candidates[1]
+    # A path id listed twice, across two subflows or within one, is refused
+    # in the same check: connections and the ucb policy are keyed by id.
+    for candidates, message in (({0: [p0, p1], 1: []}, "subflow 1 has no candidate path"),
+                                ({0: [p1, p0], 1: [p1, p3]}, "path 1 is listed twice"),
+                                ({0: [p2, p2], 1: [p3]}, "path 2 is listed twice")):
+        for scheme in ("ucb", "default", "oracle"):
+            with pytest.raises(ValueError, match=f"candidates: {message}"):
+                VideoSession(loop, rng, candidates, scheme=scheme)
 
 
 # --- generated scenarios ------------------------------------------------------
