@@ -17,9 +17,9 @@ path's bandwidth estimate to on_new_bandwidth_sample(path_id, bw, now).
   prunes the windows and computes Bw just before it scores, the one place
   Bw is read.
 - "default", DefaultPolicy: every subflow stays on its first candidate.
-- "oracle", OraclePolicy: the candidate whose trace has the largest mean
-  capacity over the coming slot, the earlier one on a tie.  Neither this
-  nor the default policy reads its samples.
+- "oracle", OraclePolicy: the candidate whose trace (each must have one) has
+  the largest mean capacity over the coming slot, the earlier one on a tie.
+  Neither this nor the default policy reads its samples.
 """
 
 from __future__ import annotations
@@ -124,6 +124,11 @@ class DefaultPolicy:
 class OraclePolicy(DefaultPolicy):
     """Each subflow takes the candidate whose trace has the largest mean over
     the coming slot (max keeps the first of equal means); samples are ignored."""
+
+    def __init__(self, candidates: dict) -> None:
+        for path in (p for paths in candidates.values() for p in paths if p.trace is None):
+            raise ValueError(f"candidates: path {path.path_id} has no capacity trace")
+        super().__init__(candidates)
 
     def decide(self, now: int) -> dict[int, int]:
         end = now + SLOT_US

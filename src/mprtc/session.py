@@ -4,8 +4,9 @@ A PathConnection is one path's QUIC-like connection (SendManager and
 ReceiveManager, so its own packet numbers and loss state) plus its RTC-BBR
 controller.  It hands each ack to its owner's _deliver_ack(conn, ack) one
 reverse delay after the receiver sends it, gates sends on pacer and cwnd,
-and advances the stop-waiting floor; the owner decides what to send, and
-every scheduled callback is an owner method.  CappedFlow drives one connection with a saturating,
+and advances the stop-waiting floor.  The owner decides what to send, learns
+what each ack settled from the samples of SendManager.on_ack, and owns every
+scheduled callback.  CappedFlow drives one connection with a saturating,
 rate-capped source (the bottleneck-sharing experiments).  VideoSession
 drives one per candidate path under the full stack: video source,
 per-segment scheduler across two subflows, and slot-based path selection
@@ -186,7 +187,6 @@ class VideoSession:
                                       self._deliver_ack, sid=sid)
                 conn.rm.segment_sink = self.sink.on_segment
                 conn.rm.stop_waiting_sink = self.sink.on_stop_waiting
-                conn.sm.ack_hook = self._on_acked_records
                 conn.sm.loss_hook = self._on_loss
                 self.paths[path.path_id] = conn
             self.active[sid] = self.paths[self.candidates[sid][0].path_id]
@@ -245,10 +245,12 @@ class VideoSession:
     def _deliver_ack(self, conn: PathConnection, ack) -> None:
         now = self.loop.now
         samples = conn.sm.on_ack(ack, now)
+        sched = self.scheduler
+        for sample in samples:
+            sched.mark_acked(sample.context)  # every data packet carries its entry
         # An unselected path's controller is paused and takes no samples.
         if samples and not conn.cc.paused:
             cc = conn.cc
-            sched = self.scheduler
             for sample in samples:
                 cc.on_delivery_sample(sample, now)
                 sched.update_srtt(conn.sid, sample.rtt)
@@ -258,11 +260,6 @@ class VideoSession:
                 self._last_push_ts[pid] = now
                 self.policy.on_new_bandwidth_sample(pid, cc.bw_es, now)
         self._pump(conn.sid)
-
-    def _on_acked_records(self, newly_acked) -> None:
-        # Every data packet carries its send-buffer entry.
-        for rec in newly_acked:
-            self.scheduler.mark_acked(rec.context)
 
     def _on_loss(self, lost) -> None:
         self.lost_packets += len(lost)

@@ -105,6 +105,7 @@ class DeliveryRateSample:
     app_limited: bool
     delivered_at_send: int  # cumulative delivered bytes when the packet left
     delivered_at_ack: int   # cumulative delivered bytes when it was acked
+    context: object = None  # the acked packet's context: the caller's tag, now settled
 
 
 class SimPacket:
@@ -148,6 +149,9 @@ class SendManager:
       record, because those numbers were settled earlier.  Ranges descend,
       so it stops at the first one wholly below that floor.  It pops each
       number of a range above that floor, all sent since the oldest record.
+      It returns one sample per newly acked packet, carrying that packet's
+      ``context``: the one report of what the ack settled.  An ack that
+      settles nothing new still runs reorder detection and returns ``[]``.
     - ``_on_loss_timer`` walks from the oldest record and stops at the
       first one within the loss threshold: it costs the packets it declares
       lost, plus one.
@@ -173,7 +177,6 @@ class SendManager:
         self._threshold = self._loss_threshold()
         self.packets_sent = 0
         self.loss_hook = None       # called with [SimPacket] on new losses
-        self.ack_hook = None        # called with [SimPacket] newly acked
         self.receiver_sink = None   # set by session wiring
         self._loss_timer = None
 
@@ -233,10 +236,6 @@ class SendManager:
         largest = ack.ack_ranges[0][1]
         if largest > self.largest_acked:
             self.largest_acked = largest
-        if not newly_acked:
-            self._detect_reorder_loss(now)
-            return []
-
         acked_bytes = 0
         for rec in newly_acked:
             acked_bytes += rec.size
@@ -244,11 +243,9 @@ class SendManager:
         self.delivered_bytes += acked_bytes
         delivered_now = self.delivered_bytes
 
-        lost = self._detect_reorder_loss(now)
-        has_loss = bool(lost)
-        if self.ack_hook is not None:
-            self.ack_hook(newly_acked)
-
+        has_loss = bool(self._detect_reorder_loss())
+        if not newly_acked:
+            return []
         samples = []
         for rec in newly_acked:
             interval = now - rec.sent_ts
@@ -260,13 +257,13 @@ class SendManager:
             bw = (delivered_now - rec.delivered_at_send) * 8 * US_PER_S / interval
             samples.append(DeliveryRateSample(bw, rtt, self.inflight, has_loss,
                                               rec.app_limited, rec.delivered_at_send,
-                                              delivered_now))
+                                              delivered_now, rec.context))
             self.srtt = ewma_srtt(self.srtt, rtt)
         self._threshold = self._loss_threshold()
         self._arm_loss_timer()
         return samples
 
-    def _detect_reorder_loss(self, now: int):
+    def _detect_reorder_loss(self):
         """Packets REORDER_THRESHOLD behind the largest ack are lost."""
         horizon = self.largest_acked - REORDER_THRESHOLD
         if horizon < 1 or not self.records:

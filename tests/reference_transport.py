@@ -52,20 +52,14 @@ class ReferenceSendManager(SendManager):
                 newly_acked.extend(matched)
         if ack.ack_ranges[0][1] > self.largest_acked:
             self.largest_acked = ack.ack_ranges[0][1]
-        if not newly_acked:
-            self._detect_reorder_loss(now)
-            return []
-
         for rec in newly_acked:
             self.inflight -= rec.size
             self.delivered_bytes += rec.size
         delivered_now = self.delivered_bytes
 
-        lost = self._detect_reorder_loss(now)
-        has_loss = bool(lost)
-        if self.ack_hook is not None:
-            self.ack_hook(newly_acked)
-
+        has_loss = bool(self._detect_reorder_loss())
+        if not newly_acked:
+            return []
         samples = []
         for rec in newly_acked:
             interval = now - rec.sent_ts
@@ -77,7 +71,7 @@ class ReferenceSendManager(SendManager):
             bw = (delivered_now - rec.delivered_at_send) * 8 * US_PER_S / interval
             samples.append(DeliveryRateSample(bw, rtt, self.inflight, has_loss,
                                               rec.app_limited, rec.delivered_at_send,
-                                              delivered_now))
+                                              delivered_now, rec.context))
             self.srtt = ewma_srtt(self.srtt, rtt)
         self._arm_loss_timer()
         return samples

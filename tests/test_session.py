@@ -145,6 +145,18 @@ def assert_overlay_invariants(session: VideoSession) -> None:
         assert_send_state_consistent(conn.sm)
     for sub in session.scheduler.subflows.values():
         assert sub.queued_bytes == sum(wire_size(e.segment) for e in sub.queue)
+    assert_entries_outstanding_once(session)
+
+
+def assert_entries_outstanding_once(session: VideoSession) -> None:
+    """A send-buffer entry is the context of at most one outstanding record,
+    and is never queued while it is: so none of the entries an ack marks
+    acked is one that a loss the same ack declares could send again."""
+    outstanding = [id(rec.context) for conn in session.paths.values()
+                   for rec in conn.sm.records.values()]
+    assert len(set(outstanding)) == len(outstanding)
+    queued = {id(e) for sub in session.scheduler.subflows.values() for e in sub.queue}
+    assert queued.isdisjoint(outstanding)
 
 
 def test_overlay_ucb_pinned():
@@ -237,6 +249,7 @@ def test_collapse_with_queues_not_from_trace_means_keeps_invariants(monkeypatch,
         assert_one_live_timer_each(loop, session, sms)
         for sm in sms:
             assert_send_state_consistent(sm)
+        assert_entries_outstanding_once(session)
 
     session = run_overlay(collapse_traces(), seed=5, sim_s=30, each_second=checked)
     access = [conn.path.route[0].queue_capacity for conn in session.paths.values()]
@@ -311,6 +324,29 @@ def test_subflow_without_candidate_is_rejected():
         for scheme in ("ucb", "default", "oracle"):
             with pytest.raises(ValueError, match=f"candidates: {message}"):
                 VideoSession(loop, rng, candidates, scheme=scheme)
+
+
+RTT_LINKS = [{"id": f"L{i}", "capacity_mbps": 10, "owd_ms": 5, "queue_ms": 50} for i in range(5)]
+
+
+@pytest.mark.parametrize("config", [
+    {"topology": "dumbbell", "links": [{"capacity_mbps": 10, "owd_ms": 20, "queue_ms": 100}]},
+    {"topology": "rtt-unfairness", "links": RTT_LINKS},
+], ids=["dumbbell", "rtt-unfairness"])
+def test_oracle_refuses_a_candidate_without_trace(config):
+    # Only overlay paths carry a capacity trace; the oracle reads one at every
+    # decision, so an untraced candidate is refused when the session is built.
+    loop = EventLoop()
+    rng = random.Random(5)
+    flow_paths = build_topology(loop, config).flow_paths
+    overlay = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
+                             traces=collapse_traces())
+    for candidates, path_id in (({0: [flow_paths[0]], 1: [flow_paths[1]]}, 0),
+                                ({0: [overlay.candidates[0][0]], 1: [flow_paths[1]]}, 1)):
+        with pytest.raises(ValueError, match=f"candidates: path {path_id} has no capacity trace"):
+            VideoSession(loop, rng, candidates, scheme="oracle")
+        for scheme in ("ucb", "default"):
+            VideoSession(loop, rng, candidates, scheme=scheme)
 
 
 # --- generated scenarios ------------------------------------------------------

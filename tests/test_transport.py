@@ -538,7 +538,6 @@ def test_send_manager_matches_reference(data):
         loop = EventLoop()
         sm = cls(loop, (NullLink(),))
         hooked = []
-        sm.ack_hook = lambda recs, h=hooked: h.append(("acked", [r.number for r in recs]))
         sm.loss_hook = lambda recs, h=hooked: h.append(("lost", [r.number for r in recs]))
         senders.append((loop, sm, hooked))
     ref_loop, ref, _ = senders[0]
@@ -573,8 +572,9 @@ def test_send_manager_matches_reference(data):
             else:
                 advance_clock(loop, t)
             if kind in ("send", "send_at_timer"):
-                s = seg(payload=payload)
-                sm.send_segment(s, wire_size(s), t, app_limited)
+                # each segment is its own context, told apart by its frame index
+                s = seg(payload=payload, frame_index=sm.packets_sent)
+                sm.send_segment(s, wire_size(s), t, app_limited, s)
             elif kind == "ack":
                 samples = sm.on_ack(ack, t)
             elif kind == "stop_waiting":
