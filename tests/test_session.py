@@ -30,6 +30,7 @@ TESTS_DIR = Path(__file__).resolve().parent
 UCB_PIN = "151325b9e68a3bc888d19bf5c72f32f247d252919d2360a41659dab552b779fc"
 COLLAPSE_PIN = "3393726e249d50b14a0c788ed3abab6ef67f5d0eae73767b748a59052447d908"
 DUMBBELL_PIN = "bbfc5a1ff522a87e636dd91250861f5d80fe1f45bf3bb5172587750e707cfd6a"
+STOCK_BBR_PIN = "13cddec9e4ca449f89ec76de391249e1f32ccedacc7f8bc212e12066bcad2532"
 
 
 def sha256_of(value) -> str:
@@ -148,6 +149,13 @@ def assert_overlay_invariants(session: VideoSession) -> None:
     assert_entries_outstanding_once(session)
 
 
+def assert_scheduler_rates_current(session: VideoSession) -> None:
+    """Each subflow's rate in the scheduler is its active controller's bw_es:
+    what set_bw_es was last given is never stale."""
+    for sid in session.sids:
+        assert session.scheduler.subflows[sid].bw_es == session.active[sid].cc.bw_es
+
+
 def assert_entries_outstanding_once(session: VideoSession) -> None:
     """A send-buffer entry is the context of at most one outstanding record,
     and is never queued while it is: so none of the entries an ack marks
@@ -205,6 +213,39 @@ def test_dumbbell_pinned():
                       for f, n in zip(flows, lost)]) == DUMBBELL_PIN
 
 
+def test_stock_bbr_dumbbell_pinned():
+    """Two flows of the classic 8-phase ProbeBW cycle on one bottleneck: no
+    other session test runs the "bbr" variant.  Each second every flow's
+    inflight matches its records and it has at most one live pump."""
+    def run():
+        loop = EventLoop()
+        rng = random.Random(23)
+        link = {"id": "L1", "capacity_mbps": 10, "owd_ms": 20, "queue_ms": 100}
+        net = build_topology(loop, {"topology": "dumbbell", "links": [link],
+                                    "flows": [{}, {}]})
+        flows = [CappedFlow(loop, rng, path, variant="bbr", conn_id=i,
+                            rate_cap_bps=10_000_000, start_ts=i * 2 * US_PER_S)
+                 for i, path in enumerate(net.flow_paths)]
+        lost = [0] * len(flows)
+        for i, flow in enumerate(flows):
+            def counting(records, i=i, hook=flow.sm.loss_hook):
+                lost[i] += len(records)
+                hook(records)
+            flow.sm.loss_hook = counting
+            flow.start()
+        for s in range(1, 16):
+            loop.run(s * US_PER_S)
+            assert_one_live_pump_each(loop, flows)
+            for flow in flows:
+                assert_send_state_consistent(flow.sm)
+        # Both left Drain, so every later sample ran the stock gain cycle.
+        assert all(flow.cc.mode == "ProbeBW" for flow in flows)
+        return sha256_of([[f.rm.bytes_received, f.sm.packets_sent, n]
+                          for f, n in zip(flows, lost)])
+
+    assert run() == run() == STOCK_BBR_PIN
+
+
 def test_earlier_pump_timer_replaces_later_one():
     loop = EventLoop()
     rng = random.Random(5)
@@ -250,6 +291,7 @@ def test_collapse_with_queues_not_from_trace_means_keeps_invariants(monkeypatch,
         for sm in sms:
             assert_send_state_consistent(sm)
         assert_entries_outstanding_once(session)
+        assert_scheduler_rates_current(session)
 
     session = run_overlay(collapse_traces(), seed=5, sim_s=30, each_second=checked)
     access = [conn.path.route[0].queue_capacity for conn in session.paths.values()]
@@ -378,11 +420,12 @@ def test_generated_overlay_scenarios_keep_invariants(traces, seed, sim_s):
         return run_overlay([TraceSchedule(entries) for entries in traces], seed, sim_s,
                            each_second=each_second)
 
-    def timers_unique(loop, session):
+    def checked(loop, session):
         sms = [conn.sm for conn in session.paths.values()]
         assert_one_live_timer_each(loop, session, sms)
+        assert_scheduler_rates_current(session)
 
-    session = run(timers_unique)
+    session = run(checked)
     assert_overlay_invariants(session)
     assert overlay_digest(run()) == overlay_digest(session)
 
