@@ -196,14 +196,14 @@ class BbrController:
         self.pacing_gain = DRAIN_GAIN
 
     def _enter_probe_bw(self, now: int) -> None:
+        """Enter ProbeBW, or restart RTC-BBR's cycle, at a fresh cycle start."""
         self.mode = PROBE_BW
+        self.cycle_mstamp = now
         if self.variant == "rtc-bbr":
-            self.cycle_mstamp = now
             self.cycle_len = GAIN_CYCLE_LEN - self.rng.randrange(CYCLE_RAND)
             self.pacing_gain = PROBE_UP_GAIN
         else:
             self.cycle_phase = self.rng.randrange(len(STOCK_GAIN_CYCLE))
-            self.cycle_mstamp = now
             self.pacing_gain = STOCK_GAIN_CYCLE[self.cycle_phase]
 
     # -- ProbeBW gain cycling
@@ -211,9 +211,7 @@ class BbrController:
     def _update_gain_cycle_phase(self, now: int, inflight: int, has_loss: bool) -> None:
         elapsed = now - self.cycle_mstamp
         if elapsed > self.cycle_len * self.rtt_min:
-            self.cycle_mstamp = now
-            self.cycle_len = GAIN_CYCLE_LEN - self.rng.randrange(CYCLE_RAND)
-            self.pacing_gain = PROBE_UP_GAIN
+            self._enter_probe_bw(now)
             return
         if self.pacing_gain == 1:
             return

@@ -8,7 +8,8 @@ its first send, each over the subflow that is fastest when the loss is found.
 
 Every bandwidth estimate is positive (the session seeds each subflow with its
 controller's ``bw_es``, never zero, and ``set_bw_es`` rejects anything else),
-so every segment is assigned the moment it enters the send buffer.
+so every segment is assigned the moment it enters the send buffer.  The
+session's encoder reads their sum, ``reference_rate``, from here too.
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ class Scheduler:
     def __init__(self, initial_bw_es: dict[int, float]) -> None:
         if not initial_bw_es:
             raise ValueError("a scheduler needs at least one subflow")
-        self.subflows = {sid: SubflowState(sid) for sid in initial_bw_es}
+        self.subflows = {sid: SubflowState(sid) for sid in sorted(initial_bw_es)}  # id order
         for sid, bw in initial_bw_es.items():
             self.set_bw_es(sid, bw)
-        self._by_id = [self.subflows[sid] for sid in sorted(self.subflows)]
         # (now, frame_index, segment_index, sid) of the latest assignments
         self.decision_log: deque = deque(maxlen=DECISION_LOG_LEN)
 
@@ -80,6 +80,10 @@ class Scheduler:
     def min_latency(self) -> float:
         return self._fastest()[1]
 
+    def reference_rate(self) -> float:
+        """The encoder's reference: the sum of the subflows' bw_es."""
+        return sum(sub.bw_es for sub in self.subflows.values())
+
     def _fastest(self) -> tuple[int, float]:
         """(fastest subflow id, its expected latency).
 
@@ -87,9 +91,9 @@ class Scheduler:
         the one place that formula is written.  Every bw_es is positive, so a
         fastest subflow always exists; ties go to the lowest id.
         """
-        best_sid = self._by_id[0].sid  # kept only if every latency is infinite
+        best_sid = next(iter(self.subflows))  # kept only if every latency is infinite
         best_lat = math.inf
-        for sub in self._by_id:
+        for sub in self.subflows.values():
             lat = sub.srtt / 2 + sub.queued_bytes * 8 * US_PER_S / sub.bw_es
             if lat < best_lat:
                 best_lat = lat

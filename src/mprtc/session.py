@@ -2,15 +2,17 @@
 
 A PathConnection is one path's QUIC-like connection (SendManager and
 ReceiveManager, so its own packet numbers and loss state) plus its RTC-BBR
-controller.  It hands each ack to its owner's _deliver_ack(conn, ack) one
-reverse delay after the receiver sends it, gates sends on pacer and cwnd,
+controller.  It hands each ack to its owner's _deliver_ack(conn, ack) once
+the route's summed one-way delay has passed, gates sends on pacer and cwnd,
 and advances the stop-waiting floor.  The owner decides what to send, learns
 what each ack settled from the samples of SendManager.on_ack, and owns every
 scheduled callback.  CappedFlow drives one connection with a saturating,
 rate-capped source (the bottleneck-sharing experiments).  VideoSession
 drives one per candidate path under the full stack: video source,
 per-segment scheduler across two subflows, and slot-based path selection
-by the policy that bandit.POLICIES builds for the session's scheme.
+by the policy that bandit.POLICIES builds for the session's scheme.  The
+scheduler holds each subflow's rate, its active controller's bw_es, and the
+encoder reads their sum from it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ BANDIT_PUSH_INTERVAL_US = 100_000
 class PathConnection:
     """One path's connection and controller; pacing is clamped to rate_cap_bps."""
 
-    __slots__ = ("loop", "path", "sid", "cc", "sm", "rm", "deliver_ack",
+    __slots__ = ("loop", "path", "sid", "cc", "sm", "rm", "deliver_ack", "reverse_delay_us",
                  "rate_cap_bps", "next_send_ts", "stop_waiting_mark")
 
     def __init__(self, loop, rng, path, variant: str, conn_id: int, deliver_ack, *,
@@ -54,6 +56,7 @@ class PathConnection:
         self.rm = ReceiveManager(loop, self._on_receiver_ack, conn_id)
         self.sm.receiver_sink = self.rm.on_packet
         self.deliver_ack = deliver_ack
+        self.reverse_delay_us = sum(link.owd_us for link in path.route)
         self.rate_cap_bps = rate_cap_bps
         self.next_send_ts = 0
         # A floor at or below this is not news: it was sent already, or the
@@ -61,7 +64,7 @@ class PathConnection:
         self.stop_waiting_mark = 1
 
     def _on_receiver_ack(self, ack, now: int) -> None:
-        self.loop.schedule(now + self.path.reverse_delay_us, self.deliver_ack, self, ack)
+        self.loop.schedule(now + self.reverse_delay_us, self.deliver_ack, self, ack)
 
     def gate(self, now: int) -> int | None:
         """Earliest send time the pacer allows, or None while cwnd is full."""
@@ -173,7 +176,7 @@ class VideoSession:
                 listed.add(path.path_id)
         self.loop = loop
         self.sids = sorted(candidates)
-        self.candidates = {sid: list(candidates[sid]) for sid in self.sids}
+        candidates = {sid: list(candidates[sid]) for sid in self.sids}
         self.sink = VideoSink()
         self.selections: list[tuple[int, int, int]] = []
         self.lost_packets = 0
@@ -182,23 +185,23 @@ class VideoSession:
         self.paths: dict[int, PathConnection] = {}
         self.active: dict[int, PathConnection] = {}
         for sid in self.sids:
-            for path in self.candidates[sid]:
+            for path in candidates[sid]:
                 conn = PathConnection(loop, rng, path, variant, path.path_id,
                                       self._deliver_ack, sid=sid)
                 conn.rm.segment_sink = self.sink.on_segment
                 conn.rm.stop_waiting_sink = self.sink.on_stop_waiting
                 conn.sm.loss_hook = self._on_loss
                 self.paths[path.path_id] = conn
-            self.active[sid] = self.paths[self.candidates[sid][0].path_id]
+            self.active[sid] = self.paths[candidates[sid][0].path_id]
         # Seeded from each first path's controller: schedulable before any ack.
         self.scheduler = Scheduler({sid: self.active[sid].cc.bw_es for sid in self.sids})
         self._last_push_ts = {pid: -BANDIT_PUSH_INTERVAL_US for pid in self.paths}
-        self.policy = make_policy(self.candidates)
+        self.policy = make_policy(candidates)
 
         self.source = VideoSource(
             loop, rng,
             frame_sink=self._on_encoded_frame,
-            reference_rate_fn=self._reference_rate,
+            reference_rate_fn=self.scheduler.reference_rate,
             min_latency_fn=self.scheduler.min_latency,
         )
 
@@ -218,9 +221,6 @@ class VideoSession:
         self.scheduler.schedule_segments(segments, self.loop.now)
         for sid in self.sids:
             self._pump(sid)
-
-    def _reference_rate(self) -> float:
-        return sum(self.active[sid].cc.bw_es for sid in self.sids)
 
     def _pump(self, sid: int) -> None:
         now = self.loop.now

@@ -111,7 +111,7 @@ class LinkConfig:
     def __post_init__(self) -> None:
         for name in ("capacity", "owd_us", "queue_capacity"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
@@ -126,7 +126,8 @@ class LinkConfig:
         Each error message starts with the name of the argument at fault."""
         for name, value in (("capacity_mbps", capacity_mbps), ("owd_ms", owd_ms),
                             ("queue_ms", queue_ms)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         capacity = int(capacity_mbps * 1e6)
         owd_us = int(owd_ms * US_PER_MS)
@@ -140,8 +141,8 @@ class LinkConfig:
 
 
 def _whole(value) -> int | None:
-    """value as an int when it is a finite whole number, else None."""
-    if isinstance(value, int):
+    """value as an int when it is a finite whole number (not a bool), else None."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -324,11 +325,11 @@ class Link:
 
 @dataclass
 class PathDef:
-    """One routed candidate path: forward links plus the feedback delay."""
+    """One routed candidate path: forward links and, on overlay paths, the
+    access link's capacity trace.  Acks return after the route's summed owd_us."""
 
     path_id: int
     route: tuple
-    reverse_delay_us: int
     trace: TraceSchedule | None = None
 
 
@@ -337,10 +338,6 @@ class Network:
     links: dict
     flow_paths: list          # one PathDef per flow (dumbbell / rtt families)
     candidates: dict          # subflow id -> [PathDef, ...] (multipath family)
-
-
-def _route_reverse_delay(route) -> int:
-    return sum(l.owd_us for l in route)
 
 
 def _link_specs(config: dict) -> list:
@@ -371,8 +368,7 @@ def build_dumbbell(loop: EventLoop, config: dict) -> Network:
     flows = config.get("flows", [{}] * 3)
     if not isinstance(flows, list) or not flows:
         raise ValueError(f"flows must be a non-empty list, got {flows!r}")
-    paths = [PathDef(path_id=i, route=(link,), reverse_delay_us=link.owd_us)
-             for i in range(len(flows))]
+    paths = [PathDef(path_id=i, route=(link,)) for i in range(len(flows))]
     return Network(links={link.name: link}, flow_paths=paths, candidates={})
 
 
@@ -389,10 +385,7 @@ def build_rtt_unfairness(loop: EventLoop, config: dict) -> Network:
         r2 = (links["L3"], links["L1"], links["L4"])
     except KeyError as exc:
         raise ValueError(f"rtt-unfairness topology requires links L0-L4, missing {exc}") from None
-    paths = [
-        PathDef(0, r1, _route_reverse_delay(r1)),
-        PathDef(1, r2, _route_reverse_delay(r2)),
-    ]
+    paths = [PathDef(0, r1), PathDef(1, r2)]
     return Network(links=links, flow_paths=paths, candidates={})
 
 
@@ -433,7 +426,7 @@ def build_multipath_overlay(loop: EventLoop, config: dict, rng: random.Random,
                 route = (access, relay)
                 links[access.name] = access
                 links[relay.name] = relay
-            cand.append(PathDef(path_id, route, _route_reverse_delay(route), trace=trace))
+            cand.append(PathDef(path_id, route, trace=trace))
             path_id += 1
         candidates[subflow] = cand
     return Network(links=links, flow_paths=[], candidates=candidates)

@@ -42,7 +42,7 @@ class VideoSource:
 
     The encoder's output rate chases the reference rate with a first-order lag
     (time constant 1 s).  ``reference_rate_fn`` supplies the raw reference
-    (sum of per-subflow bandwidth estimates); ``min_latency_fn`` supplies the
+    (a session passes Scheduler.reference_rate); ``min_latency_fn`` supplies the
     cheapest subflow's expected delivery latency in microseconds.  Each
     encoded frame goes to ``frame_sink(size, frame_index, capture_ts,
     key_frame)`` when its encode finishes, the argument order of
@@ -93,14 +93,14 @@ class VideoSource:
             raw = self.raw_queue.popleft()
             d_q = now - raw.capture_ts
             projected = d_q + self.d_en_hat + self.min_latency_fn()
+            key = raw.frame_index % GOP_FRAMES == 0
             if projected > DROP_BUDGET_US:
                 self.frames_dropped += 1
-                key = raw.frame_index % GOP_FRAMES == 0
                 self.frame_log.append((raw.frame_index, raw.capture_ts, 0, key, True))
                 continue
-            self._begin_encode(raw, now)
+            self._begin_encode(raw, key, now)
 
-    def _begin_encode(self, raw: RawFrame, now: int) -> None:
+    def _begin_encode(self, raw: RawFrame, key: bool, now: int) -> None:
         if self.actual_rate <= 0.0:
             self.actual_rate = self.target_rate
         else:
@@ -111,7 +111,6 @@ class VideoSource:
             self.actual_rate = float(RATE_FLOOR_BPS)
         self._last_lag_ts = now
 
-        key = raw.frame_index % GOP_FRAMES == 0
         base = self.actual_rate / (8 * FPS)
         size = int(base * _GOP_NORM * (KEY_FRAME_FACTOR if key else 1))
         size = max(1, size)

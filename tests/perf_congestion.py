@@ -57,13 +57,15 @@ def feed(cc, stream):
 
 
 class NullLink:
+    owd_us = 0
+
     def enqueue(self, packet):
         pass
 
 
 def fresh_connection():
     loop = EventLoop()
-    path = PathDef(0, (NullLink(),), 0)
+    path = PathDef(0, (NullLink(),))
     conn = PathConnection(loop, random.Random(1), path, "rtc-bbr", 0, None)
     return (conn, StreamFrame(PAYLOAD_BUDGET, 0, 0, 1, 0, False)), {}
 

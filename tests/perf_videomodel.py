@@ -64,8 +64,8 @@ def pending_frames():
 
 
 def manager_with_samples():
-    pm = PathManager({0: [PathDef(0, (), 0), PathDef(1, (), 0)],
-                      1: [PathDef(2, (), 0), PathDef(3, (), 0)]})
+    pm = PathManager({0: [PathDef(0, ()), PathDef(1, ())],
+                      1: [PathDef(2, ()), PathDef(3, ())]})
     for k in range(100):
         now = k * 100_000
         for pid in range(4):

@@ -14,7 +14,7 @@ from mprtc.simnet import EventLoop, PathDef, TraceSchedule
 def make_manager(subflows, pairs):
     """A PathManager over the reference's world: subflow ids and
     (path_id, sid) pairs, each subflow's candidates in listed order."""
-    return PathManager({sid: [PathDef(pid, (), 0) for pid, s in pairs if s == sid]
+    return PathManager({sid: [PathDef(pid, ()) for pid, s in pairs if s == sid]
                         for sid in subflows})
 
 
@@ -332,7 +332,7 @@ def test_two_arm_convergence_prefers_faster_arm():
 # --- the default and oracle policies ----------------------------------------
 
 def trace_path(path_id, entries):
-    return PathDef(path_id, (), 0, trace=TraceSchedule(entries))
+    return PathDef(path_id, (), trace=TraceSchedule(entries))
 
 
 def test_oracle_picks_the_larger_mean_over_the_slot():

@@ -75,6 +75,24 @@ def test_min_latency_export():
     assert sched.min_latency() == pytest.approx(50_000)
 
 
+def test_reference_rate_is_the_sum_of_the_subflow_rates():
+    sched = Scheduler({1: 2e6, 0: 1e6})
+    assert sched.reference_rate() == 3e6
+    sched.set_bw_es(1, 500_000.0)
+    assert sched.reference_rate() == 1.5e6
+
+
+def test_every_latency_infinite_falls_back_to_lowest_id():
+    # The smallest positive float makes any queued byte an infinite latency;
+    # subflows listed out of id order are still scanned in id order.
+    sched = Scheduler({7: 5e-324, 3: 5e-324})
+    for sub in sched.subflows.values():
+        sub.queued_bytes = 1
+    assert sched.min_latency() == float("inf")
+    (entry,) = sched.schedule_segments([seg()], now=0)
+    assert entry.subflow == 3
+
+
 # --- assignment -------------------------------------------------------------
 
 def test_segment_goes_to_smaller_latency():
@@ -84,9 +102,9 @@ def test_segment_goes_to_smaller_latency():
 
 
 def test_tie_breaks_to_lower_subflow_id():
-    sched = make_two()
-    (entry,) = sched.schedule_segments([seg()], now=0)
-    assert entry.subflow == 0
+    for sched in (make_two(), Scheduler({1: 1e6, 0: 1e6})):
+        (entry,) = sched.schedule_segments([seg()], now=0)
+        assert entry.subflow == 0
 
 
 def test_equal_subflows_alternate_as_queue_grows():
