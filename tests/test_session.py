@@ -147,6 +147,14 @@ def assert_overlay_invariants(session: VideoSession) -> None:
     for sub in session.scheduler.subflows.values():
         assert sub.queued_bytes == sum(wire_size(e.segment) for e in sub.queue)
     assert_entries_outstanding_once(session)
+    assert_paused_exactly_when_inactive(session)
+
+
+def assert_paused_exactly_when_inactive(session: VideoSession) -> None:
+    """A path's controller is paused exactly when the path is not its
+    subflow's active one, so either fact tells whether a path takes samples."""
+    for conn in session.paths.values():
+        assert conn.cc.paused == (conn is not session.active[conn.sid])
 
 
 def assert_scheduler_rates_current(session: VideoSession) -> None:
@@ -292,6 +300,7 @@ def test_collapse_with_queues_not_from_trace_means_keeps_invariants(monkeypatch,
             assert_send_state_consistent(sm)
         assert_entries_outstanding_once(session)
         assert_scheduler_rates_current(session)
+        assert_paused_exactly_when_inactive(session)
 
     session = run_overlay(collapse_traces(), seed=5, sim_s=30, each_second=checked)
     access = [conn.path.route[0].queue_capacity for conn in session.paths.values()]
@@ -424,6 +433,7 @@ def test_generated_overlay_scenarios_keep_invariants(traces, seed, sim_s):
         sms = [conn.sm for conn in session.paths.values()]
         assert_one_live_timer_each(loop, session, sms)
         assert_scheduler_rates_current(session)
+        assert_paused_exactly_when_inactive(session)
 
     session = run(checked)
     assert_overlay_invariants(session)
