@@ -83,7 +83,7 @@ class BbrController:
         "rtt_min", "rtt_min_ts", "probe_rtt_done_ts",
         "full_bw", "full_bw_count",
         "pacing_gain", "cycle_mstamp", "cycle_len", "cycle_phase",
-        "loss_since_update", "paused", "pause_started",
+        "loss_since_update", "pause_started",
         "bw_es", "pacing_rate", "cwnd",
     )
 
@@ -106,8 +106,7 @@ class BbrController:
         self.cycle_len = GAIN_CYCLE_LEN
         self.cycle_phase = 0
         self.loss_since_update = False
-        self.paused = False
-        self.pause_started = 0
+        self.pause_started = None  # the time of the pause in effect, None while running
         self._set_bw_es()
         self._set_outputs()
 
@@ -246,13 +245,12 @@ class BbrController:
     # -- pause/resume (bandit keeps non-exploited paths' state frozen)
 
     def pause(self, now: int) -> None:
-        self.paused = True
         self.pause_started = now
 
     def resume(self, now: int) -> None:
-        if not self.paused:
-            return
-        self.paused = False
+        if self.pause_started is None:
+            return  # running already
         shift = now - self.pause_started
+        self.pause_started = None
         self.rtt_min_ts += shift
         self.cycle_mstamp += shift

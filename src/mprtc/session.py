@@ -3,16 +3,19 @@
 A PathConnection is one path's QUIC-like connection (SendManager and
 ReceiveManager, so its own packet numbers and loss state) plus its RTC-BBR
 controller.  It hands each ack to its owner's _deliver_ack(conn, ack) once
-the route's summed one-way delay has passed, gates sends on pacer and cwnd,
-and advances the stop-waiting floor.  The owner decides what to send, learns
-what each ack settled from the samples of SendManager.on_ack, and owns every
-scheduled callback.  CappedFlow drives one connection with a saturating,
-rate-capped source (the bottleneck-sharing experiments).  VideoSession
-drives one per candidate path under the full stack: video source,
-per-segment scheduler across two subflows, and slot-based path selection
-by the policy that bandit.POLICIES builds for the session's scheme.  The
-scheduler holds each subflow's rate, its active controller's bw_es, and the
-encoder reads their sum from it.
+the route's summed one-way delay has passed, and gates sends on pacer and
+cwnd.  The owner decides what to send, learns what each ack settled from
+the samples of SendManager.on_ack, owns every scheduled callback, and
+calls SendManager.advance_stop_waiting from a timer of its own.
+CappedFlow drives one connection with a saturating, rate-capped source
+(the bottleneck-sharing experiments).  VideoSession drives one per
+candidate path under the full stack: video source, per-segment scheduler
+across two subflows, and slot-based path selection by the policy that
+bandit.POLICIES builds for the session's scheme.  Its ``active`` map is
+the one record of which path each subflow uses: only those paths'
+controllers run and take samples, and after each of their acks the policy
+is offered the path's bw_es.  The scheduler holds each subflow's rate, its
+active controller's bw_es, and the encoder reads their sum from it.
 """
 
 from __future__ import annotations
@@ -32,17 +35,13 @@ from .transport import (
 from .videomodel import RATE_CAP_BPS, VideoSink, VideoSource
 
 EVICT_TICK_US = 50_000
-# The least spacing of one path's bandwidth samples to the policy.  For ucb
-# it sets the samples that Bw_hat smooths and how many a 10 s window holds
-# when select_paths scans it; changing it moves every ucb digest.
-BANDIT_PUSH_INTERVAL_US = 100_000
 
 
 class PathConnection:
     """One path's connection and controller; pacing is clamped to rate_cap_bps."""
 
     __slots__ = ("loop", "path", "sid", "cc", "sm", "rm", "deliver_ack", "reverse_delay_us",
-                 "rate_cap_bps", "next_send_ts", "stop_waiting_mark")
+                 "rate_cap_bps", "next_send_ts")
 
     def __init__(self, loop, rng, path, variant: str, conn_id: int, deliver_ack, *,
                  sid: int = 0, rate_cap_bps: float = float("inf")):
@@ -59,9 +58,6 @@ class PathConnection:
         self.reverse_delay_us = sum(link.owd_us for link in path.route)
         self.rate_cap_bps = rate_cap_bps
         self.next_send_ts = 0
-        # A floor at or below this is not news: it was sent already, or the
-        # only packet consumed since is our own stop-waiting packet.
-        self.stop_waiting_mark = 1
 
     def _on_receiver_ack(self, ack, now: int) -> None:
         self.loop.schedule(now + self.reverse_delay_us, self.deliver_ack, self, ack)
@@ -81,13 +77,6 @@ class PathConnection:
         if rate > self.rate_cap_bps:
             rate = self.rate_cap_bps
         self.next_send_ts = pacer_next_send_time(now, size, rate)
-
-    def advance_stop_waiting(self) -> None:
-        """Send STOP_WAITING up to the oldest outstanding packet once it has moved."""
-        floor = self.sm.least_retained()
-        if floor > self.stop_waiting_mark:
-            self.sm.send_stop_waiting(floor)
-            self.stop_waiting_mark = floor + 1
 
 
 class CappedFlow:
@@ -118,7 +107,7 @@ class CappedFlow:
         # Nothing is ever retransmitted, so the stop-waiting floor is simply
         # the oldest packet still in flight.  Advancing it keeps the
         # receiver's ack-range set from growing a gap per lost packet.
-        self.conn.advance_stop_waiting()
+        self.sm.advance_stop_waiting()
         self.loop.schedule(self.loop.now + EVICT_TICK_US, self._floor_tick)
 
     def _pump(self) -> None:
@@ -195,7 +184,6 @@ class VideoSession:
             self.active[sid] = self.paths[candidates[sid][0].path_id]
         # Seeded from each first path's controller: schedulable before any ack.
         self.scheduler = Scheduler({sid: self.active[sid].cc.bw_es for sid in self.sids})
-        self._last_push_ts = {pid: -BANDIT_PUSH_INTERVAL_US for pid in self.paths}
         self.policy = make_policy(candidates)
 
         self.source = VideoSource(
@@ -249,16 +237,13 @@ class VideoSession:
         for sample in samples:
             sched.mark_acked(sample.context)  # every data packet carries its entry
         # An unselected path's controller is paused and takes no samples.
-        if samples and not conn.cc.paused:
+        if samples and conn is self.active[conn.sid]:
             cc = conn.cc
             for sample in samples:
                 cc.on_delivery_sample(sample, now)
                 sched.update_srtt(conn.sid, sample.rtt)
             sched.set_bw_es(conn.sid, cc.bw_es)
-            pid = conn.path.path_id
-            if now - self._last_push_ts[pid] >= BANDIT_PUSH_INTERVAL_US:
-                self._last_push_ts[pid] = now
-                self.policy.on_new_bandwidth_sample(pid, cc.bw_es, now)
+            self.policy.on_new_bandwidth_sample(conn.path.path_id, cc.bw_es, now)
         self._pump(conn.sid)
 
     def _on_loss(self, lost) -> None:
@@ -275,7 +260,7 @@ class VideoSession:
         now = self.loop.now
         self.scheduler.evict(now)
         for conn in self.paths.values():
-            conn.advance_stop_waiting()
+            conn.sm.advance_stop_waiting()
         self.sink.sweep(now)
         self.loop.schedule(now + EVICT_TICK_US, self._evict_tick)
 

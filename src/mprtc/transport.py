@@ -143,7 +143,7 @@ class SendManager:
     come from one counter and callers send at the loop's current time, so
     its keys strictly ascend and its ``sent_ts`` never decrease: the first
     record is the oldest by both.  ``least_retained``, ``_arm_loss_timer``,
-    ``_detect_reorder_loss`` and the three paths below rely on that order.
+    ``_detect_reorder_loss`` and the paths below rely on that order.
 
     - ``on_ack`` skips every ack range, or part of one, below the oldest
       record, because those numbers were settled earlier.  Ranges descend,
@@ -160,6 +160,10 @@ class SendManager:
       due after now.  Otherwise the send moved neither the oldest record
       nor ``srtt``, and every ack that changes ``srtt`` re-arms, so the
       live timer is already due no later than the deadline.
+    - ``advance_stop_waiting`` sends ``least_retained()`` as a STOP_WAITING
+      floor once it is above ``stop_waiting_mark``, so the floors sent
+      strictly rise.  The stop-waiting packet takes a number but is never a
+      record, so a floor that moved only past it is not news.
 
     ``srtt`` changes only in ``on_ack``, which then stores
     ``_loss_threshold()`` in ``_threshold`` for the loss timer to read.
@@ -175,6 +179,9 @@ class SendManager:
         self.largest_acked = 0
         self.srtt = 0
         self._threshold = self._loss_threshold()
+        # A floor at or below this is not news: it was sent already, or the
+        # only packet consumed since is our own stop-waiting packet.
+        self.stop_waiting_mark = 1
         self.packets_sent = 0
         self.loss_hook = None       # called with [SimPacket] on new losses
         self.receiver_sink = None   # set by session wiring
@@ -217,6 +224,13 @@ class SendManager:
         if self.records:
             return next(iter(self.records))
         return self.next_packet_number
+
+    def advance_stop_waiting(self) -> None:
+        """Send STOP_WAITING up to the oldest outstanding packet once it has moved."""
+        floor = self.least_retained()
+        if floor > self.stop_waiting_mark:
+            self.send_stop_waiting(floor)
+            self.stop_waiting_mark = floor + 1
 
     # -- feedback
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_bandit
-from mprtc.bandit import (OBSERVED_TIME_US, POLICIES, SLOT_US, DefaultPolicy, OraclePolicy,
-                          PathManager)
+from mprtc.bandit import (OBSERVED_TIME_US, POLICIES, SAMPLE_SPACING_US, SLOT_US,
+                          DefaultPolicy, OraclePolicy, PathManager)
 from mprtc.session import VideoSession
 from mprtc.simnet import EventLoop, PathDef, TraceSchedule
 
@@ -41,18 +41,25 @@ def random_world(rng):
 
 class Replay:
     """The production manager and the reference interpreter fed the same
-    pushes and decisions.  The reference refreshes Bw at every push, the
-    manager only when it decides, so the two are compared at decisions:
-    the choice, T, and (Bw, Bw_hat, N, has a sample) of every path."""
+    pushes and decisions.  The manager is offered every push; the reference
+    knows no sample spacing, so it gets a push only SAMPLE_SPACING_US or
+    more after the last one it got from that path.  The reference refreshes
+    Bw at every push, the manager only when it decides, so the two are
+    compared at decisions: the choice, T, and (Bw, Bw_hat, N, has a sample)
+    of every path."""
 
     def __init__(self, subflows, paths):
         self.ref = reference_bandit.new_state(subflows, paths)
         self.prod = make_manager(subflows, paths)
         self.decisions = 0
+        self.taken = {}  # path id -> time of the last push the reference got
 
     def push(self, path_id, bw, now):
-        reference_bandit.on_new_bandwidth_sample(self.ref, path_id, bw, now)
         self.prod.on_new_bandwidth_sample(path_id, bw, now)
+        last = self.taken.get(path_id)
+        if last is None or now - last >= SAMPLE_SPACING_US:
+            self.taken[path_id] = now
+            reference_bandit.on_new_bandwidth_sample(self.ref, path_id, bw, now)
 
     def decide(self, now):
         want = reference_bandit.select_paths(self.ref, now)
@@ -91,8 +98,8 @@ def test_matches_reference_interpreter():
 @st.composite
 def worlds_and_steps(draw):
     """A world with one path that is never pushed, and steps whose clock
-    gaps reach past the 10 s window, so whole windows go stale between a
-    push and the next decision."""
+    gaps fall either side of the sample spacing or reach past the 10 s
+    window, so whole windows go stale between a push and the next decision."""
     per_subflow = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     subflows = list(range(len(per_subflow)))
     paths = [(pid, fid) for pid, fid in enumerate(
@@ -100,6 +107,7 @@ def worlds_and_steps(draw):
     silent = draw(st.sampled_from(paths))[0]
     pushed = [pid for pid, _ in paths if pid != silent] or [None]
     gap = st.one_of(st.integers(0, 2_000_000),
+                    st.integers(SAMPLE_SPACING_US - 1, SAMPLE_SPACING_US + 1),
                     st.integers(OBSERVED_TIME_US - 1, OBSERVED_TIME_US + 1),
                     st.integers(OBSERVED_TIME_US, 3 * OBSERVED_TIME_US))
     step = st.one_of(
@@ -137,6 +145,21 @@ def test_first_sample_seeds_all_fields():
     assert p.Bw == 0.0  # a push does not refresh the window max; a decision does
     m.select_paths(now=0)
     assert p.Bw == 2e6
+
+
+def test_samples_closer_than_the_spacing_are_ignored():
+    # The spacing counts from the last sample taken from the same path, not
+    # from the last one offered, and each path keeps its own.
+    m = make_manager([0], [(0, 0), (1, 0)])
+    p = m.by_id[0]
+    m.on_new_bandwidth_sample(0, 2e6, now=1_000)
+    m.on_new_bandwidth_sample(0, 9e6, now=1_000 + SAMPLE_SPACING_US - 1)
+    m.on_new_bandwidth_sample(1, 5e6, now=1_000 + SAMPLE_SPACING_US - 1)
+    assert (p.Bw_hat, list(p.bwSamples_)) == (2e6, [(2e6, 1_000)])
+    assert list(m.by_id[1].bwSamples_) == [(5e6, 1_000 + SAMPLE_SPACING_US - 1)]
+    m.on_new_bandwidth_sample(0, 3e6, now=1_000 + SAMPLE_SPACING_US)
+    assert p.Bw_hat == pytest.approx(0.1 * 2e6 + 0.9 * 3e6)
+    assert list(p.bwSamples_) == [(2e6, 1_000), (3e6, 1_000 + SAMPLE_SPACING_US)]
 
 
 def test_smoothed_reward_update():

@@ -154,7 +154,7 @@ def assert_paused_exactly_when_inactive(session: VideoSession) -> None:
     """A path's controller is paused exactly when the path is not its
     subflow's active one, so either fact tells whether a path takes samples."""
     for conn in session.paths.values():
-        assert conn.cc.paused == (conn is not session.active[conn.sid])
+        assert (conn.cc.pause_started is not None) == (conn is not session.active[conn.sid])
 
 
 def assert_scheduler_rates_current(session: VideoSession) -> None:

@@ -439,6 +439,40 @@ def test_ack_below_oldest_record_still_detects_reorder_loss():
     assert list(sm.records) == [7, 8]
 
 
+class RecordingLink:
+    def __init__(self):
+        self.packets = []
+
+    def enqueue(self, packet):
+        self.packets.append(packet)
+
+
+def test_advance_stop_waiting_sends_only_a_moved_floor():
+    link = RecordingLink()
+    sm = SendManager(EventLoop(), (link,))
+
+    def sent_floors():
+        return [(p.number, p.stop_waiting) for p in link.packets if p.stop_waiting is not None]
+
+    sm.advance_stop_waiting()  # no records: the floor is next_packet_number, 1
+    assert sm.least_retained() == sm.next_packet_number == 1
+    for _ in range(3):
+        sm.send_segment(seg(), MSS, 0, False)
+    sm.advance_stop_waiting()  # packet 1 is outstanding: the floor holds
+    assert sent_floors() == []
+    sm.on_ack(AckFrame(0, [(1, 1)]), 1_000)
+    sm.advance_stop_waiting()  # the oldest record settled: floor 2, in packet 4
+    sm.advance_stop_waiting()
+    assert sent_floors() == [(4, 2)]
+    sm.on_ack(AckFrame(0, [(2, 3)]), 2_000)
+    sm.advance_stop_waiting()  # no records: the floor is next_packet_number, 5
+    assert sent_floors() == [(4, 2), (5, 5)]
+    # Only packet 5 itself was taken since: its own number is not news.
+    sm.advance_stop_waiting()
+    assert sm.least_retained() == 6
+    assert sent_floors() == [(4, 2), (5, 5)]
+
+
 def test_loss_timer_declares_only_old_records_and_rearms_for_young_one():
     loop, sm = primed_sender()
     lost = []
