@@ -26,15 +26,15 @@ DECISION_LOG_LEN = 1024  # a ring, so that memory stays flat on long runs
 
 class SendBufferEntry:
     """One segment in the send buffer; its wire size and key-frame flag are
-    stored at construction, because a segment never changes."""
+    stored at construction, because a segment never changes.  The subflow
+    it is assigned to is the one whose queue holds it."""
 
-    __slots__ = ("segment", "size", "key_frame", "subflow", "sent", "first_sent_ts", "acked")
+    __slots__ = ("segment", "size", "key_frame", "sent", "first_sent_ts", "acked")
 
     def __init__(self, segment: StreamFrame) -> None:
         self.segment = segment
         self.size = wire_size(segment)
         self.key_frame = segment.key_frame
-        self.subflow = -1
         self.sent = False
         self.first_sent_ts = 0
         self.acked = False
@@ -112,7 +112,6 @@ class Scheduler:
         best_sid = self._fastest()[0]
         seg = entry.segment
         self.decision_log.append((now, seg.frame_index, seg.segment_index, best_sid))
-        entry.subflow = best_sid
         sub = self.subflows[best_sid]
         sub.queue.append(entry)
         sub.queued_bytes += entry.size
@@ -145,7 +144,6 @@ class Scheduler:
                 continue
             if not entry.expired(now):
                 sid = self._fastest()[0]
-                entry.subflow = sid
                 sub = self.subflows[sid]
                 sub.queue.appendleft(entry)  # retransmissions jump the line
                 sub.queued_bytes += entry.size

@@ -399,7 +399,8 @@ class ReceiveManager:
             self.process_stop_waiting(packet.stop_waiting, now)
         self.pending += 1
         if self.pending == 1:
-            self._ack_timer = self.loop.schedule(now + ACK_DELAY_MAX_US, self._on_ack_timer)
+            fire_ts = now + ACK_DELAY_MAX_US
+            self._ack_timer = self.loop.schedule(fire_ts, self._emit_ack, fire_ts)
         if self.pending >= ACK_EVERY_N:
             self._emit_ack(now)
 
@@ -411,9 +412,6 @@ class ReceiveManager:
         self.ranges.drop_below(least_unacked)
         if self.stop_waiting_sink is not None:
             self.stop_waiting_sink(self.conn_id, least_unacked, now)
-
-    def _on_ack_timer(self) -> None:
-        self._emit_ack(self.loop.now)
 
     def _emit_ack(self, now: int) -> None:
         self._ack_timer[2] = None  # cancels it, unless it has fired already

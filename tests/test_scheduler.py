@@ -14,6 +14,12 @@ def seg(payload=PAYLOAD_BUDGET, frame_index=0, index=0, total=1, key=False):
     return StreamFrame(payload, frame_index, 0, total, index, key)
 
 
+def sid_of(sched, entry):
+    """The subflow whose queue holds entry: the one it is assigned to."""
+    (sid,) = [sid for sid, sub in sched.subflows.items() if entry in sub.queue]
+    return sid
+
+
 def make_two(bw0=1e6, bw1=1e6, srtt0=100_000, srtt1=100_000, cls=Scheduler):
     sched = cls({0: bw0, 1: bw1})
     if cls is not Scheduler:  # the reference takes subflow ids and starts at 0
@@ -90,7 +96,7 @@ def test_every_latency_infinite_falls_back_to_lowest_id():
         sub.queued_bytes = 1
     assert sched.min_latency() == float("inf")
     (entry,) = sched.schedule_segments([seg()], now=0)
-    assert entry.subflow == 3
+    assert sid_of(sched, entry) == 3
 
 
 # --- assignment -------------------------------------------------------------
@@ -98,20 +104,20 @@ def test_every_latency_infinite_falls_back_to_lowest_id():
 def test_segment_goes_to_smaller_latency():
     sched = make_two(srtt0=300_000, srtt1=100_000)
     (entry,) = sched.schedule_segments([seg()], now=0)
-    assert entry.subflow == 1
+    assert sid_of(sched, entry) == 1
 
 
 def test_tie_breaks_to_lower_subflow_id():
     for sched in (make_two(), Scheduler({1: 1e6, 0: 1e6})):
         (entry,) = sched.schedule_segments([seg()], now=0)
-        assert entry.subflow == 0
+        assert sid_of(sched, entry) == 0
 
 
 def test_equal_subflows_alternate_as_queue_grows():
     sched = make_two()
     segments = [seg(frame_index=0, index=i, total=10) for i in range(10)]
     entries = sched.schedule_segments(segments, now=0)
-    assert [e.subflow for e in entries] == [0, 1] * 5
+    assert [sid_of(sched, e) for e in entries] == [0, 1] * 5
 
 
 def test_decision_log_keeps_only_the_last_assignments():
@@ -169,7 +175,7 @@ def queued(sched):
 def test_key_frame_lost_is_always_retransmitted():
     sched = make_two()
     (entry,) = sched.schedule_segments([seg(key=True)], now=0)
-    assert send_all(sched, entry.subflow, 0) == [entry]
+    assert send_all(sched, sid_of(sched, entry), 0) == [entry]
     sids, dropped = sched.on_loss([entry], now=5_000_000)  # 5 s later
     assert dropped == []
     assert len(sids) == 1
@@ -180,7 +186,7 @@ def test_key_frame_lost_is_always_retransmitted():
 def test_nonkey_lost_past_cache_age_is_dropped():
     sched = make_two()
     (entry,) = sched.schedule_segments([seg()], now=0)
-    send_all(sched, entry.subflow, 0)
+    send_all(sched, sid_of(sched, entry), 0)
     sids, dropped = sched.on_loss([entry], now=401_000)
     assert sids == [] and dropped == [entry]
     assert queued(sched) == []
@@ -189,7 +195,7 @@ def test_nonkey_lost_past_cache_age_is_dropped():
 def test_nonkey_lost_within_cache_age_is_retransmitted():
     sched = make_two()
     (entry,) = sched.schedule_segments([seg()], now=0)
-    send_all(sched, entry.subflow, 0)
+    send_all(sched, sid_of(sched, entry), 0)
     sids, dropped = sched.on_loss([entry], now=400_000)  # exactly the limit
     assert dropped == [] and len(sids) == 1
 
@@ -197,7 +203,7 @@ def test_nonkey_lost_within_cache_age_is_retransmitted():
 def test_retransmission_follows_current_best_path():
     sched = make_two(srtt0=100_000, srtt1=200_000)
     (entry,) = sched.schedule_segments([seg()], now=0)
-    assert entry.subflow == 0
+    assert sid_of(sched, entry) == 0
     send_all(sched, 0, 0)
     sched.update_srtt(0, 500_000)  # path 0 degraded since the first send
     sids, _ = sched.on_loss([entry], now=100_000)
@@ -231,7 +237,7 @@ def test_evict_rules():
     send_all(sched, 0, 0)
     send_all(sched, 1, 0)
     (fresh,) = sched.schedule_segments([seg(frame_index=2)], now=350_000)
-    send_all(sched, fresh.subflow, 350_000)
+    send_all(sched, sid_of(sched, fresh), 350_000)
     (unsent,) = sched.schedule_segments([seg(frame_index=3)], now=380_000)
     sids, _ = sched.on_loss([key, old, fresh], now=390_000)  # all young: requeued
     assert len(sids) == 3
@@ -240,7 +246,7 @@ def test_evict_rules():
     assert set(queued(sched)) == {key, fresh, unsent}  # key frames never age out
     assert not unsent.sent                 # unsent entries are never age-evicted
     sched.mark_acked(key)
-    assert key not in send_all(sched, key.subflow, 402_000)
+    assert key not in send_all(sched, sid_of(sched, key), 402_000)
 
 
 def test_evict_clears_stale_requeued_entries():
@@ -307,7 +313,7 @@ def test_stored_entry_fields_match_segment(data):
 
 # --- against the reference scheduler ------------------------------------------
 
-entry_fields = attrgetter("subflow", "sent", "first_sent_ts", "acked", "size", "key_frame")
+entry_fields = attrgetter("sent", "first_sent_ts", "acked", "size", "key_frame")
 
 
 def entry_key(entry):
