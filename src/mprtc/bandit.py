@@ -2,9 +2,9 @@
 
 candidates maps each subflow id to its PathDefs.  Each slot the session
 calls decide(now) for a path id per subflow, where -1 keeps the subflow on
-its current path.  After every ack that gives an active path samples it
-offers that path's bandwidth estimate to on_new_bandwidth_sample(path_id,
-bw, now), and each policy chooses which of those samples it takes.
+its current path.  Each ack that gives an active path samples offers that
+path's bw_es to on_new_bandwidth_sample(path_id, bw, now), and each policy
+chooses which of these samples it takes.
 
 - "ucb", PathManager: built from the candidates map, it keeps each
   subflow's candidates in path id order.  Each candidate has a smoothed
@@ -14,10 +14,10 @@ bw, now), and each policy chooses which of those samples it takes.
   is at most the largest candidate count n; later decisions score each
   subflow's candidates with X = Bw_hat + Bw * sqrt(2 ln(C T) / N) for C
   subflows and give it the argmax, the lower id on a tie, or -1 if no
-  score is positive.  It takes a path's sample only SAMPLE_SPACING_US or
-  more after the last one it took from that path, and taking one only
-  smooths Bw_hat and appends; select_paths prunes the windows and computes
-  Bw just before it scores, the one place Bw is read.
+  score is positive.  It takes a sample SAMPLE_SPACING_US or more after
+  the last it took from that path, which only smooths Bw_hat and appends;
+  select_paths prunes the windows and computes Bw just before it scores,
+  the one place Bw is read.
 - "default", DefaultPolicy: every subflow stays on its first candidate.
 - "oracle", OraclePolicy: the candidate whose trace (each must have one) has
   the largest mean capacity over the coming slot, the earlier one on a tie.
@@ -30,10 +30,9 @@ import math
 from collections import deque
 
 OBSERVED_TIME_US = 10_000_000
-# The least spacing of the samples PathManager takes from one path; it
-# ignores any sample offered sooner after the last one it took.  It sets the
-# samples that Bw_hat smooths and how many a 10 s window holds when
-# select_paths scans it; changing it moves every ucb digest.
+# PathManager ignores a sample offered sooner than this after the last it
+# took from the path.  That sets what Bw_hat smooths and how many samples a
+# 10 s window holds, so changing it moves every ucb digest.
 SAMPLE_SPACING_US = 100_000
 SMOOTHING_ALPHA = 0.9
 SLOT_US = 1_000_000
@@ -63,7 +62,6 @@ class PathManager:
         p = self.by_id[path_id]
         samples = p.bwSamples_
         if samples:
-            # Pruning keeps the newest sample, so samples[-1] is the last one taken.
             if now < samples[-1][1] + SAMPLE_SPACING_US:
                 return
             p.Bw_hat = (1 - SMOOTHING_ALPHA) * p.Bw_hat + SMOOTHING_ALPHA * bw

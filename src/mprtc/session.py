@@ -5,16 +5,15 @@ ReceiveManager, so its own packet numbers and loss state) plus its RTC-BBR
 controller.  It hands each ack to its owner's _deliver_ack(conn, ack) once
 the route's summed one-way delay has passed, and gates sends on pacer and
 cwnd.  The owner decides what to send, learns what each ack settled from
-the samples of SendManager.on_ack, owns every scheduled callback, and
-calls SendManager.advance_stop_waiting from a timer of its own.
-CappedFlow drives one connection with a saturating, rate-capped source
-(the bottleneck-sharing experiments).  VideoSession drives one per
-candidate path under the full stack: video source, per-segment scheduler
-across two subflows, and slot-based path selection by the policy that
-bandit.POLICIES builds for the session's scheme.  Its ``active`` map is
-the one record of which path each subflow uses: only those paths'
-controllers run and take samples, and after each of their acks the policy
-is offered the path's bw_es.  The scheduler holds each subflow's rate, its
+the samples of SendManager.on_ack, and owns every scheduled callback, the
+tick that calls SendManager.advance_stop_waiting too.  CappedFlow drives
+one connection with a saturating, rate-capped source (the bottleneck-sharing
+experiments).  VideoSession drives one per candidate path under the full
+stack: video source, per-segment scheduler across two subflows, and
+slot-based path selection by the policy that bandit.POLICIES builds for
+the session's scheme.  Its ``active`` map alone says which path each
+subflow uses: only that path's controller runs, takes samples and offers
+its bw_es to the policy.  The scheduler holds each subflow's rate, its
 active controller's bw_es, and the encoder reads their sum from it.
 """
 

@@ -161,9 +161,8 @@ class SendManager:
       nor ``srtt``, and every ack that changes ``srtt`` re-arms, so the
       live timer is already due no later than the deadline.
     - ``advance_stop_waiting`` sends ``least_retained()`` as a STOP_WAITING
-      floor once it is above ``stop_waiting_mark``, so the floors sent
-      strictly rise.  The stop-waiting packet takes a number but is never a
-      record, so a floor that moved only past it is not news.
+      floor once it passes ``stop_waiting_mark``: floors strictly rise, and
+      one that moved only past the last stop-waiting packet is not news.
 
     ``srtt`` changes only in ``on_ack``, which then stores
     ``_loss_threshold()`` in ``_threshold`` for the loss timer to read.
@@ -179,8 +178,6 @@ class SendManager:
         self.largest_acked = 0
         self.srtt = 0
         self._threshold = self._loss_threshold()
-        # A floor at or below this is not news: it was sent already, or the
-        # only packet consumed since is our own stop-waiting packet.
         self.stop_waiting_mark = 1
         self.packets_sent = 0
         self.loss_hook = None       # called with [SimPacket] on new losses

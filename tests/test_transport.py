@@ -439,20 +439,13 @@ def test_ack_below_oldest_record_still_detects_reorder_loss():
     assert list(sm.records) == [7, 8]
 
 
-class RecordingLink:
-    def __init__(self):
-        self.packets = []
-
-    def enqueue(self, packet):
-        self.packets.append(packet)
-
-
 def test_advance_stop_waiting_sends_only_a_moved_floor():
-    link = RecordingLink()
-    sm = SendManager(EventLoop(), (link,))
+    loop = EventLoop()
+    link = Link(loop, LinkConfig(9_600_000, 10_000, 1_000_000))
+    sm = SendManager(loop, (link,))
 
-    def sent_floors():
-        return [(p.number, p.stop_waiting) for p in link.packets if p.stop_waiting is not None]
+    def sent_floors():  # the loop never runs, so every packet stays queued
+        return [(p.number, p.stop_waiting) for p in link.queue if p.stop_waiting is not None]
 
     sm.advance_stop_waiting()  # no records: the floor is next_packet_number, 1
     assert sm.least_retained() == sm.next_packet_number == 1
