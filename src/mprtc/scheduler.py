@@ -45,10 +45,9 @@ class SendBufferEntry:
 
 
 class SubflowState:
-    __slots__ = ("sid", "srtt", "bw_es", "queue", "queued_bytes")
+    __slots__ = ("srtt", "bw_es", "queue", "queued_bytes")
 
-    def __init__(self, sid: int) -> None:
-        self.sid = sid
+    def __init__(self) -> None:
         self.srtt = 0
         self.bw_es = 0.0  # set by the Scheduler's constructor
         self.queue: deque[SendBufferEntry] = deque()
@@ -59,7 +58,7 @@ class Scheduler:
     def __init__(self, initial_bw_es: dict[int, float]) -> None:
         if not initial_bw_es:
             raise ValueError("a scheduler needs at least one subflow")
-        self.subflows = {sid: SubflowState(sid) for sid in sorted(initial_bw_es)}  # id order
+        self.subflows = {sid: SubflowState() for sid in sorted(initial_bw_es)}  # id order
         for sid, bw in initial_bw_es.items():
             self.set_bw_es(sid, bw)
         # (now, frame_index, segment_index, sid) of the latest assignments
@@ -93,11 +92,11 @@ class Scheduler:
         """
         best_sid = next(iter(self.subflows))  # kept only if every latency is infinite
         best_lat = math.inf
-        for sub in self.subflows.values():
+        for sid, sub in self.subflows.items():
             lat = sub.srtt / 2 + sub.queued_bytes * 8 * US_PER_S / sub.bw_es
             if lat < best_lat:
                 best_lat = lat
-                best_sid = sub.sid
+                best_sid = sid
         return best_sid, best_lat
 
     # -- assignment

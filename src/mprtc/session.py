@@ -6,15 +6,16 @@ controller.  It hands each ack to its owner's _deliver_ack(conn, ack) once
 the route's summed one-way delay has passed, and gates sends on pacer and
 cwnd.  The owner decides what to send, learns what each ack settled from
 the samples of SendManager.on_ack, and owns every scheduled callback, the
-tick that calls SendManager.advance_stop_waiting too.  CappedFlow drives
-one connection with a saturating, rate-capped source (the bottleneck-sharing
-experiments).  VideoSession drives one per candidate path under the full
-stack: video source, per-segment scheduler across two subflows, and
-slot-based path selection by the policy that bandit.POLICIES builds for
-the session's scheme.  Its ``active`` map alone says which path each
-subflow uses: only that path's controller runs, takes samples and offers
-its bw_es to the policy.  The scheduler holds each subflow's rate, its
-active controller's bw_es, and the encoder reads their sum from it.
+tick that calls SendManager.advance_stop_waiting too.  A CappedFlow is a
+PathConnection fed by a saturating, rate-capped source (the
+bottleneck-sharing experiments), and its own owner.  VideoSession drives
+one per candidate path under the full stack: video source, per-segment
+scheduler across two subflows, and slot-based path selection by the policy
+that bandit.POLICIES builds for the session's scheme.  Its ``active`` map
+alone says which path each subflow uses: only that path's controller runs,
+takes samples and offers its bw_es to the policy.  The scheduler holds each
+subflow's rate, its active controller's bw_es, and the encoder reads their
+sum from it.
 """
 
 from __future__ import annotations
@@ -78,25 +79,26 @@ class PathConnection:
         self.next_send_ts = pacer_next_send_time(now, size, rate)
 
 
-class CappedFlow:
-    """Saturating single-path flow: sends whenever pacer and cwnd allow.
+class CappedFlow(PathConnection):
+    """Saturating single-path flow: a PathConnection fed by a source that
+    sends whenever pacer and cwnd allow.
 
     The pacing rate is min(controller rate, rate_cap_bps), modeling an
     application that never offers more than the cap.  Lost packets are not
     retransmitted; the receiver-side byte count is the throughput measure.
+    A segment's frame index is its packet's send count.
     """
+
+    __slots__ = ("start_ts", "_pump_timer")
 
     def __init__(self, loop, rng, path, *, variant: str = "rtc-bbr",
                  conn_id: int = 0, rate_cap_bps: int = RATE_CAP_BPS,
                  start_ts: int = 0):
-        self.loop = loop
+        super().__init__(loop, rng, path, variant, conn_id, self._deliver_ack,
+                         rate_cap_bps=rate_cap_bps)
         self.start_ts = start_ts
-        self.conn = PathConnection(loop, rng, path, variant, conn_id, self._deliver_ack,
-                                   rate_cap_bps=rate_cap_bps)
-        self.cc, self.sm, self.rm = self.conn.cc, self.conn.sm, self.conn.rm
         self.sm.loss_hook = self._on_loss
         self._pump_timer = None
-        self._counter = 0
 
     def start(self) -> None:
         self._pump_timer = self.loop.schedule(self.start_ts, self._pump)
@@ -113,17 +115,16 @@ class CappedFlow:
         # It returns only by arming _pump_timer or finding cwnd full, and
         # _wake pumps only once that timer is dead: at most one is pending.
         now = self.loop.now
-        conn = self.conn
+        sm = self.sm
         while True:
-            ts = conn.gate(now)
+            ts = self.gate(now)
             if ts is None:
                 return
             if ts > now:
                 self._pump_timer = self.loop.schedule(ts, self._pump)
                 return
-            segment = StreamFrame(PAYLOAD_BUDGET, self._counter, now, 1, 0, False)
-            self._counter += 1
-            conn.send(segment, MSS, now, False)  # a full segment fills MSS exactly
+            segment = StreamFrame(PAYLOAD_BUDGET, sm.packets_sent, now, 1, 0, False)
+            self.send(segment, MSS, now, False)  # a full segment fills MSS exactly
 
     def _wake(self) -> None:
         if self._pump_timer[2] is None:

@@ -10,6 +10,7 @@ delivery-rate samples for the congestion controller.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -143,7 +144,7 @@ class SendManager:
     come from one counter and callers send at the loop's current time, so
     its keys strictly ascend and its ``sent_ts`` never decrease: the first
     record is the oldest by both.  ``least_retained``, ``_arm_loss_timer``,
-    ``_detect_reorder_loss`` and the paths below rely on that order.
+    ``_declare_oldest_lost`` and the paths below rely on that order.
 
     - ``on_ack`` skips every ack range, or part of one, below the oldest
       record, because those numbers were settled earlier.  Ranges descend,
@@ -152,9 +153,10 @@ class SendManager:
       It returns one sample per newly acked packet, carrying that packet's
       ``context``: the one report of what the ack settled.  An ack that
       settles nothing new still runs reorder detection and returns ``[]``.
-    - ``_on_loss_timer`` walks from the oldest record and stops at the
-      first one within the loss threshold: it costs the packets it declares
-      lost, plus one.
+    - ``_declare_oldest_lost`` is the one walk that declares losses, for
+      reorder detection (a number bound) and the loss timer (a send-time
+      bound) alike.  It walks from the oldest record and stops at the first
+      one past either bound: it costs the records it declares lost, plus one.
     - ``send_segment`` calls ``_arm_loss_timer`` (``EventLoop.schedule_by``)
       only when the send went into an empty ``records`` or no live timer is
       due after now.  Otherwise the send moved neither the oldest record
@@ -276,13 +278,15 @@ class SendManager:
 
     def _detect_reorder_loss(self):
         """Packets REORDER_THRESHOLD behind the largest ack are lost."""
-        horizon = self.largest_acked - REORDER_THRESHOLD
-        if horizon < 1 or not self.records:
-            return []
+        return self._declare_oldest_lost(self.largest_acked - REORDER_THRESHOLD, math.inf)
+
+    def _declare_oldest_lost(self, max_number, sent_before) -> list:
+        """Declare lost, and return, the oldest records numbered at most
+        max_number and sent before sent_before."""
         lost = []
         for number, rec in self.records.items():
-            if number > horizon:
-                break  # numbers ascend in insertion order
+            if number > max_number or rec.sent_ts >= sent_before:
+                break  # numbers and send times ascend in insertion order
             lost.append(rec)
         if lost:
             self._declare_lost(lost)
@@ -309,16 +313,8 @@ class SendManager:
                 self._loss_timer, oldest + self._threshold + 1, self._on_loss_timer)
 
     def _on_loss_timer(self) -> None:
-        # Armed only once srtt > 0, and srtt never returns to 0; no records, no walk.
-        threshold = self._threshold
-        now = self.loop.now
-        lost = []
-        for rec in self.records.values():
-            if now - rec.sent_ts <= threshold:
-                break  # send times ascend in insertion order
-            lost.append(rec)
-        if lost:
-            self._declare_lost(lost)
+        # Armed only once srtt > 0, and srtt never returns to 0.
+        self._declare_oldest_lost(math.inf, self.loop.now - self._threshold)
         self._arm_loss_timer()
 
 

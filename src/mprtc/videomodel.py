@@ -191,8 +191,6 @@ class VideoSink:
             )
             self.pending[fi] = frame
         frame.high_numbers[conn_id] = packet_number  # numbers arrive in send order
-        if segment.segment_index in frame.segment_bytes:
-            return
         frame.segment_bytes[segment.segment_index] = segment.payload_length
         if len(frame.segment_bytes) == frame.total_segments:
             del self.pending[fi]

@@ -274,6 +274,31 @@ def test_earlier_pump_timer_replaces_later_one():
                 and entry[3] == (sid,)] == live
 
 
+def test_pump_sends_nothing_when_only_an_expired_resend_is_queued():
+    # next_segment discards a queued delta resend past RETENTION_US and finds
+    # nothing else: the pump must stop without sending or arming a timer.
+    loop = EventLoop()
+    rng = random.Random(5)
+    net = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
+                         traces=collapse_traces())
+    session = VideoSession(loop, rng, net.candidates)
+    sched = session.scheduler
+    sid = session.sids[0]
+    (entry,) = sched.schedule_segments(transport.packetize(500, 1, 0, False), 0)
+    assert sched.next_segment(sid, 0) is entry  # first sent at 0
+    assert sched.on_loss([entry], scheduler.RETENTION_US) == ([sid], [])  # requeued, not yet expired
+    sub = sched.subflows[sid]
+    assert list(sub.queue) == [entry]
+    loop.run(scheduler.RETENTION_US + 1)
+    conn = session.active[sid]
+    assert conn.gate(loop.now) == loop.now  # pacer due, cwnd open
+    session._pump(sid)
+    assert conn.sm.packets_sent == 0
+    assert session._pump_timers[sid] is None
+    assert [e for e in loop._heap if e[2] is not None] == []
+    assert sub.queued_bytes == 0 and not sub.queue
+
+
 def test_collapse_digest_independent_of_hash_seed():
     code = "import test_session as t; print(t.overlay_digest(t.run_collapse()))"
     path = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
