@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_congestion
+from reference_bbr import ReferenceBbrController
 from mprtc import congestion
 from mprtc.congestion import (
     BW_WINDOW_ROUNDS,
@@ -468,19 +469,80 @@ sample_steps = st.lists(st.tuples(
 def test_stored_outputs_match_reference(variant, seed, steps):
     cc = make_cc(variant=variant, seed=seed)
     assert stored_outputs(cc) == reference_congestion.outputs(cc)
+    for name, args in step_calls(steps):
+        getattr(cc, name)(*args)
+        assert stored_outputs(cc) == reference_congestion.outputs(cc)
+
+
+def step_calls(steps):
+    """The controller calls that sample_steps describe, as (method name, args)."""
     now = 0
     delivered = 0
     rtt = 20_000
     for kind, gap, bw, rise, inflight, loss, app, acked in steps:
         now += gap
-        if kind == "pause":
-            cc.pause(now)
-        elif kind == "resume":
-            cc.resume(now)
-        else:
+        if kind == "sample":
             rtt = rtt + rise if rise else 20_000   # rising RTTs let min-RTT expire
             das = delivered
             delivered += acked
-            cc.on_delivery_sample(DeliveryRateSample(bw, rtt, inflight, loss, app,
-                                                     das, delivered), now)
-        assert stored_outputs(cc) == reference_congestion.outputs(cc)
+            yield "on_delivery_sample", (DeliveryRateSample(bw, rtt, inflight, loss, app,
+                                                            das, delivered), now)
+        else:
+            yield kind, (now,)
+
+
+# --- the frozen reference intake -----------------------------------------------
+
+def assert_same_state(cc, ref):
+    """Every slot of cc equals the reference's, type and value alike: the max
+    filter by its samples, the rng by its state."""
+    for name in BbrController.__slots__:
+        mine, theirs = getattr(cc, name), getattr(ref, name)
+        if name == "rng":
+            assert mine.getstate() == theirs.getstate()
+        elif name == "max_bw_filter":
+            assert repr(list(mine._samples)) == repr(list(theirs._samples))
+        else:
+            assert repr(mine) == repr(theirs), name
+
+
+def drive_both(variant, seed, calls):
+    """Make the same calls on a controller and the frozen reference, comparing
+    their state after each; returns the controller."""
+    cc = make_cc(variant=variant, seed=seed)
+    ref = ReferenceBbrController(random.Random(seed), variant)
+    assert_same_state(cc, ref)
+    for name, args in calls:
+        getattr(cc, name)(*args)
+        getattr(ref, name)(*args)
+        assert_same_state(cc, ref)
+    return cc
+
+
+# Longer streams of a few bandwidth levels and inflights: most leave StartUp,
+# and most of those go through ProbeRTT and out of it again.
+steady_sample_steps = st.lists(st.tuples(
+    st.sampled_from(["sample"] * 30 + ["pause", "resume"]),
+    st.one_of(st.integers(0, 300_000), st.just(2_000_000)),
+    st.sampled_from([1e6, 1.05e6, 2e6, 2.1e6, 5e6]),
+    st.integers(0, 3_000),
+    st.sampled_from([0, 3000, PROBE_RTT_CWND, 20_000, 200_000]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 30_000),
+), min_size=50, max_size=300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=st.sampled_from(["rtc-bbr", "bbr"]), seed=st.integers(0, 1000),
+       steps=st.one_of(sample_steps, steady_sample_steps))
+def test_sample_intake_matches_frozen_reference(variant, seed, steps):
+    drive_both(variant, seed, step_calls(steps))
+
+
+@pytest.mark.parametrize("variant", ["rtc-bbr", "bbr"])
+def test_recorded_stream_matches_frozen_reference(variant):
+    from perf_congestion import STREAM  # records 4 s of one saturating flow
+
+    cc = drive_both(variant, 1, [("on_delivery_sample", pair) for pair in STREAM])
+    assert cc.mode != STARTUP

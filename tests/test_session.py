@@ -386,6 +386,29 @@ def test_rate_cap_must_be_a_positive_number(cap):
                        rate_cap_bps=cap)
 
 
+class NullLink:
+    owd_us = 0
+
+    def enqueue(self, packet):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(now=st.integers(0, 10**12), size=st.integers(1, transport.MSS),
+       rate=st.floats(1, 1e18),
+       cap=st.one_of(st.just(float("inf")), st.floats(1, 1e18)))
+def test_data_send_moves_the_pacer_past_now(now, size, rate, cap):
+    """PathConnection.send leaves next_send_ts after now, at the pacer time
+    of its clamped rate: the one-send-per-pump rule of both pumps rests on it."""
+    loop = EventLoop()
+    conn = PathConnection(loop, random.Random(1), simnet.PathDef(0, (NullLink(),)),
+                          "rtc-bbr", 0, None, rate_cap_bps=cap)
+    conn.cc.pacing_rate = rate
+    conn.send(transport.StreamFrame(size, 0, now, 1, 0, False), size, now, False)
+    assert conn.next_send_ts == transport.pacer_next_send_time(now, size, min(rate, cap))
+    assert conn.next_send_ts > now
+
+
 def test_subflow_without_candidate_is_rejected():
     loop = EventLoop()
     rng = random.Random(5)

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mprtc.simnet import EventLoop, Link, LinkConfig, US_PER_MS, US_PER_S
 from mprtc.transport import (
@@ -104,6 +104,18 @@ def test_pacer_rounds_up_to_clock_grain():
 def test_pacer_zero_rate_rejected():
     with pytest.raises(ValueError):
         pacer_next_send_time(0, 1200, 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(t=st.integers(0, 2**62), size=st.integers(1, 10**6),
+       rate=st.one_of(st.floats(1, 1e18), st.integers(1, 10**18)))
+@example(t=0, size=1, rate=1e18)
+@example(t=2**62, size=1, rate=10**18)
+def test_pacer_moves_past_now_for_every_positive_size(t, size, rate):
+    """Any positive gap rounds up to at least one microsecond, so a pump
+    that has just sent can arm its timer at the pacer time without asking
+    the pacer again."""
+    assert pacer_next_send_time(t, size, rate) > t
 
 
 # --- send/receive managers --------------------------------------------------
