@@ -48,14 +48,16 @@ class WindowedMaxFilter:
     def __init__(self) -> None:
         self._samples: deque = deque()  # (round, value), values strictly decreasing
 
-    def update(self, value: float, round_count: int) -> None:
+    def update(self, value: float, round_count: int) -> float:
+        """Take value as round_count's sample and return the new max."""
         samples = self._samples
         while samples and samples[-1][1] <= value:
             samples.pop()
         samples.append((round_count, value))
         bound = round_count - BW_WINDOW_ROUNDS
-        while samples and samples[0][0] <= bound:
+        while samples[0][0] <= bound:  # value itself, at round_count, stays
             samples.popleft()
+        return samples[0][1]
 
     def get(self) -> float:
         return self._samples[0][1] if self._samples else 0.0
@@ -72,9 +74,14 @@ class BbrController:
     computed where their inputs change and senders read them per packet.
     bw_es is stored after every update of the bandwidth filter, because the
     state machine reads it (through bdp_bytes) later in the same sample;
-    pacing_rate and cwnd are stored by _set_outputs at the end of
-    on_delivery_sample.  pause and resume move only clocks, which no output
-    reads.
+    pacing_rate and cwnd are stored at the end of on_delivery_sample.
+    pause and resume move only clocks, which no output reads.
+
+    on_delivery_sample counts rounds, updates the filters and stores the
+    outputs in its own frame, since it runs once per acked packet; it calls
+    a helper only to change mode or gain.  tests/reference_bbr.py keeps the
+    same intake with one helper per step, and the tests require both to
+    hold the same state after every call.
     """
 
     __slots__ = (
@@ -107,41 +114,36 @@ class BbrController:
         self.cycle_phase = 0
         self.loss_since_update = False
         self.pause_started = None  # the time of the pause in effect, None while running
-        self._set_bw_es()
-        self._set_outputs()
-
-    # -- outputs
-
-    def _set_bw_es(self) -> None:
-        """Store the bandwidth estimate; run after every bandwidth-filter update."""
-        bw = self.max_bw_filter.get()
-        self.bw_es = bw if bw > 0 else INITIAL_BW_BPS
+        # The filter is empty (bw_es is the initial estimate) and rtt_min 0
+        # (the BDP is INITIAL_CWND), as on_delivery_sample would store them.
+        self.bw_es = INITIAL_BW_BPS
+        self.pacing_rate = INITIAL_BW_BPS * STARTUP_GAIN
+        self.cwnd = max(STARTUP_GAIN * INITIAL_CWND, INITIAL_CWND)
 
     def bdp_bytes(self) -> float:
         if not self.rtt_min:
             return INITIAL_CWND
         return self.bw_es * self.rtt_min / 8 / 1_000_000
 
-    def _set_outputs(self) -> None:
-        """Store pacing_rate and cwnd; run once bw_es, rtt_min, mode and pacing_gain are final."""
-        self.pacing_rate = self.bw_es * self.pacing_gain
-        if self.mode == PROBE_RTT:
-            self.cwnd = PROBE_RTT_CWND
-        elif self.mode == PROBE_BW:
-            self.cwnd = PROBE_BW_CWND_GAIN * self.bdp_bytes()
-        else:  # StartUp or Drain
-            self.cwnd = max(STARTUP_GAIN * self.bdp_bytes(), INITIAL_CWND)
-
     # -- sample intake
 
     def on_delivery_sample(self, sample: DeliveryRateSample, now: int) -> None:
         if sample.has_loss:
             self.loss_since_update = True
-        round_ended = self._update_round(sample)
-        self._update_bw_filter(sample)
-        min_rtt_expired = bool(self.rtt_min) and now - self.rtt_min_ts > MIN_RTT_EXPIRY_US
-        if not self.rtt_min or sample.rtt <= self.rtt_min or min_rtt_expired:
-            self.rtt_min = sample.rtt
+        # A round ends when a packet sent after the previous round's end
+        # is delivered; the send manager's delivered counter marks both.
+        round_ended = sample.delivered_at_send >= self.next_round_delivered
+        if round_ended:
+            self.round_count += 1
+            self.next_round_delivered = sample.delivered_at_ack
+        # An app-limited sample below the max says nothing about the path.
+        if not (sample.app_limited and sample.bandwidth <= self.max_bw_filter.get()):
+            bw = self.max_bw_filter.update(sample.bandwidth, self.round_count)
+            self.bw_es = bw if bw > 0 else INITIAL_BW_BPS
+        rtt_min = self.rtt_min
+        min_rtt_expired = bool(rtt_min) and now - self.rtt_min_ts > MIN_RTT_EXPIRY_US
+        if not rtt_min or sample.rtt <= rtt_min or min_rtt_expired:
+            self.rtt_min = rtt_min = sample.rtt
             self.rtt_min_ts = now
         if self.mode == STARTUP and round_ended and self._check_full_pipe(sample):
             self._enter_drain()
@@ -157,24 +159,21 @@ class BbrController:
                 self.loss_since_update = False
             else:
                 self._stock_bbr_cycle(now, sample.inflight)
-        if self.mode == PROBE_RTT:
+        mode = self.mode
+        if mode == PROBE_RTT:
             self._probe_rtt_dwell(sample, now)
-        self._set_outputs()
-
-    def _update_round(self, sample: DeliveryRateSample) -> bool:
-        # A round ends when a packet sent after the previous round's end
-        # is delivered; the send manager's delivered counter marks both.
-        if sample.delivered_at_send >= self.next_round_delivered:
-            self.round_count += 1
-            self.next_round_delivered = sample.delivered_at_ack
-            return True
-        return False
-
-    def _update_bw_filter(self, sample: DeliveryRateSample) -> None:
-        if sample.app_limited and sample.bandwidth <= self.max_bw_filter.get():
-            return
-        self.max_bw_filter.update(sample.bandwidth, self.round_count)
-        self._set_bw_es()
+            mode = self.mode
+        # The outputs, once bw_es, rtt_min, mode and pacing_gain are final.
+        bw_es = self.bw_es
+        self.pacing_rate = bw_es * self.pacing_gain
+        if mode == PROBE_RTT:
+            self.cwnd = PROBE_RTT_CWND
+        else:
+            bdp = bw_es * rtt_min / 8 / 1_000_000 if rtt_min else INITIAL_CWND
+            if mode == PROBE_BW:
+                self.cwnd = PROBE_BW_CWND_GAIN * bdp
+            else:  # StartUp or Drain
+                self.cwnd = max(STARTUP_GAIN * bdp, INITIAL_CWND)
 
     # -- StartUp / Drain
 
@@ -214,7 +213,7 @@ class BbrController:
             return
         if self.pacing_gain == 1:
             return
-        bdp = self.bdp_bytes()
+        bdp = self.bw_es * self.rtt_min / 8 / 1_000_000 if self.rtt_min else INITIAL_CWND
         if self.pacing_gain < 1.0 and inflight <= bdp:
             self.pacing_gain = 1
         if elapsed > self.rtt_min and (inflight > PROBE_UP_GAIN * bdp or has_loss):

@@ -3,11 +3,11 @@
 A PathConnection is one path's QUIC-like connection (SendManager and
 ReceiveManager, so its own packet numbers and loss state) plus its RTC-BBR
 controller.  It hands each ack to its owner's _deliver_ack(conn, ack) once
-the route's summed one-way delay has passed, and gates sends on pacer and
-cwnd.  The owner decides what to send, learns what each ack settled from
-the samples of SendManager.on_ack, and owns every scheduled callback, the
-tick that calls SendManager.advance_stop_waiting too.  A CappedFlow is a
-PathConnection fed by a saturating, rate-capped source (the
+the route's summed one-way delay has passed, and send moves its pacer time
+next_send_ts on.  The owner decides what to send, learns what each ack
+settled from the samples of SendManager.on_ack, and owns every scheduled
+callback, the tick that calls SendManager.advance_stop_waiting too.  A
+CappedFlow is a PathConnection fed by a saturating, rate-capped source (the
 bottleneck-sharing experiments), and its own owner.  VideoSession drives
 one per candidate path under the full stack: video source, per-segment
 scheduler across two subflows, and slot-based path selection by the policy
@@ -16,6 +16,15 @@ alone says which path each subflow uses: only that path's controller runs,
 takes samples and offers its bw_es to the policy.  The scheduler holds each
 subflow's rate, its active controller's bw_es, and the encoder reads their
 sum from it.
+
+Both owners pump a path by one rule.  A send is due once next_send_ts is
+not after now and cwnd has room for one more MSS.  A pump sends at most one
+packet and then arms its timer at next_send_ts.  That is exact, not a
+change of pacing: a data send always leaves next_send_ts after now, because
+the pacer rounds any positive gap up to a whole microsecond.  A second look
+within the same pump would only find the pacer not yet due and arm that
+same timer.  The owners differ only in when a pump returns at once (see
+their _pump methods).
 """
 
 from __future__ import annotations
@@ -23,13 +32,13 @@ from __future__ import annotations
 from .bandit import POLICIES, SLOT_US
 from .congestion import BbrController
 from .scheduler import Scheduler
+from .simnet import US_PER_S
 from .transport import (
     MSS,
     PAYLOAD_BUDGET,
     ReceiveManager,
     SendManager,
     StreamFrame,
-    pacer_next_send_time,
     packetize,
 )
 from .videomodel import RATE_CAP_BPS, VideoSink, VideoSource
@@ -62,21 +71,14 @@ class PathConnection:
     def _on_receiver_ack(self, ack, now: int) -> None:
         self.loop.schedule(now + self.reverse_delay_us, self.deliver_ack, self, ack)
 
-    def gate(self, now: int) -> int | None:
-        """Earliest send time the pacer allows, or None while cwnd is full."""
-        if self.next_send_ts > now:
-            return self.next_send_ts
-        if self.sm.inflight + MSS > self.cc.cwnd:
-            return None
-        return now
-
     def send(self, segment: StreamFrame, size: int, now: int, app_limited: bool,
              context=None) -> None:
         self.sm.send_segment(segment, size, now, app_limited, context)
         rate = self.cc.pacing_rate
         if rate > self.rate_cap_bps:
             rate = self.rate_cap_bps
-        self.next_send_ts = pacer_next_send_time(now, size, rate)
+        # pacer_next_send_time(now, size, rate), in place; a test pins the two.
+        self.next_send_ts = now + int(-(-size * 8 * US_PER_S // rate))
 
 
 class CappedFlow(PathConnection):
@@ -113,32 +115,29 @@ class CappedFlow(PathConnection):
 
     def _pump(self) -> None:
         # It returns only by arming _pump_timer or finding cwnd full, and
-        # _wake pumps only once that timer is dead: at most one is pending.
+        # an ack or a loss pumps only once that timer is dead: at most one
+        # is pending.
         now = self.loop.now
-        sm = self.sm
-        while True:
-            ts = self.gate(now)
-            if ts is None:
+        ts = self.next_send_ts
+        if ts <= now:
+            if self.sm.inflight + MSS > self.cc.cwnd:
                 return
-            if ts > now:
-                self._pump_timer = self.loop.schedule(ts, self._pump)
-                return
-            segment = StreamFrame(PAYLOAD_BUDGET, sm.packets_sent, now, 1, 0, False)
+            segment = StreamFrame(PAYLOAD_BUDGET, self.sm.packets_sent, now, 1, 0, False)
             self.send(segment, MSS, now, False)  # a full segment fills MSS exactly
-
-    def _wake(self) -> None:
-        if self._pump_timer[2] is None:
-            self._pump()
+            ts = self.next_send_ts
+        self._pump_timer = self.loop.schedule(ts, self._pump)
 
     def _deliver_ack(self, conn: PathConnection, ack) -> None:
         now = self.loop.now
         cc = conn.cc
         for sample in conn.sm.on_ack(ack, now):
             cc.on_delivery_sample(sample, now)
-        self._wake()
+        if self._pump_timer[2] is None:
+            self._pump()
 
     def _on_loss(self, lost) -> None:
-        self._wake()
+        if self._pump_timer[2] is None:
+            self._pump()
 
 
 class VideoSession:
@@ -213,20 +212,29 @@ class VideoSession:
     def _pump(self, sid: int) -> None:
         now = self.loop.now
         conn = self.active[sid]
+        timer = self._pump_timers[sid]
+        # A timer due after now (so live) and no later than the pacer could
+        # only be kept, so the pump returns at once.  The timer's own firing
+        # is due now and always pumps.  Skipping while the timer is live but
+        # due later, or while it is due now, moves output digests.
+        if timer is not None and now < timer[0] <= conn.next_send_ts:
+            return
         sched = self.scheduler
         sub = sched.subflows[sid]
-        while sub.queued_bytes > 0:
-            ts = conn.gate(now)
-            if ts is None:
+        if sub.queued_bytes <= 0:
+            return
+        ts = conn.next_send_ts
+        if ts <= now:
+            if conn.sm.inflight + MSS > conn.cc.cwnd:
                 return  # ack-clocked: the next _deliver_ack pumps again
-            if ts > now:
-                self._pump_timers[sid] = self.loop.schedule_by(
-                    self._pump_timers[sid], ts, self._pump, sid)
-                return
             entry = sched.next_segment(sid, now)
             if entry is None:
                 return
             conn.send(entry.segment, entry.size, now, sub.queued_bytes <= 0, entry)
+            if sub.queued_bytes <= 0:
+                return
+            ts = conn.next_send_ts
+        self._pump_timers[sid] = self.loop.schedule_by(timer, ts, self._pump, sid)
 
     # -- feedback path
 

@@ -7,12 +7,12 @@ insertion order and every stochastic draw comes from one seeded RNG.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
@@ -63,9 +63,9 @@ class EventLoop:
         """
         if fire_time < self.now:
             raise SchedulingError(f"fire_time {fire_time} < now {self.now}")
-        self._seq += 1
-        entry = [fire_time, self._seq, fn, args]
-        heapq.heappush(self._heap, entry)
+        self._seq = seq = self._seq + 1
+        entry = [fire_time, seq, fn, args]
+        heappush(self._heap, entry)
         return entry
 
     def schedule_by(self, handle: list | None, deadline: int, fn, *args) -> list:
@@ -86,9 +86,8 @@ class EventLoop:
         if until < self.now:
             raise SchedulingError(f"run until {until} < now {self.now}")
         heap = self._heap
-        pop = heapq.heappop
         while heap and heap[0][0] <= until:
-            t, _, fn, args = entry = pop(heap)
+            t, _, fn, args = entry = heappop(heap)
             if fn is None:
                 continue
             entry[2] = None
@@ -263,6 +262,10 @@ class Link:
     A packet's serialization time is fixed when its transmission starts,
     using the trace capacity at that instant for trace-driven links.
 
+    Service starts in ``enqueue`` when the link was idle and in ``_depart``
+    when a packet waits; each works the serialization time out in place,
+    and the DropTail model tests pin both to ceil(size * 8 / rate).
+
     The link forwards each packet, which carries ``size``, ``route`` (its
     links), ``hop`` (the index of this link) and ``sink``.  Nothing on the
     wire drops a packet, so it counts as delivered at departure, and
@@ -294,33 +297,37 @@ class Link:
         if self.occupancy + packet.size > self.queue_capacity:
             self.dropped += 1
             return
-        self.queue.append(packet)
+        queue = self.queue
+        queue.append(packet)
         self.occupancy += packet.size
         # The head of the queue is the packet in service, so the link was
         # idle exactly when this packet is the only one queued.
-        if len(self.queue) == 1:
-            self._start_service()
-
-    def _start_service(self) -> None:
-        packet = self.queue[0]
-        trace = self.trace
-        cap = self.capacity if trace is None else trace.capacity_at(self.loop.now)
-        ser_us = (packet.size * 8 * US_PER_S + cap - 1) // cap
-        self.loop.schedule(self.loop.now + ser_us, self._depart)
+        if len(queue) == 1:
+            loop = self.loop
+            now = loop.now
+            trace = self.trace
+            cap = self.capacity if trace is None else trace.capacity_at(now)
+            loop.schedule(now + (packet.size * 8 * US_PER_S + cap - 1) // cap, self._depart)
 
     def _depart(self) -> None:
-        packet = self.queue.popleft()
+        queue = self.queue
+        packet = queue.popleft()
         self.occupancy -= packet.size
         self.delivered += 1
-        arrival = self.loop.now + self.owd_us
+        loop = self.loop
+        now = loop.now
+        arrival = now + self.owd_us
         hop = packet.hop + 1
         if hop < len(packet.route):
             packet.hop = hop
-            self.loop.schedule(arrival, packet.route[hop].enqueue, packet)
+            loop.schedule(arrival, packet.route[hop].enqueue, packet)
         else:
-            self.loop.schedule(arrival, packet.sink, packet, arrival)
-        if self.queue:
-            self._start_service()
+            loop.schedule(arrival, packet.sink, packet, arrival)
+        if queue:  # the next packet's service starts now
+            packet = queue[0]
+            trace = self.trace
+            cap = self.capacity if trace is None else trace.capacity_at(now)
+            loop.schedule(now + (packet.size * 8 * US_PER_S + cap - 1) // cap, self._depart)
 
 
 @dataclass

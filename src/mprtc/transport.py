@@ -168,6 +168,14 @@ class SendManager:
 
     ``srtt`` changes only in ``on_ack``, which then stores
     ``_loss_threshold()`` in ``_threshold`` for the loss timer to read.
+
+    ``on_ack`` runs once per ack, so it works out the floor
+    (``least_retained``), each SRTT step (``ewma_srtt``) and the threshold
+    in its own frame; ``tests/reference_transport.py`` calls the helpers,
+    and the tests require both to give the same samples, records and timers.
+    It calls the reorder walk only when the oldest record left is at or
+    below ``largest_acked - REORDER_THRESHOLD``: only then can the walk
+    declare anything, and it then declares at least that record.
     """
 
     def __init__(self, loop, route):
@@ -236,7 +244,7 @@ class SendManager:
     def on_ack(self, ack: AckFrame, now: int) -> list[DeliveryRateSample]:
         newly_acked = []
         records = self.records
-        floor = self.least_retained()
+        floor = next(iter(records)) if records else self.next_packet_number  # least_retained()
         for start, end in ack.ack_ranges:
             if end < floor:
                 break  # ranges descend, so every later one is below the floor too
@@ -256,23 +264,33 @@ class SendManager:
         self.delivered_bytes += acked_bytes
         delivered_now = self.delivered_bytes
 
-        has_loss = bool(self._detect_reorder_loss())
+        # The walk declares at least the oldest record once that is at or
+        # below the bound, and nothing otherwise.
+        has_loss = bool(records) and \
+            next(iter(records)) <= self.largest_acked - REORDER_THRESHOLD
+        if has_loss:
+            self._detect_reorder_loss()
         if not newly_acked:
             return []
         samples = []
+        inflight = self.inflight  # after the losses, and any sends their hook made
+        ack_delay = ack.ack_delay
+        srtt = self.srtt
         for rec in newly_acked:
             interval = now - rec.sent_ts
-            rtt = interval - ack.ack_delay
+            rtt = interval - ack_delay
             if rtt <= 0:
                 rtt = 1
             if interval <= 0:
                 interval = 1
             bw = (delivered_now - rec.delivered_at_send) * 8 * US_PER_S / interval
-            samples.append(DeliveryRateSample(bw, rtt, self.inflight, has_loss,
+            samples.append(DeliveryRateSample(bw, rtt, inflight, has_loss,
                                               rec.app_limited, rec.delivered_at_send,
                                               delivered_now, rec.context))
-            self.srtt = ewma_srtt(self.srtt, rtt)
-        self._threshold = self._loss_threshold()
+            # ewma_srtt(srtt, rtt)
+            srtt = int((1 - SRTT_DELTA) * srtt + SRTT_DELTA * rtt) if srtt else rtt
+        self.srtt = srtt
+        self._threshold = int(TIME_LOSS_FACTOR * srtt) + ACK_DELAY_MAX_US  # _loss_threshold()
         self._arm_loss_timer()
         return samples
 
@@ -381,7 +399,12 @@ class ReceiveManager:
         self.data_packets = 0
 
     def on_packet(self, packet: SimPacket, now: int) -> None:
-        self.ranges.add(packet.number)
+        number = packet.number
+        ends = self.ranges.ends
+        if ends and number == ends[-1] + 1:
+            ends[-1] = number  # _RangeSet.add's common case, in place
+        else:
+            self.ranges.add(number)
         self.largest_arrival_ts = now
         if packet.stream is not None:
             self.bytes_received += packet.size

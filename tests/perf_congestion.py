@@ -1,5 +1,5 @@
 """Microbenchmarks of the congestion controller and the path connection's
-per-packet gate.
+paced sends.
 
     python -m pytest tests/perf_congestion.py -q
 
@@ -8,7 +8,8 @@ collect it.  The sample stream is recorded once, at import, from 4 s of one
 saturating RTC-BBR flow on the dumbbell workload's 10 Mbps bottleneck, so
 it walks StartUp, Drain and ProbeBW as a real path does.  Each round feeds
 the whole stream to a fresh controller, or paces 60 packets out of a fresh
-connection through gate and send, as VideoSession._pump does.
+connection as VideoSession._pump does: one send per pacer time, while cwnd
+has room for it.
 """
 
 import random
@@ -71,14 +72,9 @@ def fresh_connection():
 
 
 def pace_out(conn, segment):
-    now = 0
     sent = 0
-    while sent < PACED:
-        ts = conn.gate(now)
-        if ts is None:
-            break
-        now = ts
-        conn.send(segment, MSS, now, False)
+    while sent < PACED and conn.sm.inflight + MSS <= conn.cc.cwnd:
+        conn.send(segment, MSS, conn.next_send_ts, False)
         sent += 1
     return sent
 
@@ -88,6 +84,6 @@ def test_on_delivery_sample_recorded_stream(benchmark):
     assert len(STREAM) > 1000 and cc.mode != "StartUp"
 
 
-def test_gate_and_send_60(benchmark):
+def test_paced_send_60(benchmark):
     sent = benchmark.pedantic(pace_out, setup=fresh_connection, rounds=ROUNDS)
     assert sent == PACED

@@ -359,23 +359,29 @@ range_set_ops = st.lists(st.one_of(
 @given(range_set_ops)
 def test_range_set_matches_set_model(ops):
     """Ascending numbers with gaps, as a lossy FIFO route delivers them, and
-    stop-waiting floors, against a plain set."""
+    stop-waiting floors, against a plain set.  A receiver takes the same
+    numbers through on_packet, which extends the top range in place."""
     ranges = _RangeSet()
+    rx = ReceiveManager(EventLoop(), lambda ack, now: None)
     model = set()
     last = 0  # the last number added: later ones are above it
     for op, arg in ops:
         if op == "add":
             last += 1 + arg
             ranges.add(last)
+            rx.on_packet(SimPacket(last, 0, None, None, (), None), 0)
             model.add(last)
         elif op == "stale" and model:
             with pytest.raises(ValueError):
                 ranges.add(max(model) - arg)
+            with pytest.raises(ValueError):
+                rx.on_packet(SimPacket(max(model) - arg, 0, None, None, (), None), 0)
         elif op == "drop":
             ranges.drop_below(arg)
+            rx.ranges.drop_below(arg)
             model = {n for n in model if n >= arg}
         top = ranges.descending()
-        assert top == model_ranges(model)
+        assert top == model_ranges(model) == rx.ranges.descending()
         assert all(s <= e for s, e in top)
         assert all(e + 1 < s for (s, _), (_, e) in zip(top, top[1:]))
 
