@@ -81,7 +81,10 @@ def packetize(size: int, frame_index: int, capture_ts: int,
 # --- pacing -----------------------------------------------------------------
 
 def pacer_next_send_time(prev_sent_ts: int, prev_len: int, pacing_rate: float) -> int:
-    """Earliest time the next packet may go out, on the microsecond grain."""
+    """Earliest time the next packet may go out, on the microsecond grain.
+
+    PathConnection.send works it out in place for every data packet, and a
+    test pins the two equal."""
     if pacing_rate <= 0:
         raise ValueError("pacing_rate must be > 0")
     gap = prev_len * 8 * US_PER_S
@@ -173,9 +176,9 @@ class SendManager:
     (``least_retained``), each SRTT step (``ewma_srtt``) and the threshold
     in its own frame; ``tests/reference_transport.py`` calls the helpers,
     and the tests require both to give the same samples, records and timers.
-    It calls the reorder walk only when the oldest record left is at or
+    It runs the reorder walk only when the oldest record left is at or
     below ``largest_acked - REORDER_THRESHOLD``: only then can the walk
-    declare anything, and it then declares at least that record.
+    declare anything, and then it declares at least that record.
     """
 
     def __init__(self, loop, route):
@@ -264,8 +267,8 @@ class SendManager:
         self.delivered_bytes += acked_bytes
         delivered_now = self.delivered_bytes
 
-        # The walk declares at least the oldest record once that is at or
-        # below the bound, and nothing otherwise.
+        # The reorder walk declares a loss exactly when the oldest record
+        # is at or below its bound.
         has_loss = bool(records) and \
             next(iter(records)) <= self.largest_acked - REORDER_THRESHOLD
         if has_loss:
@@ -287,8 +290,7 @@ class SendManager:
             samples.append(DeliveryRateSample(bw, rtt, inflight, has_loss,
                                               rec.app_limited, rec.delivered_at_send,
                                               delivered_now, rec.context))
-            # ewma_srtt(srtt, rtt)
-            srtt = int((1 - SRTT_DELTA) * srtt + SRTT_DELTA * rtt) if srtt else rtt
+            srtt = int((1 - SRTT_DELTA) * srtt + SRTT_DELTA * rtt) if srtt else rtt  # ewma_srtt
         self.srtt = srtt
         self._threshold = int(TIME_LOSS_FACTOR * srtt) + ACK_DELAY_MAX_US  # _loss_threshold()
         self._arm_loss_timer()
