@@ -23,8 +23,9 @@ packet and then arms its timer at next_send_ts.  That is exact, not a
 change of pacing: a data send always leaves next_send_ts after now, because
 the pacer rounds any positive gap up to a whole microsecond.  A second look
 within the same pump would only find the pacer not yet due and arm that
-same timer.  The owners differ only in when a pump returns at once (see
-their _pump methods).
+same timer.  The owners differ only in when they skip a pump: CappedFlow's
+ack and loss handlers pump only once its timer is dead, and
+VideoSession._pump returns at once while its live timer is due by the pacer.
 """
 
 from __future__ import annotations
