@@ -72,10 +72,12 @@ class BbrController:
     The outputs are stored values, not getters.  As in Linux tcp_bbr.c's
     bbr_main, which sets the pacing rate and cwnd once per ack, they are
     computed where their inputs change and senders read them per packet.
-    bw_es is stored after every update of the bandwidth filter, because the
-    state machine reads it (through bdp_bytes) later in the same sample;
-    pacing_rate and cwnd are stored at the end of on_delivery_sample.
-    pause and resume move only clocks, which no output reads.
+    bw_es is stored after every update of the bandwidth filter.
+    on_delivery_sample works the BDP out once per sample, as soon as bw_es
+    and rtt_min are final (no mode change moves either), and hands it to
+    the Drain exit, the ProbeBW cycles and the cwnd; pacing_rate and cwnd
+    are stored at the end of on_delivery_sample.  pause and resume move
+    only clocks, which no output reads.
 
     on_delivery_sample counts rounds, updates the filters and stores the
     outputs in its own frame, since it runs once per acked packet; it calls
@@ -120,11 +122,6 @@ class BbrController:
         self.pacing_rate = INITIAL_BW_BPS * STARTUP_GAIN
         self.cwnd = max(STARTUP_GAIN * INITIAL_CWND, INITIAL_CWND)
 
-    def bdp_bytes(self) -> float:
-        if not self.rtt_min:
-            return INITIAL_CWND
-        return self.bw_es * self.rtt_min / 8 / 1_000_000
-
     # -- sample intake
 
     def on_delivery_sample(self, sample: DeliveryRateSample, now: int) -> None:
@@ -145,9 +142,12 @@ class BbrController:
         if not rtt_min or sample.rtt <= rtt_min or min_rtt_expired:
             self.rtt_min = rtt_min = sample.rtt
             self.rtt_min_ts = now
+        bw_es = self.bw_es
+        bdp = bw_es * rtt_min / 8 / 1_000_000 if rtt_min else INITIAL_CWND
         if self.mode == STARTUP and round_ended and self._check_full_pipe(sample):
-            self._enter_drain()
-        if self.mode == DRAIN and sample.inflight <= self.bdp_bytes():
+            self.mode = DRAIN
+            self.pacing_gain = DRAIN_GAIN
+        if self.mode == DRAIN and sample.inflight <= bdp:
             self._enter_probe_bw(now)
         if self.mode == PROBE_BW:
             if min_rtt_expired:
@@ -155,25 +155,22 @@ class BbrController:
                 self.pacing_gain = 1
                 self.probe_rtt_done_ts = 0
             elif self.variant == "rtc-bbr":
-                self._update_gain_cycle_phase(now, sample.inflight, self.loss_since_update)
+                self._update_gain_cycle_phase(now, sample.inflight, self.loss_since_update, bdp)
                 self.loss_since_update = False
             else:
-                self._stock_bbr_cycle(now, sample.inflight)
+                self._stock_bbr_cycle(now, sample.inflight, bdp)
         mode = self.mode
         if mode == PROBE_RTT:
             self._probe_rtt_dwell(sample, now)
             mode = self.mode
-        # The outputs, once bw_es, rtt_min, mode and pacing_gain are final.
-        bw_es = self.bw_es
+        # The outputs, once mode and pacing_gain are final.
         self.pacing_rate = bw_es * self.pacing_gain
         if mode == PROBE_RTT:
             self.cwnd = PROBE_RTT_CWND
-        else:
-            bdp = bw_es * rtt_min / 8 / 1_000_000 if rtt_min else INITIAL_CWND
-            if mode == PROBE_BW:
-                self.cwnd = PROBE_BW_CWND_GAIN * bdp
-            else:  # StartUp or Drain
-                self.cwnd = max(STARTUP_GAIN * bdp, INITIAL_CWND)
+        elif mode == PROBE_BW:
+            self.cwnd = PROBE_BW_CWND_GAIN * bdp
+        else:  # StartUp or Drain
+            self.cwnd = max(STARTUP_GAIN * bdp, INITIAL_CWND)
 
     # -- StartUp / Drain
 
@@ -189,10 +186,6 @@ class BbrController:
         self.full_bw_count += 1
         return self.full_bw_count >= STARTUP_FULL_BW_ROUNDS
 
-    def _enter_drain(self) -> None:
-        self.mode = DRAIN
-        self.pacing_gain = DRAIN_GAIN
-
     def _enter_probe_bw(self, now: int) -> None:
         """Enter ProbeBW, or restart RTC-BBR's cycle, at a fresh cycle start."""
         self.mode = PROBE_BW
@@ -206,23 +199,23 @@ class BbrController:
 
     # -- ProbeBW gain cycling
 
-    def _update_gain_cycle_phase(self, now: int, inflight: int, has_loss: bool) -> None:
+    def _update_gain_cycle_phase(self, now: int, inflight: int, has_loss: bool,
+                                 bdp: float) -> None:
         elapsed = now - self.cycle_mstamp
         if elapsed > self.cycle_len * self.rtt_min:
             self._enter_probe_bw(now)
             return
         if self.pacing_gain == 1:
             return
-        bdp = self.bw_es * self.rtt_min / 8 / 1_000_000 if self.rtt_min else INITIAL_CWND
         if self.pacing_gain < 1.0 and inflight <= bdp:
             self.pacing_gain = 1
         if elapsed > self.rtt_min and (inflight > PROBE_UP_GAIN * bdp or has_loss):
             self.pacing_gain = PROBE_DOWN_GAIN
 
-    def _stock_bbr_cycle(self, now: int, inflight: int) -> None:
+    def _stock_bbr_cycle(self, now: int, inflight: int, bdp: float) -> None:
         elapsed = now - self.cycle_mstamp
         advance = elapsed > self.rtt_min
-        if not advance and self.pacing_gain == 0.75 and inflight <= self.bdp_bytes():
+        if not advance and self.pacing_gain == 0.75 and inflight <= bdp:
             advance = True  # probe-down has done its job, move on early
         if advance:
             self.cycle_phase = (self.cycle_phase + 1) % len(STOCK_GAIN_CYCLE)

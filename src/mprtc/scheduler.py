@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import takewhile
+from operator import attrgetter
 
 from .simnet import US_PER_S
 from .transport import StreamFrame, ewma_srtt, wire_size
@@ -153,12 +155,13 @@ class Scheduler:
 
     def evict(self, now: int) -> list[SendBufferEntry]:
         """Remove queued resends of delta segments older than RETENTION_US,
-        which queued_bytes would still count; returns those not acked."""
+        which queued_bytes would still count; returns those not acked.
+        Only a sent entry expires, and sent entries lead each queue (on_loss
+        puts resends at the head, _assign appends fresh ones), so the scan
+        stops at the first entry never sent."""
         evicted = []
         for sub in self.subflows.values():
-            if not sub.queue:
-                continue
-            stale = [e for e in sub.queue if e.expired(now)]
+            stale = [e for e in takewhile(attrgetter("sent"), sub.queue) if e.expired(now)]
             for entry in stale:
                 sub.queue.remove(entry)
                 sub.queued_bytes -= entry.size

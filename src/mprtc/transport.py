@@ -169,8 +169,9 @@ class SendManager:
       floor once it passes ``stop_waiting_mark``: floors strictly rise, and
       one that moved only past the last stop-waiting packet is not news.
 
-    ``srtt`` changes only in ``on_ack``, which then stores
-    ``_loss_threshold()`` in ``_threshold`` for the loss timer to read.
+    ``srtt`` changes only in ``on_ack``, which then stores the loss
+    threshold, TIME_LOSS_FACTOR x SRTT + ACK_DELAY_MAX_US, in ``_threshold``
+    for the loss timer to read.
 
     ``on_ack`` runs once per ack, so it works out the floor
     (``least_retained``), each SRTT step (``ewma_srtt``) and the threshold
@@ -190,7 +191,7 @@ class SendManager:
         self.delivered_bytes = 0
         self.largest_acked = 0
         self.srtt = 0
-        self._threshold = self._loss_threshold()
+        self._threshold = ACK_DELAY_MAX_US  # the loss threshold while srtt is 0
         self.stop_waiting_mark = 1
         self.packets_sent = 0
         self.loss_hook = None       # called with [SimPacket] on new losses
@@ -272,7 +273,7 @@ class SendManager:
         has_loss = bool(records) and \
             next(iter(records)) <= self.largest_acked - REORDER_THRESHOLD
         if has_loss:
-            self._detect_reorder_loss()
+            self._declare_oldest_lost(self.largest_acked - REORDER_THRESHOLD, math.inf)
         if not newly_acked:
             return []
         samples = []
@@ -292,13 +293,11 @@ class SendManager:
                                               delivered_now, rec.context))
             srtt = int((1 - SRTT_DELTA) * srtt + SRTT_DELTA * rtt) if srtt else rtt  # ewma_srtt
         self.srtt = srtt
-        self._threshold = int(TIME_LOSS_FACTOR * srtt) + ACK_DELAY_MAX_US  # _loss_threshold()
+        # The ack-delay allowance keeps a lone coalesced ack (up to 10 ms
+        # at the receiver) from tripping the timer on sparse traffic.
+        self._threshold = int(TIME_LOSS_FACTOR * srtt) + ACK_DELAY_MAX_US
         self._arm_loss_timer()
         return samples
-
-    def _detect_reorder_loss(self):
-        """Packets REORDER_THRESHOLD behind the largest ack are lost."""
-        return self._declare_oldest_lost(self.largest_acked - REORDER_THRESHOLD, math.inf)
 
     def _declare_oldest_lost(self, max_number, sent_before) -> list:
         """Declare lost, and return, the oldest records numbered at most
@@ -319,11 +318,6 @@ class SendManager:
         if self.loss_hook is not None:
             self.loss_hook(lost)
 
-    def _loss_threshold(self) -> int:
-        # The ack-delay allowance keeps a lone coalesced ack (up to 10 ms
-        # at the receiver) from tripping the timer on sparse traffic.
-        return int(TIME_LOSS_FACTOR * self.srtt) + ACK_DELAY_MAX_US
-
     def _arm_loss_timer(self) -> None:
         """Have the timer fire once the oldest record passes the threshold."""
         records = self.records
@@ -338,59 +332,28 @@ class SendManager:
         self._arm_loss_timer()
 
 
-class _RangeSet:
-    """Disjoint inclusive ranges, ascending, of one connection's received numbers.
-
-    A connection's packets follow one fixed route of FIFO links and each send
-    takes a fresh number, so numbers arrive ascending and never twice: ``add``
-    extends the top range or opens one above it, and raises a ValueError on a
-    number at or below the largest held."""
-
-    __slots__ = ("starts", "ends")
-
-    def __init__(self):
-        self.starts: list[int] = []
-        self.ends: list[int] = []
-
-    def add(self, n: int) -> None:
-        ends = self.ends
-        if ends and n <= ends[-1]:
-            raise ValueError(f"packet number {n} is not above {ends[-1]}, the largest held")
-        if ends and n == ends[-1] + 1:
-            ends[-1] = n  # the common case: nothing lost since the last arrival
-        else:
-            self.starts.append(n)
-            ends.append(n)
-
-    def descending(self):
-        """The highest ACK_RANGES_MAX ranges, highest first."""
-        last = slice(None, -ACK_RANGES_MAX - 1, -1)  # the last ACK_RANGES_MAX, reversed
-        return list(zip(self.starts[last], self.ends[last]))
-
-    def drop_below(self, floor: int) -> None:
-        starts, ends = self.starts, self.ends
-        while starts and ends[0] < floor:
-            del starts[0], ends[0]
-        if starts and starts[0] < floor:
-            starts[0] = floor
-
-
 class ReceiveManager:
     """Receiver side of one path connection: ack policy and packet intake.
 
     An ACK goes out once ACK_EVERY_N packets are pending or ACK_DELAY_MAX_US
-    after the first pending arrival, whichever comes first.  Packets arrive
-    in send order (see ``_RangeSet``), so each is new and the largest yet,
-    and stop-waiting floors strictly rise: the sender sends one only above
-    the last.  A floor never passes the packet that carries it, so the top
-    range ends at the last arrival, the largest number an ACK states.
+    after the first pending arrival, whichever comes first.  ``starts`` and
+    ``ends`` hold the received numbers as disjoint inclusive ranges,
+    ascending.  A connection's packets follow one fixed route of FIFO links
+    and each send takes a fresh number, so numbers arrive ascending and
+    never twice: ``on_packet`` extends the top range or opens one above it,
+    and raises a ValueError on a number at or below the largest held.
+    Stop-waiting floors strictly rise, since the sender sends one only above
+    the last; ``process_stop_waiting`` drops the ranges below each.  A floor
+    never passes the packet that carries it, so the top range ends at the
+    last arrival, the largest number an ACK states.
     """
 
     def __init__(self, loop, ack_sink, conn_id=0):
         self.loop = loop
         self.ack_sink = ack_sink          # called with (AckFrame, now)
         self.conn_id = conn_id
-        self.ranges = _RangeSet()
+        self.starts: list[int] = []
+        self.ends: list[int] = []
         self.largest_arrival_ts = 0
         self.least_unacked = 0
         self.pending = 0
@@ -402,11 +365,14 @@ class ReceiveManager:
 
     def on_packet(self, packet: SimPacket, now: int) -> None:
         number = packet.number
-        ends = self.ranges.ends
+        ends = self.ends
         if ends and number == ends[-1] + 1:
-            ends[-1] = number  # _RangeSet.add's common case, in place
+            ends[-1] = number  # the common case: nothing lost since the last arrival
+        elif ends and number <= ends[-1]:
+            raise ValueError(f"packet number {number} is not above {ends[-1]}, the largest held")
         else:
-            self.ranges.add(number)
+            self.starts.append(number)
+            ends.append(number)
         self.largest_arrival_ts = now
         if packet.stream is not None:
             self.bytes_received += packet.size
@@ -427,12 +393,21 @@ class ReceiveManager:
             raise ValueError(f"stop-waiting floor {least_unacked} is not above "
                              f"{self.least_unacked}, the last one")
         self.least_unacked = least_unacked
-        self.ranges.drop_below(least_unacked)
+        starts, ends = self.starts, self.ends
+        while starts and ends[0] < least_unacked:
+            del starts[0], ends[0]
+        if starts and starts[0] < least_unacked:
+            starts[0] = least_unacked
         if self.stop_waiting_sink is not None:
             self.stop_waiting_sink(self.conn_id, least_unacked, now)
 
     def _emit_ack(self, now: int) -> None:
         self._ack_timer[2] = None  # cancels it, unless it has fired already
         self.pending = 0
-        ack = AckFrame(now - self.largest_arrival_ts, self.ranges.descending())
+        ack = AckFrame(now - self.largest_arrival_ts, self.ack_ranges())
         self.ack_sink(ack, now)
+
+    def ack_ranges(self) -> list:
+        """The highest ACK_RANGES_MAX ranges, highest first."""
+        last = slice(None, -ACK_RANGES_MAX - 1, -1)  # the last ACK_RANGES_MAX, reversed
+        return list(zip(self.starts[last], self.ends[last]))

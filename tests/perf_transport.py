@@ -94,4 +94,4 @@ def receive(rx, packets):
 def test_on_packet_in_order_with_gaps(benchmark):
     rx = benchmark.pedantic(receive, setup=arrivals_with_gaps, rounds=ROUNDS)
     assert rx.data_packets == ARRIVALS
-    assert len(rx.ranges.descending()) == ARRIVALS // GAP_EVERY + 1
+    assert len(rx.ack_ranges()) == ARRIVALS // GAP_EVERY + 1

@@ -5,15 +5,20 @@ ReferenceSendManager overrides send_segment (re-arming the loss timer on
 every send), on_ack (walking every number of every range, or every record),
 _arm_loss_timer (the oldest send time as a minimum over every record, and
 the keep-or-replace rule of EventLoop.schedule_by written out) and
-_on_loss_timer (testing every record against the threshold).  It works the
-threshold out from srtt at each use, so it never reads the value
-SendManager stores when srtt changes.  The production SendManager skips the
-work these do not need; the transport tests require both to give the same
-samples, hooks, records and timers.
+_on_loss_timer (testing every record against the threshold).  It defines
+the two helpers SendManager works out in place: _loss_threshold, which works
+the threshold out from srtt at each use, so the reference never reads the
+value SendManager stores when srtt changes, and _detect_reorder_loss, which
+tests every record against the reorder bound.  The production SendManager
+skips the work these do not need; the transport tests require both to give
+the same samples, hooks, records and timers.
 """
 
 from mprtc.simnet import US_PER_S
 from mprtc.transport import (
+    ACK_DELAY_MAX_US,
+    REORDER_THRESHOLD,
+    TIME_LOSS_FACTOR,
     DeliveryRateSample,
     SendManager,
     SimPacket,
@@ -98,3 +103,14 @@ class ReferenceSendManager(SendManager):
         if lost:
             self._declare_lost(lost)
         self._arm_loss_timer()
+
+    def _detect_reorder_loss(self):
+        """Every record REORDER_THRESHOLD or more behind the largest ack is lost."""
+        bound = self.largest_acked - REORDER_THRESHOLD
+        lost = [rec for number, rec in self.records.items() if number <= bound]
+        if lost:
+            self._declare_lost(lost)
+        return lost
+
+    def _loss_threshold(self):
+        return int(TIME_LOSS_FACTOR * self.srtt) + ACK_DELAY_MAX_US

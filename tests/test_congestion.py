@@ -129,14 +129,14 @@ def test_drain_holds_until_inflight_matches_bdp():
         feeder.round(2e6, now=i * RTT, inflight=60_000)
     cc = feeder.cc
     assert cc.mode == DRAIN
-    bdp = cc.bdp_bytes()
+    bdp = reference_congestion.bdp_bytes(cc)
     assert bdp == pytest.approx(2e6 * RTT / 8e6)  # 25 000 bytes
     feeder.round(2e6, now=4 * RTT, inflight=30_000)
     assert cc.mode == DRAIN
     feeder.round(2e6, now=5 * RTT, inflight=25_000)
     assert cc.mode == PROBE_BW
     assert cc.pacing_gain == 1.1
-    assert cc.cwnd == pytest.approx(2 * cc.bdp_bytes())
+    assert cc.cwnd == pytest.approx(2 * reference_congestion.bdp_bytes(cc))
 
 
 def test_probe_bw_cwnd_is_its_gain_times_bdp(monkeypatch):
@@ -148,7 +148,7 @@ def test_probe_bw_cwnd_is_its_gain_times_bdp(monkeypatch):
     feeder.round(2e6, now=4 * RTT, inflight=25_000)
     cc = feeder.cc
     assert cc.mode == PROBE_BW
-    assert cc.cwnd == pytest.approx(1.5 * cc.bdp_bytes())
+    assert cc.cwnd == pytest.approx(1.5 * reference_congestion.bdp_bytes(cc))
 
 
 # --- RTC-BBR gain cycle (unit-level, state set directly) --------------------
@@ -166,7 +166,8 @@ def probe_bw_cc(gain=1.1, cycle_len=8, mstamp=0, bw=2e6, seed=1):
 def test_cycle_restart_after_cycle_len_rtts():
     cc = probe_bw_cc(gain=0.85, cycle_len=3)
     now = 3 * RTT + 1
-    cc._update_gain_cycle_phase(now, inflight=10**6, has_loss=True)
+    cc._update_gain_cycle_phase(now, inflight=10**6, has_loss=True,
+                                bdp=reference_congestion.bdp_bytes(cc))
     assert cc.pacing_gain == 1.1
     assert cc.cycle_mstamp == now
     assert 2 <= cc.cycle_len <= 8
@@ -178,28 +179,31 @@ def test_cycle_len_distribution_covers_2_to_8():
     now = 0
     for _ in range(500):
         now += cc.cycle_len * RTT + 1
-        cc._update_gain_cycle_phase(now, inflight=0, has_loss=False)
+        cc._update_gain_cycle_phase(now, inflight=0, has_loss=False,
+                                    bdp=reference_congestion.bdp_bytes(cc))
         seen.add(cc.cycle_len)
     assert seen == {2, 3, 4, 5, 6, 7, 8}
 
 
 def test_gain_one_is_sticky_within_cycle():
     cc = probe_bw_cc(gain=1)
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=10**6, has_loss=True)
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=10**6, has_loss=True,
+                                bdp=reference_congestion.bdp_bytes(cc))
     assert cc.pacing_gain == 1
 
 
 def test_probe_down_rises_when_inflight_matches_bdp():
     cc = probe_bw_cc(gain=0.85)
-    bdp = cc.bdp_bytes()
-    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp), has_loss=False)
+    bdp = reference_congestion.bdp_bytes(cc)
+    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp), has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 1
 
 
 def test_probe_down_holds_while_queue_drains():
     cc = probe_bw_cc(gain=0.85)
-    bdp = cc.bdp_bytes()
-    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp) + 1, has_loss=False)
+    bdp = reference_congestion.bdp_bytes(cc)
+    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp) + 1, has_loss=False,
+                                bdp=bdp)
     assert cc.pacing_gain == 0.85
 
 
@@ -207,33 +211,37 @@ def test_probe_down_exit_overridden_by_fresh_loss():
     # The pseudocode's checks are sequential: the rise to 1 can be undone by
     # the loss branch within the same update.
     cc = probe_bw_cc(gain=0.85)
-    bdp = cc.bdp_bytes()
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(bdp), has_loss=True)
+    bdp = reference_congestion.bdp_bytes(cc)
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(bdp), has_loss=True, bdp=bdp)
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_exits_early_on_loss():
     cc = probe_bw_cc(gain=1.1)
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=0, has_loss=True)
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=0, has_loss=True,
+                                bdp=reference_congestion.bdp_bytes(cc))
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_exits_on_queue_buildup():
     cc = probe_bw_cc(gain=1.1)
-    over = int(1.1 * cc.bdp_bytes()) + 100
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=over, has_loss=False)
+    bdp = reference_congestion.bdp_bytes(cc)
+    over = int(1.1 * bdp) + 100
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=over, has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_holds_within_first_rtt():
     cc = probe_bw_cc(gain=1.1)
-    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=10**6, has_loss=True)
+    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=10**6, has_loss=True,
+                                bdp=reference_congestion.bdp_bytes(cc))
     assert cc.pacing_gain == 1.1
 
 
 def test_probe_up_holds_absent_pressure():
     cc = probe_bw_cc(gain=1.1)
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(cc.bdp_bytes()), has_loss=False)
+    bdp = reference_congestion.bdp_bytes(cc)
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(bdp), has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 1.1
 
 
@@ -265,7 +273,8 @@ def test_stock_cycle_walks_gain_vector():
     gains = [cc.pacing_gain]
     for _ in range(8):
         now += RTT + 1
-        cc._stock_bbr_cycle(now, inflight=10**6)
+        cc._stock_bbr_cycle(now, inflight=10**6,
+                            bdp=reference_congestion.bdp_bytes(cc))
         gains.append(cc.pacing_gain)
     assert gains == [1.25, 0.75, 1, 1, 1, 1, 1, 1, 1.25]
 
@@ -277,9 +286,26 @@ def test_stock_probe_down_exits_early_when_drained():
     cc.cycle_phase = 1
     cc.pacing_gain = 0.75
     cc.cycle_mstamp = 0
-    cc._stock_bbr_cycle(RTT // 2, inflight=int(cc.bdp_bytes()))
+    bdp = reference_congestion.bdp_bytes(cc)
+    cc._stock_bbr_cycle(RTT // 2, inflight=int(bdp), bdp=bdp)
     assert cc.pacing_gain == 1
     assert cc.cycle_phase == 2
+
+
+@pytest.mark.parametrize("variant, phase, down_gain", [("rtc-bbr", 0, 0.85), ("bbr", 1, 0.75)])
+@pytest.mark.parametrize("over", [0, 1])
+def test_probe_down_ends_at_the_samples_bdp(variant, phase, down_gain, over):
+    """Through on_delivery_sample: probe-down ends once inflight is at most
+    the sample's BDP, and holds one byte above it."""
+    cc = make_cc(variant=variant)
+    cc.on_delivery_sample(sample(2e6), now=0)
+    cc.mode = PROBE_BW
+    cc.cycle_phase = phase
+    cc.pacing_gain = down_gain
+    bdp = reference_congestion.bdp_bytes(cc)  # 25 000 bytes; the next sample moves neither term
+    assert bdp == 25_000
+    cc.on_delivery_sample(sample(1e6, rtt=2 * RTT, inflight=int(bdp) + over), now=RTT // 2)
+    assert cc.pacing_gain == (down_gain if over else 1)
 
 
 def test_stock_gain_never_in_rtc_set_while_probing_up():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_scheduler
-from mprtc.scheduler import DECISION_LOG_LEN, RETENTION_US, Scheduler, wire_size
+from mprtc.scheduler import (
+    DECISION_LOG_LEN, RETENTION_US, Scheduler, SendBufferEntry, wire_size,
+)
 from mprtc.transport import PAYLOAD_BUDGET, StreamFrame, packetize
 
 
@@ -269,6 +271,45 @@ def test_evict_drops_but_does_not_report_entry_acked_while_requeued():
     assert sched.evict(now=500_000) == []
     assert not sched.subflows[0].queue
     assert sched.subflows[0].queued_bytes == 0
+
+
+def test_evict_on_a_mixed_queue_matches_a_full_scan(monkeypatch):
+    """Resends (an expired delta, a live delta, a key frame) lead the queue
+    and fresh entries follow: evict removes and returns what a scan of every
+    entry would, keeps the order of the rest, and never asks a fresh entry."""
+    sched = Scheduler({0: 1e6})
+    stale, key, young = sched.schedule_segments(
+        [seg(frame_index=0), seg(frame_index=1, key=True), seg(frame_index=2)], now=0)
+    sched.next_segment(0, now=0)
+    sched.next_segment(0, now=0)
+    sched.next_segment(0, now=300_000)
+    fresh = sched.schedule_segments([seg(frame_index=3), seg(frame_index=4)], now=350_000)
+    sched.on_loss([young, stale, key], now=360_000)  # all young enough to resend
+    queue = sched.subflows[0].queue
+    assert list(queue) == [key, stale, young, *fresh]
+    now = 450_000
+    expected = [e for e in queue if e.expired(now)]
+    assert expected == [stale]
+    asked = []
+    expired = SendBufferEntry.expired
+    monkeypatch.setattr(SendBufferEntry, "expired",
+                        lambda e, t: asked.append(e) or expired(e, t))
+    assert sched.evict(now) == expected
+    assert list(queue) == [key, young, *fresh]
+    assert sched.subflows[0].queued_bytes == sum(e.size for e in queue)
+    assert asked == [key, stale, young]  # the scan stopped at the first fresh entry
+
+
+def test_loss_of_an_acked_entry_changes_nothing():
+    sched = make_two()
+    (entry,) = sched.schedule_segments([seg()], now=0)
+    sched.next_segment(sid_of(sched, entry), now=0)
+    (waiting,) = sched.schedule_segments([seg(frame_index=1)], now=0)
+    sched.mark_acked(entry)                # the ack beat the loss timer's verdict
+    before = {sid: sub.queued_bytes for sid, sub in sched.subflows.items()}
+    assert sched.on_loss([entry], now=1000) == ([], [])
+    assert queued(sched) == [waiting]
+    assert {sid: sub.queued_bytes for sid, sub in sched.subflows.items()} == before
 
 
 # --- stored entry fields ------------------------------------------------------

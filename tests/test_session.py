@@ -146,6 +146,8 @@ def assert_overlay_invariants(session: VideoSession) -> None:
         assert_send_state_consistent(conn.sm)
     for sub in session.scheduler.subflows.values():
         assert sub.queued_bytes == sum(wire_size(e.segment) for e in sub.queue)
+        sent = [e.sent for e in sub.queue]
+        assert sent == sorted(sent, reverse=True)  # no unsent entry precedes a sent one
     assert_entries_outstanding_once(session)
     assert_paused_exactly_when_inactive(session)
 
@@ -546,7 +548,7 @@ def test_generated_bottleneck_scenarios_keep_invariants(config, seed, sim_s):
         assert link.delivered + link.dropped + len(link.queue) == link.sent
 
     def outcome(flows):
-        return [[f.rm.bytes_received, f.sm.packets_sent, f.rm.ranges.descending()[:1]]
+        return [[f.rm.bytes_received, f.sm.packets_sent, f.rm.ack_ranges()[:1]]
                 for f in flows]
 
     assert outcome(run_bottleneck(config, seed, sim_s)[1]) == outcome(flows)

@@ -169,6 +169,16 @@ def test_fired_handle_is_dead_so_its_callback_can_re_arm_it():
     assert handle[2] is None
 
 
+def test_pending_counts_live_entries_only():
+    loop = EventLoop()
+    handles = [loop.schedule(t, lambda: None) for t in (10, 20, 30)]
+    assert loop.pending() == 3
+    handles[1][2] = None  # cancelled, still in the heap
+    assert loop.pending() == 2
+    loop.run(10)          # the first fires; the cancelled one waits to be popped
+    assert len(loop._heap) == 2 and loop.pending() == 1
+
+
 # --- link model -------------------------------------------------------------
 
 def make_link(loop, mbps, owd_ms, queue_ms=100):
@@ -681,3 +691,26 @@ def test_dumbbell_has_one_path_per_flow(n):
 def test_link_config_from_mbps_ms_names_the_argument_out_of_range(args, field):
     with pytest.raises(ValueError, match=rf"^{field} "):
         LinkConfig.from_mbps_ms(*args)
+
+
+ONE_STEP_TRACE = TraceSchedule([(0, 1_000_000)])
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: LinkConfig(0, 10, 3000), "capacity must be > 0, got 0"),
+    (lambda: LinkConfig(1_000_000, 10, 0), "queue_capacity must be > 0, got 0"),
+    (lambda: TraceSchedule([]), "trace must have at least one entry"),
+    (lambda: ONE_STEP_TRACE.mean_capacity(5, 5), "empty interval"),
+    (lambda: build_topology(EventLoop(), {"topology": "rtt-unfairness",
+                                          "links": RTT_CASE3_LINKS[:3] + RTT_CASE3_LINKS[4:]}),
+     "requires links L0-L4, missing 'L3'"),
+    (lambda: build_topology(EventLoop(), {"topology": "multipath-overlay"},
+                            random.Random(1), [ONE_STEP_TRACE] * 3),
+     "multipath-overlay needs 4 traces, got 3"),
+    (lambda: build_topology(EventLoop(), {"topology": "multipath-overlay"}),
+     "multipath-overlay requires rng and traces"),
+], ids=["zero-capacity", "zero-queue", "empty-trace", "empty-interval", "no-L3",
+        "three-traces", "no-rng-or-traces"])
+def test_configs_are_rejected_where_they_enter(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

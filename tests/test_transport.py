@@ -16,7 +16,6 @@ from mprtc.transport import (
     SendManager,
     SimPacket,
     StreamFrame,
-    _RangeSet,
     packetize,
     pacer_next_send_time,
     wire_size,
@@ -299,11 +298,11 @@ def test_receiver_gap_ranges_and_stop_waiting():
     deliver(3)
     assert acks[-1].ack_ranges == [(3, 3), (1, 1)]
     rx.process_stop_waiting(3, loop.now)
-    assert rx.ranges.descending() == [(3, 3)]
+    assert rx.ack_ranges() == [(3, 3)]
     with pytest.raises(ValueError, match="floor 2 is not above 3"):
         rx.process_stop_waiting(2, loop.now)   # floors strictly rise
     assert rx.least_unacked == 3
-    assert rx.ranges.descending() == [(3, 3)]
+    assert rx.ack_ranges() == [(3, 3)]
     deliver(4)
     deliver(5)
     assert acks[-1].ack_ranges == [(3, 5)]
@@ -334,7 +333,7 @@ def test_receiver_rejects_non_ascending_packet_number(number):
         rx.on_packet(SimPacket(number, 1200, seg(), None, (), None), 10)
     assert got == [5]
     assert rx.data_packets == 1
-    assert rx.ranges.descending() == [(5, 5)] and rx.largest_arrival_ts == 0
+    assert rx.ack_ranges() == [(5, 5)] and rx.largest_arrival_ts == 0
 
 
 def model_ranges(numbers):
@@ -357,40 +356,37 @@ range_set_ops = st.lists(st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(range_set_ops)
+@example([("add", 0), ("add", 0), ("add", 0), ("drop", 2)])  # a floor inside a range
 def test_range_set_matches_set_model(ops):
     """Ascending numbers with gaps, as a lossy FIFO route delivers them, and
-    stop-waiting floors, against a plain set.  A receiver takes the same
-    numbers through on_packet, which extends the top range in place."""
-    ranges = _RangeSet()
+    rising stop-waiting floors, taken by a receiver's on_packet and
+    process_stop_waiting, against a plain set."""
     rx = ReceiveManager(EventLoop(), lambda ack, now: None)
     model = set()
     last = 0  # the last number added: later ones are above it
     for op, arg in ops:
         if op == "add":
             last += 1 + arg
-            ranges.add(last)
             rx.on_packet(SimPacket(last, 0, None, None, (), None), 0)
             model.add(last)
         elif op == "stale" and model:
             with pytest.raises(ValueError):
-                ranges.add(max(model) - arg)
-            with pytest.raises(ValueError):
                 rx.on_packet(SimPacket(max(model) - arg, 0, None, None, (), None), 0)
         elif op == "drop":
-            ranges.drop_below(arg)
-            rx.ranges.drop_below(arg)
-            model = {n for n in model if n >= arg}
-        top = ranges.descending()
-        assert top == model_ranges(model) == rx.ranges.descending()
+            floor = max(arg, rx.least_unacked + 1)  # floors strictly rise
+            rx.process_stop_waiting(floor, 0)
+            model = {n for n in model if n >= floor}
+        top = rx.ack_ranges()
+        assert top == model_ranges(model)
         assert all(s <= e for s, e in top)
         assert all(e + 1 < s for (s, _), (_, e) in zip(top, top[1:]))
 
 
 def test_ack_ranges_are_capped_at_the_highest():
-    ranges = _RangeSet()
+    rx = ReceiveManager(EventLoop(), lambda ack, now: None)
     for n in range(2, 2 * (ACK_RANGES_MAX + 10), 2):  # every other number: one range each
-        ranges.add(n)
-    top = ranges.descending()
+        rx.on_packet(SimPacket(n, 0, None, None, (), None), 0)
+    top = rx.ack_ranges()
     assert len(top) == ACK_RANGES_MAX
     assert top == [(n, n) for n in range(2 * (ACK_RANGES_MAX + 9), 18, -2)]
 
