@@ -13,7 +13,6 @@ from mprtc.simnet import (
     TraceSchedule,
     US_PER_MS,
     US_PER_S,
-    build_multipath_overlay,
     build_topology,
     synthetic_trace_pool,
 )
@@ -554,10 +553,14 @@ def test_rtt_unfairness_routes_and_delays():
     assert net.links["L1"].queue_capacity == int(4e6 * 0.2 / 8)
 
 
+def build_overlay(rng, traces):
+    return build_topology(EventLoop(), {"topology": "multipath-overlay"}, rng, traces)
+
+
 def test_multipath_overlay_shape_and_determinism():
     traces = synthetic_trace_pool()[:4]
-    net_a = build_multipath_overlay(EventLoop(), {}, random.Random(42), traces)
-    net_b = build_multipath_overlay(EventLoop(), {}, random.Random(42), traces)
+    net_a = build_overlay(random.Random(42), traces)
+    net_b = build_overlay(random.Random(42), traces)
     assert set(net_a.candidates) == {0, 1}
     ids = []
     for subflow in (0, 1):
@@ -572,6 +575,36 @@ def test_multipath_overlay_shape_and_determinism():
     for sf in (0, 1):
         for pa, pb in zip(net_a.candidates[sf], net_b.candidates[sf]):
             assert [l.owd_us for l in pa.route] == [l.owd_us for l in pb.route]
+
+
+def test_multipath_overlay_link_table_is_pinned():
+    """The overlay draws one one-way delay per path, in path order; a relay
+    route splits it in half over its access and relay links.  Access links
+    carry their path's trace, at its mean rate, with a 200 ms queue."""
+    traces = synthetic_trace_pool()[:4]
+    net = build_overlay(random.Random(42), traces)
+    table = [(name, link.capacity, link.owd_us, link.queue_capacity,
+              None if link.trace is None else traces.index(link.trace))
+             for name, link in net.links.items()]
+    assert table == [
+        ("P0direct", 2_025_379, 81_971, 50_634, 0),
+        ("P0relaya", 2_410_147, 25_625, 60_253, 1),
+        ("P0relayb", 100_000_000, 25_625, 2_000_000, None),
+        ("P1direct", 2_576_584, 63_751, 64_414, 2),
+        ("P1relaya", 955_276, 30_580, 23_881, 3),
+        ("P1relayb", 100_000_000, 30_580, 2_000_000, None),
+    ]
+    links = net.links
+    assert [[(p.path_id, p.route, p.trace) for p in net.candidates[sid]] for sid in (0, 1)] == [
+        [(0, (links["P0direct"],), traces[0]),
+         (1, (links["P0relaya"], links["P0relayb"]), traces[1])],
+        [(2, (links["P1direct"],), traces[2]),
+         (3, (links["P1relaya"], links["P1relayb"]), traces[3])],
+    ]
+    for paths in net.candidates.values():
+        for p in paths:
+            assert p.trace is p.route[0].trace
+    assert net.flow_paths == []
 
 
 def test_unknown_topology_rejected():
