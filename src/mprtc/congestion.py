@@ -246,3 +246,5 @@ class BbrController:
         self.pause_started = None
         self.rtt_min_ts += shift
         self.cycle_mstamp += shift
+        if self.probe_rtt_done_ts:  # a ProbeRTT dwell keeps what was left of it
+            self.probe_rtt_done_ts += shift

@@ -204,3 +204,5 @@ class ReferenceBbrController:
         self.pause_started = None
         self.rtt_min_ts += shift
         self.cycle_mstamp += shift
+        if self.probe_rtt_done_ts:
+            self.probe_rtt_done_ts += shift

@@ -337,11 +337,6 @@ def test_probe_rtt_entry_dwell_and_exit():
     assert cc.rtt_min_ts >= done
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "BbrController.resume shifts rtt_min_ts and cycle_mstamp by the pause length "
-    "but not probe_rtt_done_ts, so a controller paused inside a ProbeRTT dwell "
-    "for longer than the rest of it leaves ProbeRTT on its first sample after "
-    "resuming; shifting it too moves output digests"))
 def test_pause_inside_probe_rtt_dwell_holds_the_rest_of_it():
     cc = probe_bw_cc(gain=1)
     cc.rtt_min_ts = 0
