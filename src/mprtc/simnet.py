@@ -13,6 +13,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import count
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
@@ -332,8 +333,9 @@ class Link:
 
 @dataclass
 class PathDef:
-    """One routed candidate path: forward links and, on overlay paths, the
-    access link's capacity trace.  Acks return after the route's summed owd_us."""
+    """One routed path: its id, its forward links and its first link's
+    capacity trace (None on a fixed-capacity link).  Acks return after the
+    route's summed owd_us."""
 
     path_id: int
     route: tuple
@@ -342,20 +344,37 @@ class PathDef:
 
 @dataclass
 class Network:
+    """Links by id, one PathDef per flow route and, per subflow id, one per
+    candidate route.  Path ids count flows first, then candidates, subflow
+    by subflow in the order given."""
+
     links: dict
-    flow_paths: list          # one PathDef per flow (dumbbell / rtt families)
-    candidates: dict          # subflow id -> [PathDef, ...] (multipath family)
+    flow_paths: list
+    candidates: dict
 
 
-def _link_specs(config: dict) -> list:
-    specs = config.get("links")
-    if not specs:
-        raise ValueError(f"links: {config.get('topology')} topology needs at least one link")
-    return specs
+def build_network(loop: EventLoop, links, flows, candidates: dict) -> Network:
+    """A Link per (id, LinkConfig, trace or None) row of links and a PathDef
+    per route, a non-empty tuple of link ids; path ids as in Network.  A
+    repeated id is a ValueError naming its row, and a route through an id
+    no row has raises KeyError naming the id."""
+    built = {}
+    for i, (link_id, config, trace) in enumerate(links):
+        if link_id in built:
+            raise ValueError(f"links[{i}].id {link_id!r} is already used")
+        built[link_id] = Link(loop, config, name=link_id, trace=trace)
+    path_ids = count()
+
+    def path(route) -> PathDef:
+        hops = tuple(built[link_id] for link_id in route)
+        return PathDef(next(path_ids), hops, hops[0].trace)
+
+    return Network(built, [path(route) for route in flows],
+                   {sid: [path(route) for route in routes] for sid, routes in candidates.items()})
 
 
-def _read_link(loop: EventLoop, spec: dict, i: int) -> Link:
-    """Link from the spec ``links[i]``; each error names its field as ``links[i].<field>``."""
+def _read_link(spec: dict, i: int) -> tuple:
+    """Link row from the spec ``links[i]``; each error names its field as ``links[i].<field>``."""
     for field in ("id", "capacity_mbps", "owd_ms", "queue_ms"):
         if field not in spec:
             raise ValueError(f"links[{i}].{field} is missing")
@@ -363,91 +382,61 @@ def _read_link(loop: EventLoop, spec: dict, i: int) -> Link:
         cfg = LinkConfig.from_mbps_ms(spec["capacity_mbps"], spec["owd_ms"], spec["queue_ms"])
     except ValueError as exc:  # its message starts with the argument's name
         raise ValueError(f"links[{i}].{exc}") from None
-    return Link(loop, cfg, name=spec["id"])
-
-
-def build_dumbbell(loop: EventLoop, config: dict) -> Network:
-    """Shared single bottleneck; every flow's route is [L1]; 3 flows unless listed."""
-    specs = _link_specs(config)
-    if len(specs) > 1:
-        raise ValueError(f"links[1]: dumbbell topology takes one link, got {len(specs)}")
-    link = _read_link(loop, {"id": "L1", **specs[0]}, 0)
-    flows = config.get("flows", [{}] * 3)
-    if not isinstance(flows, list) or not flows:
-        raise ValueError(f"flows must be a non-empty list, got {flows!r}")
-    paths = [PathDef(path_id=i, route=(link,)) for i in range(len(flows))]
-    return Network(links={link.name: link}, flow_paths=paths, candidates={})
-
-
-def build_rtt_unfairness(loop: EventLoop, config: dict) -> Network:
-    """Five links L0-L4; flow1 over L0+L1+L2, flow2 over L3+L1+L4."""
-    links = {}
-    for i, spec in enumerate(_link_specs(config)):
-        link = _read_link(loop, spec, i)
-        if link.name in links:
-            raise ValueError(f"links[{i}].id {link.name!r} is already used")
-        links[link.name] = link
-    try:
-        r1 = (links["L0"], links["L1"], links["L2"])
-        r2 = (links["L3"], links["L1"], links["L4"])
-    except KeyError as exc:
-        raise ValueError(f"rtt-unfairness topology requires links L0-L4, missing {exc}") from None
-    paths = [PathDef(0, r1), PathDef(1, r2)]
-    return Network(links=links, flow_paths=paths, candidates={})
+    return spec["id"], cfg, None
 
 
 RELAY_LINK_BPS = 100_000_000
 TRACE_QUEUE_MS = 200
 
 
-def build_multipath_overlay(loop: EventLoop, config: dict, rng: random.Random,
-                            traces: list) -> Network:
-    """Two subflows x two candidate paths (direct link, 2-link relay route).
-
-    Each path gets one capacity trace and a one-way delay drawn uniformly
-    from [50 ms, 100 ms]; the relay route splits its delay across an access
-    link (trace capacity) and a fast relay link.
-    """
-    if len(traces) != 4:
-        raise ValueError(f"multipath-overlay needs 4 traces, got {len(traces)}")
-    links = {}
-    candidates = {}
-    path_id = 0
-    for subflow in (0, 1):
-        cand = []
-        for kind in ("direct", "relay"):
-            trace = traces[path_id]
-            owd_us = int(rng.uniform(50_000, 100_000))
-            queue_bytes = max(4 * 1500, int(trace.overall_mean() * TRACE_QUEUE_MS / 1000 / 8))
-            if kind == "direct":
-                cfg = LinkConfig(int(trace.overall_mean()), owd_us, queue_bytes)
-                link = Link(loop, cfg, name=f"P{subflow}{kind}", trace=trace)
-                route = (link,)
-                links[link.name] = link
-            else:
-                half = owd_us // 2
-                access_cfg = LinkConfig(int(trace.overall_mean()), half, queue_bytes)
-                access = Link(loop, access_cfg, name=f"P{subflow}{kind}a", trace=trace)
-                relay_cfg = LinkConfig(RELAY_LINK_BPS, owd_us - half, 2_000_000)
-                relay = Link(loop, relay_cfg, name=f"P{subflow}{kind}b")
-                route = (access, relay)
-                links[access.name] = access
-                links[relay.name] = relay
-            cand.append(PathDef(path_id, route, trace=trace))
-            path_id += 1
-        candidates[subflow] = cand
-    return Network(links=links, flow_paths=[], candidates=candidates)
-
-
 def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = None,
                    traces: list | None = None) -> Network:
+    """Network of the config's topology, as link rows plus routes.
+
+    dumbbell: one link (id "L1" unless given) and one flow route over it
+    per entry of ``flows`` (3 when left out).  rtt-unfairness: flow 0 over
+    L0+L1+L2, flow 1 over L3+L1+L4.  multipath-overlay: subflows 0 and 1,
+    each with a direct then a relay candidate; path i runs on traces[i] at
+    its mean rate, with a TRACE_QUEUE_MS access queue and a one-way delay
+    drawn from [50 ms, 100 ms] in path order, which a relay path splits in
+    half between its access link and a fast relay link.
+    """
     name = config.get("topology")
-    if name == "dumbbell":
-        return build_dumbbell(loop, config)
-    if name == "rtt-unfairness":
-        return build_rtt_unfairness(loop, config)
+    if name not in ("dumbbell", "rtt-unfairness", "multipath-overlay"):
+        raise ValueError(f"unknown topology {name!r}")
     if name == "multipath-overlay":
         if rng is None or traces is None:
             raise ValueError("multipath-overlay requires rng and traces")
-        return build_multipath_overlay(loop, config, rng, traces)
-    raise ValueError(f"unknown topology {name!r}")
+        if len(traces) != 4:
+            raise ValueError(f"multipath-overlay needs 4 traces, got {len(traces)}")
+        rows, candidates = [], {0: [], 1: []}
+        for path_id, trace in enumerate(traces):
+            sid, relayed = divmod(path_id, 2)
+            owd_us = int(rng.uniform(50_000, 100_000))
+            access_owd_us = owd_us // 2 if relayed else owd_us
+            mean = trace.overall_mean()
+            queue_bytes = max(4 * 1500, int(mean * TRACE_QUEUE_MS / 1000 / 8))
+            route = (f"P{sid}relaya", f"P{sid}relayb") if relayed else (f"P{sid}direct",)
+            rows.append((route[0], LinkConfig(int(mean), access_owd_us, queue_bytes), trace))
+            if relayed:
+                rows.append((route[1], LinkConfig(RELAY_LINK_BPS, owd_us - access_owd_us,
+                                                  2_000_000), None))
+            candidates[sid].append(route)
+        return build_network(loop, rows, (), candidates)
+    specs = config.get("links")
+    if not specs:
+        raise ValueError(f"links: {name} topology needs at least one link")
+    if name == "dumbbell":
+        if len(specs) > 1:
+            raise ValueError(f"links[1]: dumbbell topology takes one link, got {len(specs)}")
+        row = _read_link({"id": "L1", **specs[0]}, 0)
+        flows = config.get("flows", [{}] * 3)
+        if not isinstance(flows, list) or not flows:
+            raise ValueError(f"flows must be a non-empty list, got {flows!r}")
+        return build_network(loop, [row], [(row[0],)] * len(flows), {})
+    # Rows are read as build_network reaches them, so errors come in links order.
+    rows = (_read_link(spec, i) for i, spec in enumerate(specs))
+    try:
+        return build_network(loop, rows, (("L0", "L1", "L2"), ("L3", "L1", "L4")), {})
+    except KeyError as exc:
+        raise ValueError(f"rtt-unfairness topology requires links L0-L4, missing {exc}") from None
