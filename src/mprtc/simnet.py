@@ -387,6 +387,10 @@ def _read_link(spec: dict, i: int) -> tuple:
 
 RELAY_LINK_BPS = 100_000_000
 TRACE_QUEUE_MS = 200
+# The config keys each topology reads; build_topology refuses any other.
+TOPOLOGY_KEYS = {"dumbbell": ("topology", "links", "flows"),
+                 "rtt-unfairness": ("topology", "links"),
+                 "multipath-overlay": ("topology",)}
 
 
 def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = None,
@@ -402,8 +406,11 @@ def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = No
     half between its access link and a fast relay link.
     """
     name = config.get("topology")
-    if name not in ("dumbbell", "rtt-unfairness", "multipath-overlay"):
+    if not isinstance(name, str) or name not in TOPOLOGY_KEYS:
         raise ValueError(f"unknown topology {name!r}")
+    for key in config:
+        if key not in TOPOLOGY_KEYS[name]:
+            raise ValueError(f"{key}: {name} topology does not read this key")
     if name == "multipath-overlay":
         if rng is None or traces is None:
             raise ValueError("multipath-overlay requires rng and traces")

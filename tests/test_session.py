@@ -492,9 +492,10 @@ def test_generated_overlay_scenarios_keep_invariants(traces, seed, sim_s):
 
 
 @st.composite
-def bottleneck_configs(draw):
-    """A dumbbell or rtt-unfairness config: each link at 0.5-10 Mbit/s with a
-    0-40 ms one-way delay and a queue of 1-40 full packets, and 1-4 flows."""
+def bottleneck_scenarios(draw):
+    """A dumbbell or rtt-unfairness config, each link at 0.5-10 Mbit/s with a
+    0-40 ms one-way delay and a queue of 1-40 full packets, and 1-4 flows:
+    (config, number of flows).  Only the dumbbell reads a flows list."""
     def link(link_id):
         capacity_mbps = draw(st.integers(500, 10_000)) / 1000
         packets = draw(st.one_of(st.just(1), st.integers(2, 40)))
@@ -505,13 +506,12 @@ def bottleneck_configs(draw):
 
     flows = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        return {"topology": "dumbbell", "links": [link("L1")], "flows": [{}] * flows}
-    return {"topology": "rtt-unfairness",
-            "links": [link(f"L{i}") for i in range(5)], "flows": [{}] * flows}
+        return {"topology": "dumbbell", "links": [link("L1")], "flows": [{}] * flows}, flows
+    return {"topology": "rtt-unfairness", "links": [link(f"L{i}") for i in range(5)]}, flows
 
 
-def run_bottleneck(config, seed: int, sim_s: int):
-    """CappedFlows over a built topology, flow i on flow path i mod their
+def run_bottleneck(config, n_flows: int, seed: int, sim_s: int):
+    """n_flows CappedFlows over a built topology, flow i on flow path i mod their
     number, started up to 1 s apart; returns the network and the flows.
     After every whole second each flow has at most one live loss timer and
     at most one live pump timer, none while it is blocked."""
@@ -519,7 +519,7 @@ def run_bottleneck(config, seed: int, sim_s: int):
     rng = random.Random(seed)
     net = build_topology(loop, config)
     flows = []
-    for i in range(len(config["flows"])):
+    for i in range(n_flows):
         path = net.flow_paths[i % len(net.flow_paths)]
         flows.append(CappedFlow(loop, rng, path, conn_id=i,
                                 rate_cap_bps=rng.randint(1, 12) * 1_000_000,
@@ -534,12 +534,12 @@ def run_bottleneck(config, seed: int, sim_s: int):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(bottleneck_configs(), st.integers(0, 2**32 - 1), st.integers(3, 8))
-def test_generated_bottleneck_scenarios_keep_invariants(config, seed, sim_s):
+@given(bottleneck_scenarios(), st.integers(0, 2**32 - 1), st.integers(3, 8))
+def test_generated_bottleneck_scenarios_keep_invariants(scenario, seed, sim_s):
     """Every arrival reaches a receiver that rejects any packet number not
     above the last, so a run that ends at all delivered in send order, drops
     included.  Queues down to one packet make those drops frequent."""
-    net, flows = run_bottleneck(config, seed, sim_s)
+    net, flows = run_bottleneck(*scenario, seed, sim_s)
     for flow in flows:
         assert_send_state_consistent(flow.sm)
         assert flow.rm.data_packets <= flow.sm.packets_sent
@@ -551,4 +551,4 @@ def test_generated_bottleneck_scenarios_keep_invariants(config, seed, sim_s):
         return [[f.rm.bytes_received, f.sm.packets_sent, f.rm.ack_ranges()[:1]]
                 for f in flows]
 
-    assert outcome(run_bottleneck(config, seed, sim_s)[1]) == outcome(flows)
+    assert outcome(run_bottleneck(*scenario, seed, sim_s)[1]) == outcome(flows)

@@ -708,6 +708,18 @@ def test_dumbbell_flows_must_be_a_non_empty_list(flows):
         build_topology(EventLoop(), config)
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"topology": "dumbbell", "links": [DUMBBELL_LINK], "flow": [{}]}, "flow"),
+    ({"topology": "rtt-unfairness", "links": RTT_CASE3_LINKS, "flows": [{}] * 3}, "flows"),
+    ({"topology": "multipath-overlay", "relays": 3}, "relays"),
+    ({"topology": "multipath-overlay", "links": [DUMBBELL_LINK]}, "links"),
+], ids=["dumbbell-flow", "rtt-flows", "overlay-relays", "overlay-links"])
+def test_topology_rejects_a_key_it_does_not_read(config, key):
+    name = config["topology"]
+    with pytest.raises(ValueError, match=f"^{key}: {name} topology does not read this key$"):
+        build_topology(EventLoop(), config, random.Random(1), synthetic_trace_pool()[:4])
+
+
 @pytest.mark.parametrize("n", [1, 4])
 def test_dumbbell_has_one_path_per_flow(n):
     config = {"topology": "dumbbell", "links": [DUMBBELL_LINK], "flows": [{}] * n}
