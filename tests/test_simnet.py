@@ -13,6 +13,7 @@ from mprtc.simnet import (
     TraceSchedule,
     US_PER_MS,
     US_PER_S,
+    build_network,
     build_topology,
     synthetic_trace_pool,
 )
@@ -605,6 +606,22 @@ def test_multipath_overlay_link_table_is_pinned():
         for p in paths:
             assert p.trace is p.route[0].trace
     assert net.flow_paths == []
+
+
+def test_build_network_numbers_flows_then_candidates_in_subflow_order():
+    trace = TraceSchedule([(0, 2_000_000)])
+    cfg = LinkConfig(1_000_000, 10_000, 15_000)
+    net = build_network(EventLoop(), [("A", cfg, trace), ("B", cfg, None), ("C", cfg, None)],
+                        [("B", "A"), ("C",)], {1: [("A", "C"), ("B",)], 0: [("C",)]})
+    a, b, c = net.links.values()
+    assert [(p.path_id, p.route, p.trace) for p in net.flow_paths] == [
+        (0, (b, a), None), (1, (c,), None)]
+    assert {sid: [(p.path_id, p.route, p.trace) for p in paths]
+            for sid, paths in net.candidates.items()} == {
+        1: [(2, (a, c), trace), (3, (b,), None)], 0: [(4, (c,), None)]}
+    assert list(net.candidates) == [1, 0]
+    with pytest.raises(KeyError, match="'D'"):
+        build_network(EventLoop(), [("A", cfg, None)], [("A", "D")], {})
 
 
 def test_unknown_topology_rejected():
