@@ -399,11 +399,11 @@ def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = No
 
     dumbbell: one link (id "L1" unless given) and one flow route over it
     per entry of ``flows`` (3 when left out).  rtt-unfairness: flow 0 over
-    L0+L1+L2, flow 1 over L3+L1+L4.  multipath-overlay: subflows 0 and 1,
-    each with a direct then a relay candidate; path i runs on traces[i] at
-    its mean rate, with a TRACE_QUEUE_MS access queue and a one-way delay
-    drawn from [50 ms, 100 ms] in path order, which a relay path splits in
-    half between its access link and a fast relay link.
+    L0+L1+L2, flow 1 over L3+L1+L4.  multipath-overlay: paths 0-3 are
+    subflow 0's direct and relay candidates, then subflow 1's; path i runs
+    on traces[i] at its mean rate, with a TRACE_QUEUE_MS access queue and a
+    one-way delay drawn from [50 ms, 100 ms] in path order, which a relay
+    path splits in half between its access link and a fast relay link.
     """
     name = config.get("topology")
     if not isinstance(name, str) or name not in TOPOLOGY_KEYS:
