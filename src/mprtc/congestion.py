@@ -18,7 +18,7 @@ from collections import deque
 from .transport import MSS, DeliveryRateSample
 
 STARTUP_GAIN = 2.885
-DRAIN_GAIN = 1 / 2.885
+DRAIN_GAIN = 1 / STARTUP_GAIN
 PROBE_BW_CWND_GAIN = 2
 BW_WINDOW_ROUNDS = 10
 MIN_RTT_EXPIRY_US = 10_000_000

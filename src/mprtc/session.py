@@ -42,7 +42,7 @@ from .transport import (
     StreamFrame,
     packetize,
 )
-from .videomodel import RATE_CAP_BPS, VideoSink, VideoSource
+from .videomodel import VideoSink, VideoSource
 
 EVICT_TICK_US = 50_000
 
@@ -78,7 +78,7 @@ class PathConnection:
         rate = self.cc.pacing_rate
         if rate > self.rate_cap_bps:
             rate = self.rate_cap_bps
-        # pacer_next_send_time(now, size, rate), in place; a test pins the two.
+        # The time size bytes take at rate, rounded up to a whole microsecond.
         self.next_send_ts = now + int(-(-size * 8 * US_PER_S // rate))
 
 
@@ -95,8 +95,7 @@ class CappedFlow(PathConnection):
     __slots__ = ("start_ts", "_pump_timer")
 
     def __init__(self, loop, rng, path, *, variant: str = "rtc-bbr",
-                 conn_id: int = 0, rate_cap_bps: int = RATE_CAP_BPS,
-                 start_ts: int = 0):
+                 conn_id: int = 0, rate_cap_bps: int, start_ts: int = 0):
         super().__init__(loop, rng, path, variant, conn_id, self._deliver_ack,
                          rate_cap_bps=rate_cap_bps)
         self.start_ts = start_ts

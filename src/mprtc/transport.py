@@ -78,19 +78,6 @@ def packetize(size: int, frame_index: int, capture_ts: int,
     return segments
 
 
-# --- pacing -----------------------------------------------------------------
-
-def pacer_next_send_time(prev_sent_ts: int, prev_len: int, pacing_rate: float) -> int:
-    """Earliest time the next packet may go out, on the microsecond grain.
-
-    PathConnection.send works it out in place for every data packet, and a
-    test pins the two equal."""
-    if pacing_rate <= 0:
-        raise ValueError("pacing_rate must be > 0")
-    gap = prev_len * 8 * US_PER_S
-    return prev_sent_ts + int(-(-gap // pacing_rate))
-
-
 # --- delivery tracking ------------------------------------------------------
 
 def ewma_srtt(srtt: int, rtt_sample: int) -> int:

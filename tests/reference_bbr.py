@@ -1,14 +1,15 @@
 """Reference controller: BbrController's sample intake with one helper per
-step, kept literal.
+step, kept literal, and the one oracle the congestion tests compare it with.
 
 ReferenceBbrController takes the samples, pauses and resumes that
 BbrController takes and keeps the same state under the same slot names.  It
 counts rounds, updates its own max filter, stores bw_es and works out the
 outputs in helpers of their own.  The congestion tests feed both the same
-streams and require every slot, the max filter's samples and the rng state
-to agree after every call.  The production controller does those steps in
-on_delivery_sample's own frame, so this copy is what pins their arithmetic
-and the order of the mode transitions.
+streams and require every slot, the outputs included, the max filter's
+samples and the rng state to agree after every call.  The production
+controller does those steps in on_delivery_sample's own frame, so this copy
+is what pins their arithmetic and the order of the mode transitions.
+bdp_bytes is the BDP rule for this class and for the tests' own BDP inputs.
 """
 
 from collections import deque
@@ -35,6 +36,14 @@ from mprtc.congestion import (
     STARTUP_GROWTH_TARGET,
     STOCK_GAIN_CYCLE,
 )
+
+
+def bdp_bytes(cc):
+    """The BDP, in bytes, of a controller's stored bw_es and rtt_min:
+    INITIAL_CWND until the first RTT sample."""
+    if not cc.rtt_min:
+        return INITIAL_CWND
+    return cc.bw_es * cc.rtt_min / 8 / 1_000_000
 
 
 class ReferenceMaxFilter:
@@ -83,19 +92,14 @@ class ReferenceBbrController:
         bw = self.max_bw_filter.get()
         self.bw_es = bw if bw > 0 else INITIAL_BW_BPS
 
-    def bdp_bytes(self):
-        if not self.rtt_min:
-            return INITIAL_CWND
-        return self.bw_es * self.rtt_min / 8 / 1_000_000
-
     def _set_outputs(self):
         self.pacing_rate = self.bw_es * self.pacing_gain
         if self.mode == PROBE_RTT:
             self.cwnd = PROBE_RTT_CWND
         elif self.mode == PROBE_BW:
-            self.cwnd = PROBE_BW_CWND_GAIN * self.bdp_bytes()
+            self.cwnd = PROBE_BW_CWND_GAIN * bdp_bytes(self)
         else:
-            self.cwnd = max(STARTUP_GAIN * self.bdp_bytes(), INITIAL_CWND)
+            self.cwnd = max(STARTUP_GAIN * bdp_bytes(self), INITIAL_CWND)
 
     def on_delivery_sample(self, sample, now):
         if sample.has_loss:
@@ -108,7 +112,7 @@ class ReferenceBbrController:
             self.rtt_min_ts = now
         if self.mode == STARTUP and round_ended and self._check_full_pipe(sample):
             self._enter_drain()
-        if self.mode == DRAIN and sample.inflight <= self.bdp_bytes():
+        if self.mode == DRAIN and sample.inflight <= bdp_bytes(self):
             self._enter_probe_bw(now)
         if self.mode == PROBE_BW:
             if min_rtt_expired:
@@ -169,7 +173,7 @@ class ReferenceBbrController:
             return
         if self.pacing_gain == 1:
             return
-        bdp = self.bdp_bytes()
+        bdp = bdp_bytes(self)
         if self.pacing_gain < 1.0 and inflight <= bdp:
             self.pacing_gain = 1
         if elapsed > self.rtt_min and (inflight > PROBE_UP_GAIN * bdp or has_loss):
@@ -178,7 +182,7 @@ class ReferenceBbrController:
     def _stock_bbr_cycle(self, now, inflight):
         elapsed = now - self.cycle_mstamp
         advance = elapsed > self.rtt_min
-        if not advance and self.pacing_gain == 0.75 and inflight <= self.bdp_bytes():
+        if not advance and self.pacing_gain == 0.75 and inflight <= bdp_bytes(self):
             advance = True
         if advance:
             self.cycle_phase = (self.cycle_phase + 1) % len(STOCK_GAIN_CYCLE)

@@ -12,6 +12,9 @@ value SendManager stores when srtt changes, and _detect_reorder_loss, which
 tests every record against the reorder bound.  The production SendManager
 skips the work these do not need; the transport tests require both to give
 the same samples, hooks, records and timers.
+
+pacer_next_send_time is the pacer rule PathConnection.send works out in
+place for every data packet.
 """
 
 from mprtc.simnet import US_PER_S
@@ -24,6 +27,12 @@ from mprtc.transport import (
     SimPacket,
     ewma_srtt,
 )
+
+
+def pacer_next_send_time(prev_sent_ts, prev_len, pacing_rate):
+    """Earliest time the next packet may go out, on the microsecond grain."""
+    gap = prev_len * 8 * US_PER_S
+    return prev_sent_ts + int(-(-gap // pacing_rate))
 
 
 class ReferenceSendManager(SendManager):

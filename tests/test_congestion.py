@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import reference_congestion
-from reference_bbr import ReferenceBbrController
+from reference_bbr import ReferenceBbrController, bdp_bytes
 from mprtc import congestion
 from mprtc.congestion import (
     BW_WINDOW_ROUNDS,
@@ -129,14 +128,14 @@ def test_drain_holds_until_inflight_matches_bdp():
         feeder.round(2e6, now=i * RTT, inflight=60_000)
     cc = feeder.cc
     assert cc.mode == DRAIN
-    bdp = reference_congestion.bdp_bytes(cc)
+    bdp = bdp_bytes(cc)
     assert bdp == pytest.approx(2e6 * RTT / 8e6)  # 25 000 bytes
     feeder.round(2e6, now=4 * RTT, inflight=30_000)
     assert cc.mode == DRAIN
     feeder.round(2e6, now=5 * RTT, inflight=25_000)
     assert cc.mode == PROBE_BW
     assert cc.pacing_gain == 1.1
-    assert cc.cwnd == pytest.approx(2 * reference_congestion.bdp_bytes(cc))
+    assert cc.cwnd == pytest.approx(2 * bdp_bytes(cc))
 
 
 def test_probe_bw_cwnd_is_its_gain_times_bdp(monkeypatch):
@@ -148,7 +147,7 @@ def test_probe_bw_cwnd_is_its_gain_times_bdp(monkeypatch):
     feeder.round(2e6, now=4 * RTT, inflight=25_000)
     cc = feeder.cc
     assert cc.mode == PROBE_BW
-    assert cc.cwnd == pytest.approx(1.5 * reference_congestion.bdp_bytes(cc))
+    assert cc.cwnd == pytest.approx(1.5 * bdp_bytes(cc))
 
 
 # --- RTC-BBR gain cycle (unit-level, state set directly) --------------------
@@ -166,8 +165,7 @@ def probe_bw_cc(gain=1.1, cycle_len=8, mstamp=0, bw=2e6, seed=1):
 def test_cycle_restart_after_cycle_len_rtts():
     cc = probe_bw_cc(gain=0.85, cycle_len=3)
     now = 3 * RTT + 1
-    cc._update_gain_cycle_phase(now, inflight=10**6, has_loss=True,
-                                bdp=reference_congestion.bdp_bytes(cc))
+    cc._update_gain_cycle_phase(now, inflight=10**6, has_loss=True, bdp=bdp_bytes(cc))
     assert cc.pacing_gain == 1.1
     assert cc.cycle_mstamp == now
     assert 2 <= cc.cycle_len <= 8
@@ -179,29 +177,27 @@ def test_cycle_len_distribution_covers_2_to_8():
     now = 0
     for _ in range(500):
         now += cc.cycle_len * RTT + 1
-        cc._update_gain_cycle_phase(now, inflight=0, has_loss=False,
-                                    bdp=reference_congestion.bdp_bytes(cc))
+        cc._update_gain_cycle_phase(now, inflight=0, has_loss=False, bdp=bdp_bytes(cc))
         seen.add(cc.cycle_len)
     assert seen == {2, 3, 4, 5, 6, 7, 8}
 
 
 def test_gain_one_is_sticky_within_cycle():
     cc = probe_bw_cc(gain=1)
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=10**6, has_loss=True,
-                                bdp=reference_congestion.bdp_bytes(cc))
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=10**6, has_loss=True, bdp=bdp_bytes(cc))
     assert cc.pacing_gain == 1
 
 
 def test_probe_down_rises_when_inflight_matches_bdp():
     cc = probe_bw_cc(gain=0.85)
-    bdp = reference_congestion.bdp_bytes(cc)
+    bdp = bdp_bytes(cc)
     cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp), has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 1
 
 
 def test_probe_down_holds_while_queue_drains():
     cc = probe_bw_cc(gain=0.85)
-    bdp = reference_congestion.bdp_bytes(cc)
+    bdp = bdp_bytes(cc)
     cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp) + 1, has_loss=False,
                                 bdp=bdp)
     assert cc.pacing_gain == 0.85
@@ -211,21 +207,20 @@ def test_probe_down_exit_overridden_by_fresh_loss():
     # The pseudocode's checks are sequential: the rise to 1 can be undone by
     # the loss branch within the same update.
     cc = probe_bw_cc(gain=0.85)
-    bdp = reference_congestion.bdp_bytes(cc)
+    bdp = bdp_bytes(cc)
     cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(bdp), has_loss=True, bdp=bdp)
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_exits_early_on_loss():
     cc = probe_bw_cc(gain=1.1)
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=0, has_loss=True,
-                                bdp=reference_congestion.bdp_bytes(cc))
+    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=0, has_loss=True, bdp=bdp_bytes(cc))
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_exits_on_queue_buildup():
     cc = probe_bw_cc(gain=1.1)
-    bdp = reference_congestion.bdp_bytes(cc)
+    bdp = bdp_bytes(cc)
     over = int(1.1 * bdp) + 100
     cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=over, has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 0.85
@@ -233,14 +228,13 @@ def test_probe_up_exits_on_queue_buildup():
 
 def test_probe_up_holds_within_first_rtt():
     cc = probe_bw_cc(gain=1.1)
-    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=10**6, has_loss=True,
-                                bdp=reference_congestion.bdp_bytes(cc))
+    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=10**6, has_loss=True, bdp=bdp_bytes(cc))
     assert cc.pacing_gain == 1.1
 
 
 def test_probe_up_holds_absent_pressure():
     cc = probe_bw_cc(gain=1.1)
-    bdp = reference_congestion.bdp_bytes(cc)
+    bdp = bdp_bytes(cc)
     cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(bdp), has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 1.1
 
@@ -273,8 +267,7 @@ def test_stock_cycle_walks_gain_vector():
     gains = [cc.pacing_gain]
     for _ in range(8):
         now += RTT + 1
-        cc._stock_bbr_cycle(now, inflight=10**6,
-                            bdp=reference_congestion.bdp_bytes(cc))
+        cc._stock_bbr_cycle(now, inflight=10**6, bdp=bdp_bytes(cc))
         gains.append(cc.pacing_gain)
     assert gains == [1.25, 0.75, 1, 1, 1, 1, 1, 1, 1.25]
 
@@ -286,7 +279,7 @@ def test_stock_probe_down_exits_early_when_drained():
     cc.cycle_phase = 1
     cc.pacing_gain = 0.75
     cc.cycle_mstamp = 0
-    bdp = reference_congestion.bdp_bytes(cc)
+    bdp = bdp_bytes(cc)
     cc._stock_bbr_cycle(RTT // 2, inflight=int(bdp), bdp=bdp)
     assert cc.pacing_gain == 1
     assert cc.cycle_phase == 2
@@ -302,7 +295,7 @@ def test_probe_down_ends_at_the_samples_bdp(variant, phase, down_gain, over):
     cc.mode = PROBE_BW
     cc.cycle_phase = phase
     cc.pacing_gain = down_gain
-    bdp = reference_congestion.bdp_bytes(cc)  # 25 000 bytes; the next sample moves neither term
+    bdp = bdp_bytes(cc)  # 25 000 bytes; the next sample moves neither term
     assert bdp == 25_000
     cc.on_delivery_sample(sample(1e6, rtt=2 * RTT, inflight=int(bdp) + over), now=RTT // 2)
     assert cc.pacing_gain == (down_gain if over else 1)
@@ -423,54 +416,7 @@ def test_variant_validation():
         BbrController(random.Random(0), variant="cubic")
 
 
-# --- stored outputs -----------------------------------------------------------
-
-def stored_outputs(cc):
-    return cc.bw_es, cc.pacing_rate, cc.cwnd
-
-
-def walk_all_modes(cc, check):
-    """StartUp, Drain, ProbeBW, a 3 s pause, ProbeRTT and back to ProbeBW,
-    calling check(cc) after every call into the controller."""
-    feeder = Feeder(cc)
-    now = 0
-    check(cc)
-    for i, bw in enumerate((1e6, 1.5e6, 2e6, 2e6, 2e6, 2e6, 2e6)):
-        now = i * RTT
-        feeder.round(bw, now=now, inflight=60_000)
-        check(cc)
-    for _ in range(3):  # inflight drains to the BDP: Drain ends
-        now += RTT
-        feeder.round(2e6, now=now, inflight=20_000, loss=True)
-        check(cc)
-    now += RTT
-    cc.pause(now)
-    check(cc)
-    now += 3 * US_PER_S
-    cc.resume(now)
-    check(cc)
-    # RTT samples that only rise let min-RTT expire after 10 s: ProbeRTT.
-    for i in range(140):
-        now += RTT
-        feeder.round(2e6 + 1e4 * (i % 5), now=now, rtt=RTT + 10 * i,
-                     inflight=3000 if i % 3 else 50_000, loss=i % 11 == 0)
-        check(cc)
-
-
-@pytest.mark.parametrize("variant", ["rtc-bbr", "bbr"])
-def test_stored_outputs_match_reference_through_every_mode(variant):
-    cc = make_cc(variant=variant, seed=3)
-    modes = []
-
-    def check(cc):
-        assert stored_outputs(cc) == reference_congestion.outputs(cc), cc.mode
-        if not modes or modes[-1] != cc.mode:
-            modes.append(cc.mode)
-
-    walk_all_modes(cc, check)
-    assert {DRAIN, PROBE_BW, PROBE_RTT} <= set(modes)
-    assert modes.index(PROBE_RTT) < len(modes) - 1  # and left it again
-
+# --- the frozen reference intake -----------------------------------------------
 
 sample_steps = st.lists(st.tuples(
     st.sampled_from(["sample"] * 8 + ["pause", "resume"]),
@@ -482,17 +428,6 @@ sample_steps = st.lists(st.tuples(
     st.booleans(),                                               # app-limited
     st.integers(0, 30_000),                                      # acked bytes
 ), max_size=120)
-
-
-@settings(max_examples=150, deadline=None)
-@given(variant=st.sampled_from(["rtc-bbr", "bbr"]), seed=st.integers(0, 1000),
-       steps=sample_steps)
-def test_stored_outputs_match_reference(variant, seed, steps):
-    cc = make_cc(variant=variant, seed=seed)
-    assert stored_outputs(cc) == reference_congestion.outputs(cc)
-    for name, args in step_calls(steps):
-        getattr(cc, name)(*args)
-        assert stored_outputs(cc) == reference_congestion.outputs(cc)
 
 
 def step_calls(steps):
@@ -512,8 +447,6 @@ def step_calls(steps):
             yield kind, (now,)
 
 
-# --- the frozen reference intake -----------------------------------------------
-
 def assert_same_state(cc, ref):
     """Every slot of cc equals the reference's, type and value alike: the max
     filter by its samples, the rng by its state."""
@@ -529,15 +462,53 @@ def assert_same_state(cc, ref):
 
 def drive_both(variant, seed, calls):
     """Make the same calls on a controller and the frozen reference, comparing
-    their state after each; returns the controller."""
+    their state after each; returns the controller's mode before the first
+    call and after each."""
     cc = make_cc(variant=variant, seed=seed)
     ref = ReferenceBbrController(random.Random(seed), variant)
     assert_same_state(cc, ref)
+    modes = [cc.mode]
     for name, args in calls:
         getattr(cc, name)(*args)
         getattr(ref, name)(*args)
         assert_same_state(cc, ref)
-    return cc
+        modes.append(cc.mode)
+    return modes
+
+
+def walk_all_modes():
+    """The calls of a walk through StartUp, Drain, ProbeBW, a 3 s pause,
+    ProbeRTT and back to ProbeBW, one round per sample as Feeder makes them."""
+    delivered = 0
+
+    def fed(bw, now, rtt=RTT, inflight=0, loss=False):
+        nonlocal delivered
+        delivered += 10_000
+        return "on_delivery_sample", (sample(bw, rtt, inflight, loss, das=delivered - 10_000,
+                                             daa=delivered), now)
+
+    for i, bw in enumerate((1e6, 1.5e6, 2e6, 2e6, 2e6, 2e6, 2e6)):
+        now = i * RTT
+        yield fed(bw, now, inflight=60_000)
+    for _ in range(3):  # inflight drains to the BDP: Drain ends
+        now += RTT
+        yield fed(2e6, now, inflight=20_000, loss=True)
+    now += RTT
+    yield "pause", (now,)
+    now += 3 * US_PER_S
+    yield "resume", (now,)
+    # RTT samples that only rise let min-RTT expire after 10 s: ProbeRTT.
+    for i in range(140):
+        now += RTT
+        yield fed(2e6 + 1e4 * (i % 5), now, rtt=RTT + 10 * i,
+                  inflight=3000 if i % 3 else 50_000, loss=i % 11 == 0)
+
+
+@pytest.mark.parametrize("variant", ["rtc-bbr", "bbr"])
+def test_stored_outputs_match_reference_through_every_mode(variant):
+    modes = drive_both(variant, 3, walk_all_modes())
+    assert {DRAIN, PROBE_BW, PROBE_RTT} <= set(modes)
+    assert PROBE_BW in modes[modes.index(PROBE_RTT):]  # and left ProbeRTT again
 
 
 # Longer streams of a few bandwidth levels and inflights: most leave StartUp,
@@ -554,16 +525,18 @@ steady_sample_steps = st.lists(st.tuples(
 ), min_size=50, max_size=300)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=75, deadline=None)
 @given(variant=st.sampled_from(["rtc-bbr", "bbr"]), seed=st.integers(0, 1000),
-       steps=st.one_of(sample_steps, steady_sample_steps))
-def test_sample_intake_matches_frozen_reference(variant, seed, steps):
-    drive_both(variant, seed, step_calls(steps))
+       short=st.lists(sample_steps, min_size=4, max_size=4), steady=steady_sample_steps)
+def test_sample_intake_matches_frozen_reference(variant, seed, short, steady):
+    """Each example drives four streams of any samples and one steady stream."""
+    for steps in (*short, steady):
+        drive_both(variant, seed, step_calls(steps))
 
 
 @pytest.mark.parametrize("variant", ["rtc-bbr", "bbr"])
 def test_recorded_stream_matches_frozen_reference(variant):
     from perf_congestion import STREAM  # records 4 s of one saturating flow
 
-    cc = drive_both(variant, 1, [("on_delivery_sample", pair) for pair in STREAM])
-    assert cc.mode != STARTUP
+    modes = drive_both(variant, 1, [("on_delivery_sample", pair) for pair in STREAM])
+    assert modes[-1] != STARTUP

@@ -23,6 +23,7 @@ from mprtc import scheduler, session as session_module, simnet, transport
 from mprtc.scheduler import DECISION_LOG_LEN, wire_size
 from mprtc.session import CappedFlow, PathConnection, VideoSession
 from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
+from reference_transport import pacer_next_send_time
 
 US_PER_S = 1_000_000
 TESTS_DIR = Path(__file__).resolve().parent
@@ -408,7 +409,7 @@ def test_data_send_moves_the_pacer_past_now(now, size, rate, cap):
                           "rtc-bbr", 0, None, rate_cap_bps=cap)
     conn.cc.pacing_rate = rate
     conn.send(transport.StreamFrame(size, 0, now, 1, 0, False), size, now, False)
-    assert conn.next_send_ts == transport.pacer_next_send_time(now, size, min(rate, cap))
+    assert conn.next_send_ts == pacer_next_send_time(now, size, min(rate, cap))
     assert conn.next_send_ts > now
 
 

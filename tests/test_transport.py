@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mprtc.simnet import EventLoop, Link, LinkConfig, US_PER_MS, US_PER_S
+from mprtc.session import PathConnection
+from mprtc.simnet import EventLoop, Link, LinkConfig, PathDef, US_PER_MS, US_PER_S
 from mprtc.transport import (
     ACK_RANGES_MAX,
     AckFrame,
@@ -17,10 +18,9 @@ from mprtc.transport import (
     SimPacket,
     StreamFrame,
     packetize,
-    pacer_next_send_time,
     wire_size,
 )
-from reference_transport import ReferenceSendManager
+from reference_transport import ReferenceSendManager, pacer_next_send_time
 
 
 # --- packetize --------------------------------------------------------------
@@ -87,22 +87,27 @@ def test_simulated_packet_sizes_are_encoded_sizes(frame):
 
 # --- pacer ------------------------------------------------------------------
 
+def paced(now, size, rate):
+    """next_send_ts after PathConnection.send sends size bytes at now while
+    its controller paces at rate."""
+    conn = PathConnection(EventLoop(), random.Random(1), PathDef(0, (NullLink(),)),
+                          "rtc-bbr", 0, None)
+    conn.cc.pacing_rate = rate
+    conn.send(StreamFrame(size, 0, now, 1, 0, False), size, now, False)
+    return conn.next_send_ts
+
+
 def test_pacer_basic_gap():
-    assert pacer_next_send_time(0, 1200, 9.6e6) == 1000
-    assert pacer_next_send_time(500, 0, 9.6e6) == 500
-    gap1 = pacer_next_send_time(0, 1200, 1e6)
-    gap2 = pacer_next_send_time(0, 1200, 2e6)
+    assert paced(0, 1200, 9.6e6) == 1000
+    assert paced(500, 0, 9.6e6) == 500
+    gap1 = paced(0, 1200, 1e6)
+    gap2 = paced(0, 1200, 2e6)
     assert gap1 == 2 * gap2
 
 
 def test_pacer_rounds_up_to_clock_grain():
     # 101 bytes at 9.6 Mbps is 84.1666… us on the wire.
-    assert pacer_next_send_time(0, 101, 9.6e6) == 85
-
-
-def test_pacer_zero_rate_rejected():
-    with pytest.raises(ValueError):
-        pacer_next_send_time(0, 1200, 0)
+    assert paced(0, 101, 9.6e6) == 85
 
 
 @settings(max_examples=500, deadline=None)
@@ -114,7 +119,7 @@ def test_pacer_moves_past_now_for_every_positive_size(t, size, rate):
     """Any positive gap rounds up to at least one microsecond, so a pump
     that has just sent can arm its timer at the pacer time without asking
     the pacer again."""
-    assert pacer_next_send_time(t, size, rate) > t
+    assert paced(t, size, rate) > t
 
 
 # --- send/receive managers --------------------------------------------------
@@ -419,6 +424,8 @@ def test_pacing_byte_budget_property():
 # --- settling acks and loss timers -------------------------------------------
 
 class NullLink:
+    owd_us = 0
+
     def enqueue(self, packet):
         pass
 
