@@ -375,9 +375,13 @@ def build_network(loop: EventLoop, links, flows, candidates: dict) -> Network:
 
 def _read_link(spec: dict, i: int) -> tuple:
     """Link row from the spec ``links[i]``; each error names its field as ``links[i].<field>``."""
-    for field in ("id", "capacity_mbps", "owd_ms", "queue_ms"):
+    fields = ("id", "capacity_mbps", "owd_ms", "queue_ms")
+    for field in fields:
         if field not in spec:
             raise ValueError(f"links[{i}].{field} is missing")
+    for key in spec:
+        if key not in fields:
+            raise ValueError(f"links[{i}].{key}: a link does not read this key")
     try:
         cfg = LinkConfig.from_mbps_ms(spec["capacity_mbps"], spec["owd_ms"], spec["queue_ms"])
     except ValueError as exc:  # its message starts with the argument's name
@@ -398,12 +402,14 @@ def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = No
     """Network of the config's topology, as link rows plus routes.
 
     dumbbell: one link (id "L1" unless given) and one flow route over it
-    per entry of ``flows`` (3 when left out).  rtt-unfairness: flow 0 over
-    L0+L1+L2, flow 1 over L3+L1+L4.  multipath-overlay: paths 0-3 are
-    subflow 0's direct and relay candidates, then subflow 1's; path i runs
-    on traces[i] at its mean rate, with a TRACE_QUEUE_MS access queue and a
-    one-way delay drawn from [50 ms, 100 ms] in path order, which a relay
-    path splits in half between its access link and a fast relay link.
+    per entry of ``flows`` (3 when left out), each an empty dict.
+    rtt-unfairness: flow 0 over L0+L1+L2, flow 1 over L3+L1+L4, and no
+    other link.  A link spec has exactly the keys id, capacity_mbps, owd_ms
+    and queue_ms.  multipath-overlay: paths 0-3 are subflow 0's direct and
+    relay candidates, then subflow 1's; path i runs on traces[i] at its mean
+    rate, with a TRACE_QUEUE_MS access queue and a one-way delay drawn from
+    [50 ms, 100 ms] in path order, which a relay path splits in half between
+    its access link and a fast relay link.
     """
     name = config.get("topology")
     if not isinstance(name, str) or name not in TOPOLOGY_KEYS:
@@ -440,10 +446,21 @@ def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = No
         flows = config.get("flows", [{}] * 3)
         if not isinstance(flows, list) or not flows:
             raise ValueError(f"flows must be a non-empty list, got {flows!r}")
+        for i, flow in enumerate(flows):
+            if flow != {}:
+                raise ValueError(f"flows[{i}] must be an empty dict, got {flow!r}")
         return build_network(loop, [row], [(row[0],)] * len(flows), {})
-    # Rows are read as build_network reaches them, so errors come in links order.
-    rows = (_read_link(spec, i) for i, spec in enumerate(specs))
+    routes = (("L0", "L1", "L2"), ("L3", "L1", "L4"))
+    used = {link_id for route in routes for link_id in route}
+
+    def rows():  # read as build_network reaches them, so errors come in links order
+        for i, spec in enumerate(specs):
+            row = _read_link(spec, i)
+            if row[0] not in used:
+                raise ValueError(f"links[{i}].id {row[0]!r}: no rtt-unfairness route uses it")
+            yield row
+
     try:
-        return build_network(loop, rows, (("L0", "L1", "L2"), ("L3", "L1", "L4")), {})
+        return build_network(loop, rows(), routes, {})
     except KeyError as exc:
         raise ValueError(f"rtt-unfairness topology requires links L0-L4, missing {exc}") from None

@@ -691,6 +691,13 @@ def test_link_spec_value_errors_name_the_field(field, value):
             build_topology(EventLoop(), config)
 
 
+@pytest.mark.parametrize("key, value", [("loss_rate", 0.01), ("queue_msec", 50)])
+def test_link_spec_refuses_a_key_it_does_not_read(key, value):
+    for config, i in link_configs(key, value):
+        with pytest.raises(ValueError, match=rf"^links\[{i}\]\.{key}: a link does not read this key$"):
+            build_topology(EventLoop(), config)
+
+
 def test_rtt_unfairness_link_needs_an_id():
     links = [dict(spec) for spec in RTT_CASE3_LINKS]
     del links[1]["id"]
@@ -722,6 +729,15 @@ def test_dumbbell_link_id_defaults_to_l1():
 def test_dumbbell_flows_must_be_a_non_empty_list(flows):
     config = {"topology": "dumbbell", "links": [DUMBBELL_LINK], "flows": flows}
     with pytest.raises(ValueError, match="flows must be a non-empty list"):
+        build_topology(EventLoop(), config)
+
+
+@pytest.mark.parametrize("flows, i", [
+    ([{"rate": 5}, {"cc": "cubic"}], 0), ([1, "x", None], 0), ([{}, {}, None], 2),
+], ids=["settings", "scalars", "none"])
+def test_dumbbell_flow_entries_must_be_empty_dicts(flows, i):
+    config = {"topology": "dumbbell", "links": [DUMBBELL_LINK], "flows": flows}
+    with pytest.raises(ValueError, match=rf"^flows\[{i}\] must be an empty dict, got "):
         build_topology(EventLoop(), config)
 
 
@@ -766,13 +782,16 @@ ONE_STEP_TRACE = TraceSchedule([(0, 1_000_000)])
     (lambda: build_topology(EventLoop(), {"topology": "rtt-unfairness",
                                           "links": RTT_CASE3_LINKS[:3] + RTT_CASE3_LINKS[4:]}),
      "requires links L0-L4, missing 'L3'"),
+    (lambda: build_topology(EventLoop(), {"topology": "rtt-unfairness", "links": RTT_CASE3_LINKS + [
+        {"id": "L9", "capacity_mbps": 1, "owd_ms": 5, "queue_ms": 200}]}),
+     r"links\[5\]\.id 'L9': no rtt-unfairness route uses it"),
     (lambda: build_topology(EventLoop(), {"topology": "multipath-overlay"},
                             random.Random(1), [ONE_STEP_TRACE] * 3),
      "multipath-overlay needs 4 traces, got 3"),
     (lambda: build_topology(EventLoop(), {"topology": "multipath-overlay"}),
      "multipath-overlay requires rng and traces"),
 ], ids=["zero-capacity", "zero-queue", "empty-trace", "empty-interval", "no-L3",
-        "three-traces", "no-rng-or-traces"])
+        "unused-L9", "three-traces", "no-rng-or-traces"])
 def test_configs_are_rejected_where_they_enter(build, match):
     with pytest.raises(ValueError, match=match):
         build()
