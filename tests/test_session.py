@@ -24,6 +24,7 @@ from mprtc.scheduler import DECISION_LOG_LEN, wire_size
 from mprtc.session import CappedFlow, PathConnection, VideoSession
 from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
 from reference_transport import pacer_next_send_time
+from test_simnet import RTT_CASE3_LINKS
 
 US_PER_S = 1_000_000
 TESTS_DIR = Path(__file__).resolve().parent
@@ -32,6 +33,7 @@ UCB_PIN = "151325b9e68a3bc888d19bf5c72f32f247d252919d2360a41659dab552b779fc"
 COLLAPSE_PIN = "3393726e249d50b14a0c788ed3abab6ef67f5d0eae73767b748a59052447d908"
 DUMBBELL_PIN = "bbfc5a1ff522a87e636dd91250861f5d80fe1f45bf3bb5172587750e707cfd6a"
 STOCK_BBR_PIN = "13cddec9e4ca449f89ec76de391249e1f32ccedacc7f8bc212e12066bcad2532"
+RTT_UNFAIRNESS_PIN = "efcbfd97639ff5b8350f1247cc296a40e9bb5f91f8cc67c252726f94337d31c2"
 
 
 def sha256_of(value) -> str:
@@ -198,6 +200,18 @@ def test_overlay_collapse_pinned():
     assert overlay_digest(session) == COLLAPSE_PIN
 
 
+def start_counting_losses(flows) -> list:
+    """Start the flows; the list returned counts each one's lost packets."""
+    lost = [0] * len(flows)
+    for i, flow in enumerate(flows):
+        def counting(records, i=i, hook=flow.sm.loss_hook):
+            lost[i] += len(records)
+            hook(records)
+        flow.sm.loss_hook = counting
+        flow.start()
+    return lost
+
+
 def test_dumbbell_pinned():
     loop = EventLoop()
     rng = random.Random(23)
@@ -207,13 +221,7 @@ def test_dumbbell_pinned():
     flows = [CappedFlow(loop, rng, path, conn_id=i, rate_cap_bps=10_000_000,
                         start_ts=i * 4 * US_PER_S)
              for i, path in enumerate(net.flow_paths)]
-    lost = [0] * len(flows)
-    for i, flow in enumerate(flows):
-        def counting(records, i=i, hook=flow.sm.loss_hook):
-            lost[i] += len(records)
-            hook(records)
-        flow.sm.loss_hook = counting
-        flow.start()
+    lost = start_counting_losses(flows)
     loop.run(15 * US_PER_S)
     for flow in flows:
         assert_send_state_consistent(flow.sm)
@@ -222,6 +230,24 @@ def test_dumbbell_pinned():
     assert sum(lost) > 0
     assert sha256_of([[f.rm.bytes_received, f.sm.packets_sent, n]
                       for f, n in zip(flows, lost)]) == DUMBBELL_PIN
+
+
+def test_rtt_unfairness_pinned():
+    """Two RTC-BBR flows share the 4 Mbit/s L1, flow 0 at an 80 ms and flow 1
+    at a 100 ms round trip.  Over 20 s flow 0 receives 1.87 and flow 1
+    2.05 Mbit/s, a throughput ratio of 0.91 (short RTT over long)."""
+    loop = EventLoop()
+    rng = random.Random(23)
+    net = build_topology(loop, {"topology": "rtt-unfairness", "links": RTT_CASE3_LINKS})
+    flows = [CappedFlow(loop, rng, path, conn_id=i, rate_cap_bps=10_000_000)
+             for i, path in enumerate(net.flow_paths)]
+    lost = start_counting_losses(flows)
+    loop.run(20 * US_PER_S)
+    for flow in flows:
+        assert_send_state_consistent(flow.sm)
+    received = [flow.rm.bytes_received for flow in flows]
+    assert round(received[0] / received[1], 2) == 0.91
+    assert sha256_of([[n, lost_n] for n, lost_n in zip(received, lost)]) == RTT_UNFAIRNESS_PIN
 
 
 def test_stock_bbr_dumbbell_pinned():
@@ -237,13 +263,7 @@ def test_stock_bbr_dumbbell_pinned():
         flows = [CappedFlow(loop, rng, path, variant="bbr", conn_id=i,
                             rate_cap_bps=10_000_000, start_ts=i * 2 * US_PER_S)
                  for i, path in enumerate(net.flow_paths)]
-        lost = [0] * len(flows)
-        for i, flow in enumerate(flows):
-            def counting(records, i=i, hook=flow.sm.loss_hook):
-                lost[i] += len(records)
-                hook(records)
-            flow.sm.loss_hook = counting
-            flow.start()
+        lost = start_counting_losses(flows)
         for s in range(1, 16):
             loop.run(s * US_PER_S)
             assert_one_live_pump_each(loop, flows)
