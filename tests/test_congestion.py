@@ -1,3 +1,8 @@
+"""BbrController tests.  tests/reference_bbr.py is the controller's one
+oracle: drive_both makes the same calls on both and compares every slot
+after each, and its bdp_bytes gives the scripted tests their BDP inputs.
+"""
+
 import random
 
 import pytest
