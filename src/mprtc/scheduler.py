@@ -5,6 +5,8 @@ Each segment goes to the subflow whose expected arrival latency
 term updated after every assignment.  A lost key-frame segment is resent
 until it is acked, a lost delta segment only within RETENTION_US (400 ms) of
 its first send, each over the subflow that is fastest when the loss is found.
+Each entry's deadline, ``expires_at``, is decided once, at the first send of
+a delta segment; a segment is resent only while ``now <= expires_at``.
 
 Every bandwidth estimate is positive (the session seeds each subflow with its
 controller's ``bw_es``, never zero, and ``set_bw_es`` rejects anything else),
@@ -27,23 +29,20 @@ DECISION_LOG_LEN = 1024  # a ring, so that memory stays flat on long runs
 
 
 class SendBufferEntry:
-    """One segment in the send buffer; its wire size and key-frame flag are
-    stored at construction, because a segment never changes.  The subflow
-    it is assigned to is the one whose queue holds it."""
+    """One segment in the send buffer.  Its wire size is stored, because a
+    segment never changes; ``expires_at``, the last time a resend is due, is
+    math.inf until next_segment first sends a delta segment, then that send
+    time plus RETENTION_US.  The subflow it is assigned to is the one whose
+    queue holds it."""
 
-    __slots__ = ("segment", "size", "key_frame", "sent", "first_sent_ts", "acked")
+    __slots__ = ("segment", "size", "sent", "expires_at", "acked")
 
     def __init__(self, segment: StreamFrame) -> None:
         self.segment = segment
         self.size = wire_size(segment)
-        self.key_frame = segment.key_frame
         self.sent = False
-        self.first_sent_ts = 0
+        self.expires_at = math.inf
         self.acked = False
-
-    def expired(self, now: int) -> bool:
-        """True for a sent delta segment more than RETENTION_US past its first send."""
-        return self.sent and not self.key_frame and now - self.first_sent_ts > RETENTION_US
 
 
 class SubflowState:
@@ -123,11 +122,12 @@ class Scheduler:
         while sub.queue:
             entry = sub.queue.popleft()
             sub.queued_bytes -= entry.size
-            if entry.acked or entry.expired(now):
+            if entry.acked or now > entry.expires_at:
                 continue  # acked while waiting for retransmission, or too old to resend
             if not entry.sent:
                 entry.sent = True
-                entry.first_sent_ts = now
+                if not entry.segment.key_frame:
+                    entry.expires_at = now + RETENTION_US
             return entry
         return None
 
@@ -143,7 +143,7 @@ class Scheduler:
         for entry in entries:
             if entry.acked:
                 continue
-            if not entry.expired(now):
+            if now <= entry.expires_at:
                 sid = self._fastest()[0]
                 sub = self.subflows[sid]
                 sub.queue.appendleft(entry)  # retransmissions jump the line
@@ -161,7 +161,7 @@ class Scheduler:
         stops at the first entry never sent."""
         evicted = []
         for sub in self.subflows.values():
-            stale = [e for e in takewhile(attrgetter("sent"), sub.queue) if e.expired(now)]
+            stale = [e for e in takewhile(attrgetter("sent"), sub.queue) if now > e.expires_at]
             for entry in stale:
                 sub.queue.remove(entry)
                 sub.queued_bytes -= entry.size

@@ -275,14 +275,13 @@ class Link:
     """
 
     __slots__ = (
-        "loop", "name", "capacity", "owd_us", "queue", "occupancy", "queue_capacity",
+        "loop", "capacity", "owd_us", "queue", "occupancy", "queue_capacity",
         "trace", "sent", "delivered", "dropped",
     )
 
-    def __init__(self, loop: EventLoop, config: LinkConfig, name: str = "",
+    def __init__(self, loop: EventLoop, config: LinkConfig,
                  trace: TraceSchedule | None = None) -> None:
         self.loop = loop
-        self.name = name
         self.capacity = config.capacity
         self.owd_us = config.owd_us
         self.queue: deque = deque()
@@ -362,7 +361,7 @@ def build_network(loop: EventLoop, links, flows, candidates: dict) -> Network:
     for i, (link_id, config, trace) in enumerate(links):
         if link_id in built:
             raise ValueError(f"links[{i}].id {link_id!r} is already used")
-        built[link_id] = Link(loop, config, name=link_id, trace=trace)
+        built[link_id] = Link(loop, config, trace=trace)
     path_ids = count()
 
     def path(route) -> PathDef:
@@ -382,6 +381,8 @@ def _read_link(spec: dict, i: int) -> tuple:
     for key in spec:
         if key not in fields:
             raise ValueError(f"links[{i}].{key}: a link does not read this key")
+    if not isinstance(spec["id"], str):
+        raise ValueError(f"links[{i}].id must be a str, got {spec['id']!r}")
     try:
         cfg = LinkConfig.from_mbps_ms(spec["capacity_mbps"], spec["owd_ms"], spec["queue_ms"])
     except ValueError as exc:  # its message starts with the argument's name
@@ -404,13 +405,16 @@ def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = No
     dumbbell: one link (id "L1" unless given) and one flow route over it
     per entry of ``flows`` (3 when left out), each an empty dict.
     rtt-unfairness: flow 0 over L0+L1+L2, flow 1 over L3+L1+L4, and no
-    other link.  A link spec has exactly the keys id, capacity_mbps, owd_ms
-    and queue_ms.  multipath-overlay: paths 0-3 are subflow 0's direct and
-    relay candidates, then subflow 1's; path i runs on traces[i] at its mean
-    rate, with a TRACE_QUEUE_MS access queue and a one-way delay drawn from
-    [50 ms, 100 ms] in path order, which a relay path splits in half between
-    its access link and a fast relay link.
+    other link.  ``links`` is a list of dicts, each with exactly the keys
+    id (a str), capacity_mbps, owd_ms and queue_ms.  multipath-overlay:
+    paths 0-3 are subflow 0's direct and relay candidates, then subflow
+    1's; path i runs on traces[i] at its mean rate, with a TRACE_QUEUE_MS
+    access queue and a one-way delay drawn from [50 ms, 100 ms] in path
+    order, which a relay path splits in half between its access link and a
+    fast relay link.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a dict, got {config!r}")
     name = config.get("topology")
     if not isinstance(name, str) or name not in TOPOLOGY_KEYS:
         raise ValueError(f"unknown topology {name!r}")
@@ -437,8 +441,11 @@ def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = No
             candidates[sid].append(route)
         return build_network(loop, rows, (), candidates)
     specs = config.get("links")
-    if not specs:
-        raise ValueError(f"links: {name} topology needs at least one link")
+    if not isinstance(specs, list) or not specs:
+        raise ValueError(f"links: {name} topology needs a non-empty list, got {specs!r}")
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise ValueError(f"links[{i}] must be a dict, got {spec!r}")
     if name == "dumbbell":
         if len(specs) > 1:
             raise ValueError(f"links[1]: dumbbell topology takes one link, got {len(specs)}")

@@ -113,11 +113,9 @@ class VideoSource:
 
         base = self.actual_rate / (8 * FPS)
         size = int(base * _GOP_NORM * (KEY_FRAME_FACTOR if key else 1))
-        size = max(1, size)
         d_en = ENCODE_DELAY_BASE_US + int(
             self.rng.uniform(-ENCODE_DELAY_SPREAD_US, ENCODE_DELAY_SPREAD_US)
         )
-        d_en = max(1, d_en)
         self.busy = True
         self.loop.schedule(now + d_en, self._finish_encode, raw, size, key, d_en)
 
@@ -135,7 +133,6 @@ class DeliveredFrame:
     capture_ts: int
     delivered_ts: int
     size: int
-    key_frame: bool
 
 
 class _PendingFrame:
@@ -199,7 +196,6 @@ class VideoSink:
                 capture_ts=frame.capture_ts,
                 delivered_ts=now,
                 size=sum(frame.segment_bytes.values()),
-                key_frame=frame.key_frame,
             )
             self._release()
 

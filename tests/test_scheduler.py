@@ -1,13 +1,13 @@
+import math
 import random
 from collections import Counter
-from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_scheduler
 from mprtc.scheduler import (
-    DECISION_LOG_LEN, RETENTION_US, Scheduler, SendBufferEntry, wire_size,
+    DECISION_LOG_LEN, RETENTION_US, Scheduler, wire_size,
 )
 from mprtc.transport import PAYLOAD_BUDGET, StreamFrame, packetize
 
@@ -174,6 +174,19 @@ def queued(sched):
     return [e for sub in sched.subflows.values() for e in sub.queue]
 
 
+def test_deadline_is_decided_at_the_first_send_of_a_delta_segment():
+    sched = Scheduler({0: 1e6})
+    delta, key = sched.schedule_segments([seg(), seg(frame_index=1, key=True)], now=0)
+    assert delta.expires_at == key.expires_at == math.inf
+    assert sched.next_segment(0, now=1000) is delta
+    assert sched.next_segment(0, now=2000) is key
+    assert (delta.expires_at, key.expires_at) == (1000 + RETENTION_US, math.inf)
+    sched.on_loss([delta, key], now=3000)
+    sched.next_segment(0, now=4000)
+    sched.next_segment(0, now=5000)
+    assert (delta.expires_at, key.expires_at) == (1000 + RETENTION_US, math.inf)
+
+
 def test_key_frame_lost_is_always_retransmitted():
     sched = make_two()
     (entry,) = sched.schedule_segments([seg(key=True)], now=0)
@@ -273,10 +286,11 @@ def test_evict_drops_but_does_not_report_entry_acked_while_requeued():
     assert sched.subflows[0].queued_bytes == 0
 
 
-def test_evict_on_a_mixed_queue_matches_a_full_scan(monkeypatch):
+def test_evict_on_a_mixed_queue_matches_a_full_scan():
     """Resends (an expired delta, a live delta, a key frame) lead the queue
     and fresh entries follow: evict removes and returns what a scan of every
-    entry would, keeps the order of the rest, and never asks a fresh entry."""
+    entry would, keeps the order of the rest, and stops at the first fresh
+    entry, so even a fresh entry given a past deadline stays."""
     sched = Scheduler({0: 1e6})
     stale, key, young = sched.schedule_segments(
         [seg(frame_index=0), seg(frame_index=1, key=True), seg(frame_index=2)], now=0)
@@ -288,16 +302,13 @@ def test_evict_on_a_mixed_queue_matches_a_full_scan(monkeypatch):
     queue = sched.subflows[0].queue
     assert list(queue) == [key, stale, young, *fresh]
     now = 450_000
-    expected = [e for e in queue if e.expired(now)]
+    expected = [e for e in queue if now > e.expires_at]
     assert expected == [stale]
-    asked = []
-    expired = SendBufferEntry.expired
-    monkeypatch.setattr(SendBufferEntry, "expired",
-                        lambda e, t: asked.append(e) or expired(e, t))
+    for entry in fresh:
+        entry.expires_at = 0  # a scan past the first fresh entry would evict it
     assert sched.evict(now) == expected
     assert list(queue) == [key, young, *fresh]
     assert sched.subflows[0].queued_bytes == sum(e.size for e in queue)
-    assert asked == [key, stale, young]  # the scan stopped at the first fresh entry
 
 
 def test_loss_of_an_acked_entry_changes_nothing():
@@ -317,12 +328,14 @@ def test_loss_of_an_acked_entry_changes_nothing():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_stored_entry_fields_match_segment(data):
-    """An entry's stored size and key flag, and the queue byte counts built
-    from them, equal wire_size and the segment's flag through sends,
-    requeues on loss, acks and eviction."""
+    """An entry's stored size, and the queue byte counts built from it,
+    equal wire_size, and its deadline is its first send plus RETENTION_US on
+    a sent delta segment and math.inf otherwise, through sends, requeues on
+    loss, acks and eviction."""
     sched = make_two(bw0=2e6, bw1=1.3e6, srtt0=80_000, srtt1=120_000)
     entries = []
     in_flight = []
+    first_sent = {}
     now = 0
     for frame_index in range(data.draw(st.integers(1, 60))):
         now += data.draw(st.integers(0, 150_000))
@@ -335,6 +348,7 @@ def test_stored_entry_fields_match_segment(data):
             entry = sched.next_segment(data.draw(st.sampled_from([0, 1])), now)
             if entry is not None:
                 in_flight.append(entry)
+                first_sent.setdefault(entry, now)
         elif op == "loss" and in_flight:
             lost = data.draw(st.lists(st.sampled_from(in_flight), max_size=4, unique=True))
             in_flight = [e for e in in_flight if e not in lost]
@@ -347,14 +361,24 @@ def test_stored_entry_fields_match_segment(data):
             sched.evict(now)
         for entry in entries:
             assert entry.size == wire_size(entry.segment)
-            assert entry.key_frame == entry.segment.key_frame
+            sent_delta = entry in first_sent and not entry.segment.key_frame
+            assert entry.expires_at == (first_sent[entry] + RETENTION_US if sent_delta
+                                        else math.inf)
         for sub in sched.subflows.values():
             assert sub.queued_bytes == sum(wire_size(e.segment) for e in sub.queue)
 
 
 # --- against the reference scheduler ------------------------------------------
 
-entry_fields = attrgetter("sent", "first_sent_ts", "acked", "size", "key_frame")
+def entry_fields(entry):
+    return entry.sent, entry.expires_at, entry.acked, entry.size
+
+
+def reference_fields(ref):
+    """entry_fields of the reference's entry, its deadline derived from its
+    first send and key-frame flag."""
+    deadline = ref.first_sent_ts + RETENTION_US if ref.sent and not ref.key_frame else math.inf
+    return ref.sent, deadline, ref.acked, ref.size
 
 
 def entry_key(entry):
@@ -377,7 +401,7 @@ def assert_same_state(new, old, new_entries, old_entries):
         assert keys(sub.queue) == keys(ref.queue)
         assert (sub.queued_bytes, sub.srtt, sub.bw_es) == (ref.queued_bytes, ref.srtt, ref.bw_es)
     for k, entry in new_entries.items():
-        assert entry_fields(entry) == entry_fields(old_entries[k])
+        assert entry_fields(entry) == reference_fields(old_entries[k])
 
 
 # One step of the oracle test: (clock advance, operation, subflow, offset
@@ -398,11 +422,11 @@ STEP = st.tuples(
 
 
 def retention_edge(entry, now, offset):
-    """now, or the later time at which a sent entry's age is RETENTION_US +
-    offset, when an offset was drawn."""
-    if entry is None or offset is None or not entry.sent:
+    """now, or the later time offset past a sent delta entry's deadline,
+    when an offset was drawn."""
+    if entry is None or offset is None or entry.expires_at == math.inf:
         return now
-    return max(now, entry.first_sent_ts + RETENTION_US + offset)
+    return max(now, entry.expires_at + offset)
 
 
 def edge_case(*ops):

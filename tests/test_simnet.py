@@ -547,8 +547,8 @@ def test_rtt_unfairness_routes_and_delays():
     loop = EventLoop()
     net = build_topology(loop, {"topology": "rtt-unfairness", "links": RTT_CASE3_LINKS})
     p1, p2 = net.flow_paths
-    assert tuple(l.name for l in p1.route) == ("L0", "L1", "L2")
-    assert tuple(l.name for l in p2.route) == ("L3", "L1", "L4")
+    assert p1.route == tuple(net.links[i] for i in ("L0", "L1", "L2"))
+    assert p2.route == tuple(net.links[i] for i in ("L3", "L1", "L4"))
     assert sum(l.owd_us for l in p1.route) == (20 + 10 + 10) * US_PER_MS
     assert sum(l.owd_us for l in p2.route) == (10 + 10 + 30) * US_PER_MS
     assert net.links["L1"].queue_capacity == int(4e6 * 0.2 / 8)
@@ -696,6 +696,27 @@ def test_link_spec_refuses_a_key_it_does_not_read(key, value):
     for config, i in link_configs(key, value):
         with pytest.raises(ValueError, match=rf"^links\[{i}\]\.{key}: a link does not read this key$"):
             build_topology(EventLoop(), config)
+
+
+@pytest.mark.parametrize("config, match", [
+    (None, "^config must be a dict, got None$"),
+    ([("topology", "dumbbell")], "^config must be a dict, got "),
+    ({"topology": "dumbbell", "links": 7}, "^links: dumbbell topology needs a non-empty list, got 7$"),
+    ({"topology": "rtt-unfairness", "links": 7}, "^links: rtt-unfairness topology needs a non-empty list"),
+    ({"topology": "dumbbell", "links": {"a": 1}}, "^links: dumbbell topology needs a non-empty list"),
+    ({"topology": "dumbbell", "links": [5]}, r"^links\[0\] must be a dict, got 5$"),
+    ({"topology": "dumbbell", "links": ["abc"]}, r"^links\[0\] must be a dict, got 'abc'$"),
+    ({"topology": "rtt-unfairness", "links": RTT_CASE3_LINKS[:2] + [5]},
+     r"^links\[2\] must be a dict, got 5$"),
+    ({"topology": "rtt-unfairness", "links": [dict(RTT_CASE3_LINKS[0], id=["L0"])]},
+     r"^links\[0\]\.id must be a str, got \['L0'\]$"),
+    ({"topology": "dumbbell", "links": [dict(DUMBBELL_LINK, id=5)]},
+     r"^links\[0\]\.id must be a str, got 5$"),
+], ids=["none", "pairs", "dumbbell-int-links", "rtt-int-links", "dict-links", "int-spec",
+        "str-spec", "rtt-int-spec", "list-id", "int-id"])
+def test_config_of_the_wrong_type_is_a_value_error_naming_the_field(config, match):
+    with pytest.raises(ValueError, match=match):
+        build_topology(EventLoop(), config)
 
 
 def test_rtt_unfairness_link_needs_an_id():

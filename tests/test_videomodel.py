@@ -110,6 +110,16 @@ class TestSource:
         loop2.run(10_000)
         assert src2.target_rate == 50_000.0
 
+    def test_frames_at_the_rate_floor_are_never_empty_or_instant(self):
+        # The encoder relies on these bounds instead of clamping: a delta
+        # frame at the 50 kbit/s floor is int(50_000 / 240 * 60 / 63) bytes,
+        # and an encode takes 8 ms +- 2 ms.
+        loop, src, frames = make_source(rate=0.0)
+        src.start(0)
+        loop.run(3_000_000)
+        assert min(f.size for f in frames) == 198
+        assert all(6_000 <= f.encode_done_ts - f.capture_ts <= 10_000 for f in frames)
+
     def test_encode_delay_estimate_fixed_point(self, monkeypatch):
         monkeypatch.setattr(videomodel, "ENCODE_DELAY_BASE_US", 10_000)
         monkeypatch.setattr(videomodel, "ENCODE_DELAY_SPREAD_US", 0)
