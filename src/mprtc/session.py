@@ -47,6 +47,12 @@ from .videomodel import VideoSink, VideoSource
 EVICT_TICK_US = 50_000
 
 
+def _check_time(name: str, value) -> None:
+    """Simulated time is whole microseconds: an int of at least 0, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be an int of at least 0, got {value!r}")
+
+
 class PathConnection:
     """One path's connection and controller; pacing is clamped to rate_cap_bps."""
 
@@ -55,7 +61,8 @@ class PathConnection:
 
     def __init__(self, loop, rng, path, variant: str, conn_id: int, deliver_ack, *,
                  sid: int = 0, rate_cap_bps: float = float("inf")):
-        if not rate_cap_bps > 0:  # also false for NaN
+        if (isinstance(rate_cap_bps, bool) or not isinstance(rate_cap_bps, (int, float))
+                or not rate_cap_bps > 0):  # NaN > 0 is false, so NaN is refused
             raise ValueError(f"rate_cap_bps must be a positive number, got {rate_cap_bps!r}")
         self.loop = loop
         self.path = path
@@ -98,6 +105,7 @@ class CappedFlow(PathConnection):
                  conn_id: int = 0, rate_cap_bps: int, start_ts: int = 0):
         super().__init__(loop, rng, path, variant, conn_id, self._deliver_ack,
                          rate_cap_bps=rate_cap_bps)
+        _check_time("start_ts", start_ts)
         self.start_ts = start_ts
         self.sm.loss_hook = self._on_loss
         self._pump_timer = None
@@ -193,11 +201,13 @@ class VideoSession:
         )
 
     def start(self, now: int = 0) -> None:
+        _check_time("now", now)
+        # Scheduled first, so a time before the loop's raises with nothing paused.
+        self.loop.schedule(now, self._decision_tick)
+        self.loop.schedule(now + EVICT_TICK_US, self._evict_tick)
         for conn in self.paths.values():
             if conn is not self.active[conn.sid]:
                 conn.cc.pause(now)
-        self.loop.schedule(now, self._decision_tick)
-        self.loop.schedule(now + EVICT_TICK_US, self._evict_tick)
         self.source.start(now)
 
     # -- sender datapath

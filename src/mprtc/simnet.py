@@ -11,6 +11,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
@@ -157,23 +158,33 @@ class TraceSchedule:
     entry plus one trailing gap (the spacing of the final two entries) the
     trace restarts from its first entry.
 
+    The entries are kept as one step table, ``bounds`` = [0] + the
+    timestamps after the first + [period_us]: step i plays rates[i] over
+    [bounds[i], bounds[i + 1]) of each period, so the first rate also
+    plays before the first timestamp.  A one-entry trace has period_us 0
+    (bounds [0, 0]) and plays its rate forever.
+
     capacity_at keeps the step it last answered from, as absolute
     [start, end) bounds and a rate, and answers from it while the query
     time stays inside; callers ask about nondecreasing times, so most
     queries skip the lookup.
     """
 
-    __slots__ = ("times", "rates", "period_us", "_mean",
-                 "_step_start", "_step_end", "_step_rate")
+    __slots__ = ("bounds", "rates", "period_us", "_step_start", "_step_end", "_step_rate")
 
     def __init__(self, entries) -> None:
-        if not entries:
-            raise ValueError("trace must have at least one entry")
+        if not isinstance(entries, Iterable):
+            raise ValueError(f"trace entries must be an iterable of pairs, got {entries!r}")
         times = []
         rates = []
         prev = -1
         for i, entry in enumerate(entries):
-            ts, bps = _whole(entry[0]), _whole(entry[1])
+            try:
+                ts, bps = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"trace entry {i} {entry!r}: must be a "
+                                 f"(timestamp, capacity) pair") from None
+            ts, bps = _whole(ts), _whole(bps)
             if ts is None or ts <= prev:
                 raise ValueError(f"trace entry {i} {entry!r}: timestamp must be a finite "
                                  f"whole number, at least 0 and above the previous one")
@@ -183,19 +194,14 @@ class TraceSchedule:
             times.append(ts)
             rates.append(bps)
             prev = ts
-        self.times = times
+        if not times:
+            raise ValueError("trace must have at least one entry")
         self.rates = rates
-        if len(times) > 1:
-            self.period_us = times[-1] + (times[-1] - times[-2])
-            # Step i covers [times[i], times[i + 1]) of each period; the
-            # first also covers the time before the first entry.
-            bounds = [0] + times[1:] + [self.period_us]
-            total = sum(r * (b - a) for r, a, b in zip(rates, bounds, bounds[1:]))
-            self._mean = total / self.period_us
+        self.period_us = times[-1] + (times[-1] - times[-2]) if len(times) > 1 else 0
+        self.bounds = [0] + times[1:] + [self.period_us]
+        if self.period_us:
             self._step_start = self._step_end = 0   # no step remembered yet
         else:
-            self.period_us = 0  # constant forever
-            self._mean = float(rates[0])
             self._step_start, self._step_end = -_FOREVER, _FOREVER
         self._step_rate = rates[0]
 
@@ -204,15 +210,11 @@ class TraceSchedule:
             return self._step_rate
         period = self.period_us
         cycle, local = divmod(t_us, period)
-        times = self.times
-        i = bisect_right(times, local) - 1
+        bounds = self.bounds
+        i = bisect_right(bounds, local) - 1
         base = cycle * period
-        if i < 0:
-            self._step_start, self._step_end = base, base + times[0]
-            i = 0
-        else:
-            self._step_start = base + times[i]
-            self._step_end = base + (times[i + 1] if i + 1 < len(times) else period)
+        self._step_start = base + bounds[i]
+        self._step_end = base + bounds[i + 1]
         self._step_rate = self.rates[i]
         return self._step_rate
 
@@ -231,7 +233,11 @@ class TraceSchedule:
 
     def overall_mean(self) -> float:
         """Mean capacity over one period (the constant rate of a one-entry trace)."""
-        return self._mean
+        if not self.period_us:
+            return float(self.rates[0])
+        bounds = self.bounds
+        total = sum(r * (b - a) for r, a, b in zip(self.rates, bounds, bounds[1:]))
+        return total / self.period_us
 
 
 SYNTHETIC_TRACE_S = 120
@@ -408,10 +414,10 @@ def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = No
     other link.  ``links`` is a list of dicts, each with exactly the keys
     id (a str), capacity_mbps, owd_ms and queue_ms.  multipath-overlay:
     paths 0-3 are subflow 0's direct and relay candidates, then subflow
-    1's; path i runs on traces[i] at its mean rate, with a TRACE_QUEUE_MS
-    access queue and a one-way delay drawn from [50 ms, 100 ms] in path
-    order, which a relay path splits in half between its access link and a
-    fast relay link.
+    1's.  ``traces`` is a list of 4 TraceSchedules, and path i runs on
+    traces[i] at its mean rate, with a TRACE_QUEUE_MS access queue and a
+    one-way delay drawn from [50 ms, 100 ms] in path order, which a relay
+    path splits in half between its access link and a fast relay link.
     """
     if not isinstance(config, dict):
         raise ValueError(f"config must be a dict, got {config!r}")
@@ -424,10 +430,14 @@ def build_topology(loop: EventLoop, config: dict, rng: random.Random | None = No
     if name == "multipath-overlay":
         if rng is None or traces is None:
             raise ValueError("multipath-overlay requires rng and traces")
+        if not isinstance(traces, list):
+            raise ValueError(f"traces must be a list, got {traces!r}")
         if len(traces) != 4:
             raise ValueError(f"multipath-overlay needs 4 traces, got {len(traces)}")
         rows, candidates = [], {0: [], 1: []}
         for path_id, trace in enumerate(traces):
+            if not isinstance(trace, TraceSchedule):
+                raise ValueError(f"traces[{path_id}] must be a TraceSchedule, got {trace!r}")
             sid, relayed = divmod(path_id, 2)
             owd_us = int(rng.uniform(50_000, 100_000))
             access_owd_us = owd_us // 2 if relayed else owd_us

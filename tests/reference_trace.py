@@ -1,20 +1,20 @@
 """Reference trace lookups: a fresh modulo-plus-bisect search on every query.
 
-TraceSchedule.capacity_at answers from the step it last returned, and
-overall_mean is worked out once at construction.  These functions read only
-a trace's ``times``, ``rates`` and ``period_us`` and keep no state, so the
+TraceSchedule.capacity_at answers from the step it last returned.  These
+functions read only a trace's ``bounds``, ``rates`` and ``period_us`` and
+keep no state, and overall_mean walks one period step by step, so the
 simnet tests require the schedule to give the same answers as they do.
+test_step_table_follows_from_the_entries checks that table against the
+entries it was built from.
 """
 
 from bisect import bisect_right
 
 
 def capacity_at(trace, t_us: int) -> int:
-    if trace.period_us:
-        t_us %= trace.period_us
-    i = bisect_right(trace.times, t_us) - 1
-    if i < 0:
-        i = 0
+    if not trace.period_us:
+        return trace.rates[0]
+    i = bisect_right(trace.bounds, t_us % trace.period_us) - 1
     return trace.rates[i]
 
 
@@ -23,9 +23,8 @@ def next_change(trace, t_us: int) -> int:
     if not trace.period_us:
         return 1 << 62
     cycle, local = divmod(t_us, trace.period_us)
-    i = bisect_right(trace.times, local)
-    nxt = trace.times[i] if i < len(trace.times) else trace.period_us
-    return cycle * trace.period_us + nxt
+    i = bisect_right(trace.bounds, local)
+    return cycle * trace.period_us + trace.bounds[i]
 
 
 def mean_capacity(trace, start_us: int, end_us: int) -> float:

@@ -398,7 +398,7 @@ def test_wire_size_computed_once_per_segment(monkeypatch):
     assert len(calls) == len(segments)
 
 
-@pytest.mark.parametrize("cap", [0, -5, float("nan")])
+@pytest.mark.parametrize("cap", [0, -5, float("nan"), True, False, "5", None])
 def test_rate_cap_must_be_a_positive_number(cap):
     loop = EventLoop()
     net = build_topology(loop, {"topology": "dumbbell", "links": [
@@ -408,6 +408,37 @@ def test_rate_cap_must_be_a_positive_number(cap):
     with pytest.raises(ValueError, match="rate_cap_bps"):
         PathConnection(loop, random.Random(1), net.flow_paths[0], "rtc-bbr", 0, None,
                        rate_cap_bps=cap)
+
+
+@pytest.mark.parametrize("t", [1.5, 1.0, True, -1, "0", None])
+def test_start_times_must_be_whole_microseconds(t):
+    # Simulated time is integer microseconds; a float time would spread to
+    # every event and pacer time the flow or session schedules after it.
+    loop = EventLoop()
+    rng = random.Random(5)
+    net = build_topology(loop, {"topology": "dumbbell", "links": [
+        {"capacity_mbps": 10, "owd_ms": 20, "queue_ms": 100}]})
+    with pytest.raises(ValueError, match=rf"^start_ts must be an int of at least 0, got {t!r}$"):
+        CappedFlow(loop, rng, net.flow_paths[0], rate_cap_bps=10_000_000, start_ts=t)
+    overlay = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
+                             traces=collapse_traces())
+    session = VideoSession(loop, rng, overlay.candidates)
+    with pytest.raises(ValueError, match=rf"^now must be an int of at least 0, got {t!r}$"):
+        session.start(t)
+    assert loop.pending() == 0
+
+
+def test_session_started_in_the_past_is_left_unstarted():
+    loop = EventLoop()
+    rng = random.Random(5)
+    net = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
+                         traces=collapse_traces())
+    session = VideoSession(loop, rng, net.candidates)
+    loop.run(1_000)
+    with pytest.raises(simnet.SchedulingError):
+        session.start(10)
+    assert loop.pending() == 0
+    assert all(conn.cc.pause_started is None for conn in session.paths.values())
 
 
 class NullLink:

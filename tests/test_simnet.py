@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_trace
 from mprtc.simnet import (
@@ -373,14 +373,49 @@ def trace_entries(draw):
     return entries
 
 
+@settings(max_examples=200, deadline=None)
+@given(entries=trace_entries())
+@example(entries=[(0, 7)])
+@example(entries=[(3_000, 5), (5_000, 7)])
+def test_step_table_follows_from_the_entries(entries):
+    # The reference lookups read this table, so it is checked against the
+    # entries themselves: step i plays entry i's rate from entry i's
+    # timestamp (from 0 for the first step) until the next entry, and the
+    # last step lasts as long as the gap before it.
+    trace = TraceSchedule(entries)
+    times = [t for t, _ in entries]
+    assert trace.rates == [r for _, r in entries]
+    if len(entries) == 1:
+        assert (trace.bounds, trace.period_us) == ([0, 0], 0)
+        return
+    assert trace.bounds[0] == 0 and trace.bounds[1:-1] == times[1:]
+    assert trace.bounds[-1] == trace.period_us
+    assert trace.period_us - times[-1] == times[-1] - times[-2]
+
+
+@pytest.mark.parametrize("entries, bounds", [
+    ([(0, 1), (1_000, 2), (3_000, 3)], [0, 1_000, 3_000, 5_000]),
+    ([(3_000, 1), (5_000, 2)], [0, 5_000, 7_000]),   # period from the first timestamp
+    ([(4_000, 1), (5_000, 2)], [0, 5_000, 6_000]),
+])
+def test_step_table_of_fixed_entries(entries, bounds):
+    trace = TraceSchedule(entries)
+    assert (trace.bounds, trace.period_us) == (bounds, bounds[-1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(entries=trace_entries(), queries=st.lists(st.integers(-1_000, 60_000), max_size=40))
+# The first entry is at 3 ms, so 0-3 ms plays its rate too; the queries
+# walk forward across the wrap at 8 ms and past where 3 ms falls again.
+@example(entries=[(3_000, 5_000_000), (4_000, 7_000_000), (6_000, 2_000_000)],
+         queries=[0, 2_999, 3_000, 3_999, 4_000, 7_999, 8_000, 8_001, 10_999, 11_000,
+                  11_999, 12_000, 16_000])
 def test_capacity_at_matches_reference_lookup(entries, queries):
     trace = TraceSchedule(entries)
     period = trace.period_us or 7_919
     # Each step's first and last microsecond, and the wrap, over three periods.
     edges = [cycle * period + t + d for cycle in range(3)
-             for t in trace.times + [period] for d in (-1, 0, 1)]
+             for t in trace.bounds[:-1] + [period] for d in (-1, 0, 1)]
     for t in queries + edges + sorted(queries) + edges[::-1]:
         assert trace.capacity_at(t) == reference_trace.capacity_at(trace, t), t
 
@@ -449,6 +484,13 @@ def test_links_sharing_a_trace_match_reference_lookup(entries, owd_us, bursts):
     ([(-5, 1e6)], r"entry 0 \(-5, 1000000\.0\): timestamp"),
     ([(0, True)], r"entry 0 \(0, True\): capacity"),
     ([(False, 1e6)], r"entry 0 \(False, 1000000\.0\): timestamp"),
+    ([(0,)], r"entry 0 \(0,\): must be a \(timestamp, capacity\) pair"),
+    ([5], r"entry 0 5: must be a \(timestamp, capacity\) pair"),
+    ([(0, 1_000_000, 7)], r"entry 0 \(0, 1000000, 7\): must be a \(timestamp, capacity\) pair"),
+    ([(0, 1e6), [1_000]], r"entry 1 \[1000\]: must be a \(timestamp, capacity\) pair"),
+    (iter([]), "trace must have at least one entry"),
+    (None, "trace entries must be an iterable of pairs, got None"),
+    (5, "trace entries must be an iterable of pairs, got 5"),
 ])
 def test_trace_rejects_entries_it_cannot_store(entries, match):
     with pytest.raises(ValueError, match=match):
@@ -457,8 +499,8 @@ def test_trace_rejects_entries_it_cannot_store(entries, match):
 
 def test_trace_stores_whole_floats_as_ints():
     trace = TraceSchedule([(0, 1e6), (1e6, 2_000_000.0)])
-    assert trace.times == [0, 1_000_000] and trace.rates == [1_000_000, 2_000_000]
-    assert all(type(v) is int for v in trace.times + trace.rates + [trace.period_us])
+    assert trace.bounds == [0, 1_000_000, 2_000_000] and trace.rates == [1_000_000, 2_000_000]
+    assert all(type(v) is int for v in trace.bounds + trace.rates + [trace.period_us])
 
 
 def test_trace_step_function():
@@ -510,7 +552,7 @@ def test_synthetic_pool_is_deterministic():
     a = synthetic_trace_pool()[:5]
     b = synthetic_trace_pool()[:5]
     for ta, tb in zip(a, b):
-        assert ta.times == tb.times
+        assert ta.bounds == tb.bounds
         assert ta.rates == tb.rates
     means = [t.overall_mean() for t in synthetic_trace_pool()[:50]]
     assert all(m >= 150_000 for m in means)
@@ -809,10 +851,20 @@ ONE_STEP_TRACE = TraceSchedule([(0, 1_000_000)])
     (lambda: build_topology(EventLoop(), {"topology": "multipath-overlay"},
                             random.Random(1), [ONE_STEP_TRACE] * 3),
      "multipath-overlay needs 4 traces, got 3"),
+    (lambda: build_topology(EventLoop(), {"topology": "multipath-overlay"},
+                            random.Random(1), [[(0, 1_000_000)]] * 4),
+     r"traces\[0\] must be a TraceSchedule, got \[\(0, 1000000\)\]"),
+    (lambda: build_topology(EventLoop(), {"topology": "multipath-overlay"},
+                            random.Random(1), [ONE_STEP_TRACE] * 3 + [None]),
+     r"traces\[3\] must be a TraceSchedule, got None"),
+    (lambda: build_topology(EventLoop(), {"topology": "multipath-overlay"},
+                            random.Random(1), (t for t in [ONE_STEP_TRACE] * 4)),
+     "traces must be a list, got <generator"),
     (lambda: build_topology(EventLoop(), {"topology": "multipath-overlay"}),
      "multipath-overlay requires rng and traces"),
 ], ids=["zero-capacity", "zero-queue", "empty-trace", "empty-interval", "no-L3",
-        "unused-L9", "three-traces", "no-rng-or-traces"])
+        "unused-L9", "three-traces", "entries-as-trace", "none-as-trace", "trace-generator",
+        "no-rng-or-traces"])
 def test_configs_are_rejected_where_they_enter(build, match):
     with pytest.raises(ValueError, match=match):
         build()
