@@ -162,17 +162,9 @@ class VideoSession:
         make_policy = POLICIES.get(scheme)
         if make_policy is None:
             raise ValueError(f"unknown scheme {scheme!r}")
-        listed = set()
-        for sid, paths in candidates.items():
-            if not paths:
-                raise ValueError(f"candidates: subflow {sid} has no candidate path")
-            for path in paths:
-                if path.path_id in listed:
-                    raise ValueError(f"candidates: path {path.path_id} is listed twice")
-                listed.add(path.path_id)
         self.loop = loop
         self.sids = sorted(candidates)
-        candidates = {sid: list(candidates[sid]) for sid in self.sids}
+        candidates = {sid: list(candidates[sid]) for sid in self.sids}  # iterables read once
         self.sink = VideoSink()
         self.selections: list[tuple[int, int, int]] = []
         self.lost_packets = 0
@@ -180,15 +172,19 @@ class VideoSession:
 
         self.paths: dict[int, PathConnection] = {}
         self.active: dict[int, PathConnection] = {}
-        for sid in self.sids:
-            for path in candidates[sid]:
+        for sid, paths in candidates.items():  # in sid order
+            if not paths:
+                raise ValueError(f"candidates: subflow {sid} has no candidate path")
+            for path in paths:
+                if path.path_id in self.paths:
+                    raise ValueError(f"candidates: path {path.path_id} is listed twice")
                 conn = PathConnection(loop, rng, path, variant, path.path_id,
                                       self._deliver_ack, sid=sid)
                 conn.rm.segment_sink = self.sink.on_segment
                 conn.rm.stop_waiting_sink = self.sink.on_stop_waiting
                 conn.sm.loss_hook = self._on_loss
                 self.paths[path.path_id] = conn
-            self.active[sid] = self.paths[candidates[sid][0].path_id]
+            self.active[sid] = self.paths[paths[0].path_id]
         # Seeded from each first path's controller: schedulable before any ack.
         self.scheduler = Scheduler({sid: self.active[sid].cc.bw_es for sid in self.sids})
         self.policy = make_policy(candidates)

@@ -138,8 +138,9 @@ class SendManager:
 
     - ``on_ack`` skips every ack range, or part of one, below the oldest
       record, because those numbers were settled earlier.  Ranges descend,
-      so it stops at the first one wholly below that floor.  It pops each
-      number of a range above that floor, all sent since the oldest record.
+      so it stops at the first one wholly below that floor.  It settles
+      each range in one walk: it pops each number above that floor, all
+      sent since the oldest record, and sums the bytes of those it finds.
       It returns one sample per newly acked packet, carrying that packet's
       ``context``: the one report of what the ack settled.  An ack that
       settles nothing new still runs reorder detection and returns ``[]``.
@@ -147,6 +148,8 @@ class SendManager:
       reorder detection (a number bound) and the loss timer (a send-time
       bound) alike.  It walks from the oldest record and stops at the first
       one past either bound: it costs the records it declares lost, plus one.
+      It returns nothing: ``_declare_lost`` and its ``loss_hook`` call are
+      the one report of a loss.
     - ``send_segment`` calls ``_arm_loss_timer`` (``EventLoop.schedule_by``)
       only when the send went into an empty ``records`` or no live timer is
       due after now.  Otherwise the send moved neither the oldest record
@@ -234,6 +237,7 @@ class SendManager:
 
     def on_ack(self, ack: AckFrame, now: int) -> list[DeliveryRateSample]:
         newly_acked = []
+        acked_bytes = 0
         records = self.records
         floor = next(iter(records)) if records else self.next_packet_number  # least_retained()
         for start, end in ack.ack_ranges:
@@ -245,12 +249,10 @@ class SendManager:
                 rec = records.pop(number, None)
                 if rec is not None:
                     newly_acked.append(rec)
+                    acked_bytes += rec.size
         largest = ack.ack_ranges[0][1]
         if largest > self.largest_acked:
             self.largest_acked = largest
-        acked_bytes = 0
-        for rec in newly_acked:
-            acked_bytes += rec.size
         self.inflight -= acked_bytes
         self.delivered_bytes += acked_bytes
         delivered_now = self.delivered_bytes
@@ -286,9 +288,9 @@ class SendManager:
         self._arm_loss_timer()
         return samples
 
-    def _declare_oldest_lost(self, max_number, sent_before) -> list:
-        """Declare lost, and return, the oldest records numbered at most
-        max_number and sent before sent_before."""
+    def _declare_oldest_lost(self, max_number, sent_before) -> None:
+        """Declare lost the oldest records numbered at most max_number and
+        sent before sent_before."""
         lost = []
         for number, rec in self.records.items():
             if number > max_number or rec.sent_ts >= sent_before:
@@ -296,7 +298,6 @@ class SendManager:
             lost.append(rec)
         if lost:
             self._declare_lost(lost)
-        return lost
 
     def _declare_lost(self, lost) -> None:
         for rec in lost:

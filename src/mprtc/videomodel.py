@@ -154,10 +154,13 @@ class VideoSink:
     A frame is complete when all of its segments arrived (duplicates are
     counted once).  Completed frames wait until every tracked earlier frame is
     resolved, so the released index sequence is strictly increasing; frames
-    never seen at all do not block.  A delta frame still missing segments is
-    abandoned once stop-waiting floors prove its received packets are settled
-    on every connection involved and its age exceeds the sender's retention
-    window.  Key frames are retransmitted until acked, so they always complete.
+    never seen at all do not block.  The release rule: no ready frame lies
+    below the lowest pending one.  ``_release`` keeps it in one pass,
+    releasing lowest first every ready frame below that pending frame.  A
+    delta frame still missing segments is abandoned once stop-waiting floors
+    prove its received packets are settled on every connection involved and
+    its age exceeds the sender's retention window.  Key frames are
+    retransmitted until acked, so they always complete.
     ``pending`` and ``_ready`` hold only frames above ``_released_through``:
     a frame at or below it is never tracked again.
     """
@@ -174,14 +177,12 @@ class VideoSink:
 
     def on_segment(self, segment, packet_number: int, conn_id: int, now: int) -> None:
         fi = segment.frame_index
-        if fi in self._abandoned_set:
-            return
         if fi <= self._released_through:
             return  # released already, or never seen before its successors
         frame = self.pending.get(fi)
         if frame is None:
-            if fi in self._ready:
-                return
+            if fi in self._ready or fi in self._abandoned_set:
+                return  # an abandoned frame is never pending again
             frame = _PendingFrame(
                 segment.total_segments, segment.capture_ts,
                 bool(segment.key_frame), now,
@@ -222,9 +223,8 @@ class VideoSink:
             self._release()
 
     def _release(self) -> None:
-        while self._ready:
-            lo = min(self._ready)
-            if any(p < lo for p in self.pending):
-                break
-            self.delivered.append(self._ready.pop(lo))
-            self._released_through = lo
+        lowest = min(self.pending, default=math.inf)
+        # A list: a generator would cost a Python call per item.
+        for fi in sorted([fi for fi in self._ready if fi < lowest]):
+            self.delivered.append(self._ready.pop(fi))
+            self._released_through = fi

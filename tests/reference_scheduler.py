@@ -6,7 +6,8 @@ segment found older than RETENTION_US by next_segment, on_loss or evict;
 on_loss drops every loss of an entry no longer in it.  The production
 Scheduler lets each entry's own fields decide instead, and evict no longer
 walks entries in flight; the scheduler tests require both to make the same
-decisions.
+decisions.  Its constructor and reference_rate (the sum of the bw_es, in
+subflow id order) are production's, so a VideoSession runs on either.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ class SubflowState:
 
 
 class Scheduler:
-    def __init__(self, subflow_ids) -> None:
-        self.subflows = {sid: SubflowState(sid) for sid in subflow_ids}
+    def __init__(self, initial_bw_es: dict[int, float]) -> None:
+        self.subflows = {sid: SubflowState(sid) for sid in initial_bw_es}
         self._by_id = [self.subflows[sid] for sid in sorted(self.subflows)]
+        for sid, bw in initial_bw_es.items():
+            self.set_bw_es(sid, bw)
         # A dict used as an insertion-ordered set, so that evict() reports
         # entries in first-send order.
         self.retained: dict[SendBufferEntry, None] = {}
@@ -71,6 +74,9 @@ class Scheduler:
 
     def min_latency(self) -> float:
         return self._fastest()[1]
+
+    def reference_rate(self) -> float:
+        return sum(sub.bw_es for sub in self._by_id)
 
     def _fastest(self):
         """(fastest subflow or None, its expected latency, all latencies by id).

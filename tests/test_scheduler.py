@@ -24,9 +24,6 @@ def sid_of(sched, entry):
 
 def make_two(bw0=1e6, bw1=1e6, srtt0=100_000, srtt1=100_000, cls=Scheduler):
     sched = cls({0: bw0, 1: bw1})
-    if cls is not Scheduler:  # the reference takes subflow ids and starts at 0
-        sched.set_bw_es(0, bw0)
-        sched.set_bw_es(1, bw1)
     if srtt0:
         sched.update_srtt(0, srtt0)
     if srtt1:

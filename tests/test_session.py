@@ -23,7 +23,9 @@ from mprtc import scheduler, session as session_module, simnet, transport
 from mprtc.scheduler import DECISION_LOG_LEN, wire_size
 from mprtc.session import CappedFlow, PathConnection, VideoSession
 from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
-from reference_transport import pacer_next_send_time
+import reference_scheduler
+from reference_bbr import ReferenceBbrController
+from reference_transport import ReferenceSendManager, pacer_next_send_time
 from test_simnet import RTT_CASE3_LINKS
 
 US_PER_S = 1_000_000
@@ -277,6 +279,21 @@ def test_stock_bbr_dumbbell_pinned():
     assert run() == run() == STOCK_BBR_PIN
 
 
+def test_reference_stack_reproduces_the_pins(monkeypatch):
+    """With the send manager, the controller and the scheduler swapped for
+    their oracles in tests/, every session and flow gives the pinned digests:
+    each fast path agrees with its oracle end to end, not only unit by unit."""
+    for name, oracle in (("SendManager", ReferenceSendManager),
+                         ("BbrController", ReferenceBbrController),
+                         ("Scheduler", reference_scheduler.Scheduler)):
+        monkeypatch.setattr(session_module, name, oracle)
+    test_overlay_ucb_pinned()
+    test_overlay_collapse_pinned()
+    test_dumbbell_pinned()
+    test_rtt_unfairness_pinned()
+    test_stock_bbr_dumbbell_pinned()
+
+
 def test_earlier_pump_timer_replaces_later_one():
     loop = EventLoop()
     rng = random.Random(5)
@@ -478,6 +495,22 @@ def test_subflow_without_candidate_is_rejected():
         for scheme in ("ucb", "default", "oracle"):
             with pytest.raises(ValueError, match=f"candidates: {message}"):
                 VideoSession(loop, rng, candidates, scheme=scheme)
+
+
+def test_iterator_candidates_run_like_lists():
+    """Each subflow's candidates are read once, so any iterable of paths
+    gives the run a list gives, and an empty one is refused as a list is."""
+    loop = EventLoop()
+    rng = random.Random(11)
+    pool = synthetic_trace_pool()
+    net = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
+                         traces=[pool[i] for i in (17, 96, 12, 79)])
+    session = VideoSession(loop, rng, {sid: iter(paths) for sid, paths in net.candidates.items()})
+    session.start(0)
+    loop.run(10 * US_PER_S)
+    assert overlay_digest(session) == UCB_PIN  # the list form's pin
+    with pytest.raises(ValueError, match="candidates: subflow 0 has no candidate path"):
+        VideoSession(loop, rng, {0: iter([])})
 
 
 RTT_LINKS = [{"id": f"L{i}", "capacity_mbps": 10, "owd_ms": 5, "queue_ms": 50} for i in range(5)]

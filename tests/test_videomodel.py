@@ -1,5 +1,6 @@
 """Video source, encoder lag, drop rule, and sink reassembly."""
 
+import math
 import random
 from typing import NamedTuple
 
@@ -329,5 +330,8 @@ def test_sink_tracks_only_frames_above_released_through(case):
         assert all(fi > sink._released_through for fi in sink.pending)
         assert all(fi > sink._released_through for fi in sink._ready)
         assert not set(sink.pending) & set(sink._ready)
+        # The release rule: no ready frame waits below the lowest pending one.
+        lowest_pending = min(sink.pending, default=math.inf)
+        assert all(fi > lowest_pending for fi in sink._ready)
     indices = [r.frame_index for r in sink.delivered]
     assert all(a < b for a, b in zip(indices, indices[1:]))
