@@ -1,10 +1,12 @@
-"""BBR-family congestion control with two ProbeBW variants.
+"""BBR-family congestion control, one class per ProbeBW variant.
 
-The "bbr" variant cycles the classic 8-phase gain vector
-[1.25, 0.75, 1, 1, 1, 1, 1, 1].  The "rtc-bbr" variant replaces it with a
-randomized-length cycle (2..8 RTTs) that probes at 1.1, drops to 0.85 on
-queue growth or loss, and returns to 1.0 once inflight matches the BDP.
-Both share StartUp/Drain/ProbeRTT and the max-bandwidth / min-RTT filters.
+BbrController is stock BBR: its ProbeBW cycles the classic 8-phase gain
+vector [1.25, 0.75, 1, 1, 1, 1, 1, 1].  RtcBbrController, the paper's
+RTC-BBR, subclasses it and replaces only that cycle with a randomized-length
+one (2..8 RTTs) that probes at 1.1, drops to 0.85 on queue growth or loss,
+and returns to 1.0 once inflight matches the BDP.  Both share
+StartUp/Drain/ProbeRTT and the max-bandwidth / min-RTT filters.  CONTROLLERS
+maps each variant's name ("rtc-bbr" or "bbr") to its class.
 
 cwnd is STARTUP_GAIN x BDP (at least INITIAL_CWND) in StartUp and Drain,
 PROBE_BW_CWND_GAIN x BDP in ProbeBW and PROBE_RTT_CWND in ProbeRTT.  Unlike
@@ -64,10 +66,10 @@ class WindowedMaxFilter:
 
 
 class BbrController:
-    """One controller per (subflow, candidate path).
+    """One controller per (subflow, candidate path), with stock BBR's ProbeBW.
 
     Feed it DeliveryRateSamples; read pacing_rate / cwnd / bw_es / rtt_min.
-    `variant` selects the ProbeBW behavior ("rtc-bbr" or "bbr").
+    A ProbeBW variant overrides _enter_probe_bw and _probe_bw_cycle only.
 
     The outputs are stored values, not getters.  As in Linux tcp_bbr.c's
     bbr_main, which sets the pacing rate and cwnd once per ack, they are
@@ -75,7 +77,7 @@ class BbrController:
     bw_es is stored after every update of the bandwidth filter.
     on_delivery_sample works the BDP out once per sample, as soon as bw_es
     and rtt_min are final (no mode change moves either), and hands it to
-    the Drain exit, the ProbeBW cycles and the cwnd; pacing_rate and cwnd
+    the Drain exit, the ProbeBW cycle and the cwnd; pacing_rate and cwnd
     are stored at the end of on_delivery_sample.  pause and resume move
     only clocks, which no output reads.
 
@@ -87,7 +89,7 @@ class BbrController:
     """
 
     __slots__ = (
-        "rng", "variant", "mode",
+        "rng", "mode",
         "max_bw_filter", "round_count", "next_round_delivered",
         "rtt_min", "rtt_min_ts", "probe_rtt_done_ts",
         "full_bw", "full_bw_count",
@@ -96,11 +98,8 @@ class BbrController:
         "bw_es", "pacing_rate", "cwnd",
     )
 
-    def __init__(self, rng, variant: str = "rtc-bbr") -> None:
-        if variant not in ("rtc-bbr", "bbr"):
-            raise ValueError(f"unknown variant {variant!r}")
+    def __init__(self, rng) -> None:
         self.rng = rng
-        self.variant = variant
         self.mode = STARTUP
         self.max_bw_filter = WindowedMaxFilter()
         self.round_count = 0
@@ -154,11 +153,8 @@ class BbrController:
                 self.mode = PROBE_RTT
                 self.pacing_gain = 1
                 self.probe_rtt_done_ts = 0
-            elif self.variant == "rtc-bbr":
-                self._update_gain_cycle_phase(now, sample.inflight, self.loss_since_update, bdp)
-                self.loss_since_update = False
             else:
-                self._stock_bbr_cycle(now, sample.inflight, bdp)
+                self._probe_bw_cycle(now, sample.inflight, bdp)
         mode = self.mode
         if mode == PROBE_RTT:
             self._probe_rtt_dwell(sample, now)
@@ -186,33 +182,16 @@ class BbrController:
         self.full_bw_count += 1
         return self.full_bw_count >= STARTUP_FULL_BW_ROUNDS
 
-    def _enter_probe_bw(self, now: int) -> None:
-        """Enter ProbeBW, or restart RTC-BBR's cycle, at a fresh cycle start."""
-        self.mode = PROBE_BW
-        self.cycle_mstamp = now
-        if self.variant == "rtc-bbr":
-            self.cycle_len = GAIN_CYCLE_LEN - self.rng.randrange(CYCLE_RAND)
-            self.pacing_gain = PROBE_UP_GAIN
-        else:
-            self.cycle_phase = self.rng.randrange(len(STOCK_GAIN_CYCLE))
-            self.pacing_gain = STOCK_GAIN_CYCLE[self.cycle_phase]
-
     # -- ProbeBW gain cycling
 
-    def _update_gain_cycle_phase(self, now: int, inflight: int, has_loss: bool,
-                                 bdp: float) -> None:
-        elapsed = now - self.cycle_mstamp
-        if elapsed > self.cycle_len * self.rtt_min:
-            self._enter_probe_bw(now)
-            return
-        if self.pacing_gain == 1:
-            return
-        if self.pacing_gain < 1.0 and inflight <= bdp:
-            self.pacing_gain = 1
-        if elapsed > self.rtt_min and (inflight > PROBE_UP_GAIN * bdp or has_loss):
-            self.pacing_gain = PROBE_DOWN_GAIN
+    def _enter_probe_bw(self, now: int) -> None:
+        """Enter ProbeBW at a random phase of the gain vector."""
+        self.mode = PROBE_BW
+        self.cycle_mstamp = now
+        self.cycle_phase = self.rng.randrange(len(STOCK_GAIN_CYCLE))
+        self.pacing_gain = STOCK_GAIN_CYCLE[self.cycle_phase]
 
-    def _stock_bbr_cycle(self, now: int, inflight: int, bdp: float) -> None:
+    def _probe_bw_cycle(self, now: int, inflight: int, bdp: float) -> None:
         elapsed = now - self.cycle_mstamp
         advance = elapsed > self.rtt_min
         if not advance and self.pacing_gain == 0.75 and inflight <= bdp:
@@ -248,3 +227,33 @@ class BbrController:
         self.cycle_mstamp += shift
         if self.probe_rtt_done_ts:  # a ProbeRTT dwell keeps what was left of it
             self.probe_rtt_done_ts += shift
+
+
+class RtcBbrController(BbrController):
+    """RTC-BBR: BbrController with the paper's randomized ProbeBW cycle."""
+
+    __slots__ = ()
+
+    def _enter_probe_bw(self, now: int) -> None:
+        """Enter ProbeBW, or restart the cycle, at a fresh cycle start."""
+        self.mode = PROBE_BW
+        self.cycle_mstamp = now
+        self.cycle_len = GAIN_CYCLE_LEN - self.rng.randrange(CYCLE_RAND)
+        self.pacing_gain = PROBE_UP_GAIN
+
+    def _probe_bw_cycle(self, now: int, inflight: int, bdp: float) -> None:
+        # Every loss since the last ProbeBW sample counts once, here.
+        has_loss, self.loss_since_update = self.loss_since_update, False
+        elapsed = now - self.cycle_mstamp
+        if elapsed > self.cycle_len * self.rtt_min:
+            self._enter_probe_bw(now)
+            return
+        if self.pacing_gain == 1:
+            return
+        if self.pacing_gain < 1.0 and inflight <= bdp:
+            self.pacing_gain = 1
+        if elapsed > self.rtt_min and (inflight > PROBE_UP_GAIN * bdp or has_loss):
+            self.pacing_gain = PROBE_DOWN_GAIN
+
+
+CONTROLLERS = {"rtc-bbr": RtcBbrController, "bbr": BbrController}

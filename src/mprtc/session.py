@@ -1,8 +1,9 @@
 """Flow orchestration over simulated paths.
 
 A PathConnection is one path's QUIC-like connection (SendManager and
-ReceiveManager, so its own packet numbers and loss state) plus its RTC-BBR
-controller.  It hands each ack to its owner's _deliver_ack(conn, ack) once
+ReceiveManager, so its own packet numbers and loss state) plus the
+controller that congestion.CONTROLLERS builds for its variant, RTC-BBR or
+stock BBR.  It hands each ack to its owner's _deliver_ack(conn, ack) once
 the route's summed one-way delay has passed, and send moves its pacer time
 next_send_ts on.  The owner decides what to send, learns what each ack
 settled from the samples of SendManager.on_ack, and owns every scheduled
@@ -31,7 +32,7 @@ VideoSession._pump returns at once while its live timer is due by the pacer.
 from __future__ import annotations
 
 from .bandit import POLICIES, SLOT_US
-from .congestion import BbrController
+from .congestion import CONTROLLERS
 from .scheduler import Scheduler
 from .simnet import US_PER_S
 from .transport import (
@@ -64,10 +65,12 @@ class PathConnection:
         if (isinstance(rate_cap_bps, bool) or not isinstance(rate_cap_bps, (int, float))
                 or not rate_cap_bps > 0):  # NaN > 0 is false, so NaN is refused
             raise ValueError(f"rate_cap_bps must be a positive number, got {rate_cap_bps!r}")
+        if variant not in CONTROLLERS:
+            raise ValueError(f"unknown variant {variant!r}")
         self.loop = loop
         self.path = path
         self.sid = sid
-        self.cc = BbrController(rng, variant)
+        self.cc = CONTROLLERS[variant](rng)
         self.sm = SendManager(loop, path.route)
         self.rm = ReceiveManager(loop, self._on_receiver_ack, conn_id)
         self.sm.receiver_sink = self.rm.on_packet

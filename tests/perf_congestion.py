@@ -14,7 +14,7 @@ has room for it.
 
 import random
 
-from mprtc.congestion import BbrController
+from mprtc.congestion import RtcBbrController
 from mprtc.session import CappedFlow, PathConnection
 from mprtc.simnet import EventLoop, PathDef, US_PER_S, build_topology
 from mprtc.transport import MSS, PAYLOAD_BUDGET, SendManager, StreamFrame
@@ -47,7 +47,7 @@ STREAM = record_samples()
 
 
 def fresh_controller():
-    return (BbrController(random.Random(1)), STREAM), {}
+    return (RtcBbrController(random.Random(1)), STREAM), {}
 
 
 def feed(cc, stream):

@@ -1,6 +1,7 @@
-"""BbrController tests.  tests/reference_bbr.py is the controller's one
-oracle: drive_both makes the same calls on both and compares every slot
-after each, and its bdp_bytes gives the scripted tests their BDP inputs.
+"""BbrController and RtcBbrController tests.  tests/reference_bbr.py is
+the controllers' one oracle: drive_both makes the same calls on a
+controller and the reference of its variant and compares every slot after
+each, and its bdp_bytes gives the scripted tests their BDP inputs.
 """
 
 import random
@@ -13,6 +14,7 @@ from mprtc import congestion
 from mprtc.congestion import (
     BW_WINDOW_ROUNDS,
     BbrController,
+    CONTROLLERS,
     DRAIN,
     DRAIN_GAIN,
     GAIN_CYCLE_LEN,
@@ -20,6 +22,7 @@ from mprtc.congestion import (
     PROBE_BW,
     PROBE_RTT,
     PROBE_RTT_CWND,
+    RtcBbrController,
     STARTUP,
     STARTUP_GAIN,
     STOCK_GAIN_CYCLE,
@@ -52,7 +55,7 @@ class Feeder:
 
 
 def make_cc(variant="rtc-bbr", seed=1):
-    return BbrController(random.Random(seed), variant=variant)
+    return CONTROLLERS[variant](random.Random(seed))
 
 
 # --- windowed max filter ----------------------------------------------------
@@ -167,10 +170,18 @@ def probe_bw_cc(gain=1.1, cycle_len=8, mstamp=0, bw=2e6, seed=1):
     return cc
 
 
+def rtc_cycle(cc, now, inflight, has_loss, bdp):
+    """One RTC-BBR ProbeBW step with has_loss as the loss seen since the
+    last one; the step consumes it."""
+    cc.loss_since_update = has_loss
+    cc._probe_bw_cycle(now, inflight, bdp)
+    assert cc.loss_since_update is False
+
+
 def test_cycle_restart_after_cycle_len_rtts():
     cc = probe_bw_cc(gain=0.85, cycle_len=3)
     now = 3 * RTT + 1
-    cc._update_gain_cycle_phase(now, inflight=10**6, has_loss=True, bdp=bdp_bytes(cc))
+    rtc_cycle(cc, now, inflight=10**6, has_loss=True, bdp=bdp_bytes(cc))
     assert cc.pacing_gain == 1.1
     assert cc.cycle_mstamp == now
     assert 2 <= cc.cycle_len <= 8
@@ -182,29 +193,28 @@ def test_cycle_len_distribution_covers_2_to_8():
     now = 0
     for _ in range(500):
         now += cc.cycle_len * RTT + 1
-        cc._update_gain_cycle_phase(now, inflight=0, has_loss=False, bdp=bdp_bytes(cc))
+        rtc_cycle(cc, now, inflight=0, has_loss=False, bdp=bdp_bytes(cc))
         seen.add(cc.cycle_len)
     assert seen == {2, 3, 4, 5, 6, 7, 8}
 
 
 def test_gain_one_is_sticky_within_cycle():
     cc = probe_bw_cc(gain=1)
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=10**6, has_loss=True, bdp=bdp_bytes(cc))
+    rtc_cycle(cc, int(1.5 * RTT), inflight=10**6, has_loss=True, bdp=bdp_bytes(cc))
     assert cc.pacing_gain == 1
 
 
 def test_probe_down_rises_when_inflight_matches_bdp():
     cc = probe_bw_cc(gain=0.85)
     bdp = bdp_bytes(cc)
-    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp), has_loss=False, bdp=bdp)
+    rtc_cycle(cc, int(0.5 * RTT), inflight=int(bdp), has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 1
 
 
 def test_probe_down_holds_while_queue_drains():
     cc = probe_bw_cc(gain=0.85)
     bdp = bdp_bytes(cc)
-    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=int(bdp) + 1, has_loss=False,
-                                bdp=bdp)
+    rtc_cycle(cc, int(0.5 * RTT), inflight=int(bdp) + 1, has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 0.85
 
 
@@ -213,13 +223,13 @@ def test_probe_down_exit_overridden_by_fresh_loss():
     # the loss branch within the same update.
     cc = probe_bw_cc(gain=0.85)
     bdp = bdp_bytes(cc)
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(bdp), has_loss=True, bdp=bdp)
+    rtc_cycle(cc, int(1.5 * RTT), inflight=int(bdp), has_loss=True, bdp=bdp)
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_exits_early_on_loss():
     cc = probe_bw_cc(gain=1.1)
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=0, has_loss=True, bdp=bdp_bytes(cc))
+    rtc_cycle(cc, int(1.5 * RTT), inflight=0, has_loss=True, bdp=bdp_bytes(cc))
     assert cc.pacing_gain == 0.85
 
 
@@ -227,20 +237,20 @@ def test_probe_up_exits_on_queue_buildup():
     cc = probe_bw_cc(gain=1.1)
     bdp = bdp_bytes(cc)
     over = int(1.1 * bdp) + 100
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=over, has_loss=False, bdp=bdp)
+    rtc_cycle(cc, int(1.5 * RTT), inflight=over, has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 0.85
 
 
 def test_probe_up_holds_within_first_rtt():
     cc = probe_bw_cc(gain=1.1)
-    cc._update_gain_cycle_phase(int(0.5 * RTT), inflight=10**6, has_loss=True, bdp=bdp_bytes(cc))
+    rtc_cycle(cc, int(0.5 * RTT), inflight=10**6, has_loss=True, bdp=bdp_bytes(cc))
     assert cc.pacing_gain == 1.1
 
 
 def test_probe_up_holds_absent_pressure():
     cc = probe_bw_cc(gain=1.1)
     bdp = bdp_bytes(cc)
-    cc._update_gain_cycle_phase(int(1.5 * RTT), inflight=int(bdp), has_loss=False, bdp=bdp)
+    rtc_cycle(cc, int(1.5 * RTT), inflight=int(bdp), has_loss=False, bdp=bdp)
     assert cc.pacing_gain == 1.1
 
 
@@ -272,7 +282,7 @@ def test_stock_cycle_walks_gain_vector():
     gains = [cc.pacing_gain]
     for _ in range(8):
         now += RTT + 1
-        cc._stock_bbr_cycle(now, inflight=10**6, bdp=bdp_bytes(cc))
+        cc._probe_bw_cycle(now, inflight=10**6, bdp=bdp_bytes(cc))
         gains.append(cc.pacing_gain)
     assert gains == [1.25, 0.75, 1, 1, 1, 1, 1, 1, 1.25]
 
@@ -285,7 +295,7 @@ def test_stock_probe_down_exits_early_when_drained():
     cc.pacing_gain = 0.75
     cc.cycle_mstamp = 0
     bdp = bdp_bytes(cc)
-    cc._stock_bbr_cycle(RTT // 2, inflight=int(bdp), bdp=bdp)
+    cc._probe_bw_cycle(RTT // 2, inflight=int(bdp), bdp=bdp)
     assert cc.pacing_gain == 1
     assert cc.cycle_phase == 2
 
@@ -416,9 +426,14 @@ def test_pause_resume_freezes_filter_clocks():
     assert cc.rtt_min_ts == 500 + 1_999_000
 
 
-def test_variant_validation():
-    with pytest.raises(ValueError):
-        BbrController(random.Random(0), variant="cubic")
+def test_rtc_bbr_overrides_only_the_probe_bw_cycle():
+    """RTC-BBR adds no state and keeps the intake, pause and resume that the
+    benchmark's tracer wraps on BbrController."""
+    assert CONTROLLERS == {"rtc-bbr": RtcBbrController, "bbr": BbrController}
+    assert RtcBbrController.__slots__ == ()
+    assert RtcBbrController.__bases__ == (BbrController,)
+    assert {name for name, value in vars(RtcBbrController).items() if callable(value)} == \
+        {"_enter_probe_bw", "_probe_bw_cycle"}
 
 
 # --- the frozen reference intake -----------------------------------------------

@@ -8,18 +8,21 @@ and packets lost.  A refactor of the session layer must leave every pin
 unchanged.
 """
 
+import functools
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mprtc import scheduler, session as session_module, simnet, transport
+from mprtc.congestion import CONTROLLERS
 from mprtc.scheduler import DECISION_LOG_LEN, wire_size
 from mprtc.session import CappedFlow, PathConnection, VideoSession
 from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
@@ -279,19 +282,31 @@ def test_stock_bbr_dumbbell_pinned():
     assert run() == run() == STOCK_BBR_PIN
 
 
-def test_reference_stack_reproduces_the_pins(monkeypatch):
-    """With the send manager, the controller and the scheduler swapped for
-    their oracles in tests/, every session and flow gives the pinned digests:
-    each fast path agrees with its oracle end to end, not only unit by unit."""
-    for name, oracle in (("SendManager", ReferenceSendManager),
-                         ("BbrController", ReferenceBbrController),
-                         ("Scheduler", reference_scheduler.Scheduler)):
-        monkeypatch.setattr(session_module, name, oracle)
-    test_overlay_ucb_pinned()
-    test_overlay_collapse_pinned()
-    test_dumbbell_pinned()
-    test_rtt_unfairness_pinned()
-    test_stock_bbr_dumbbell_pinned()
+@contextmanager
+def reference_stack():
+    """Build every session and flow made inside it from the oracles in tests/:
+    the send manager and the scheduler that mprtc.session names, and for
+    each variant in CONTROLLERS the reference controller of that variant.
+    A MonkeyPatch context of its own, so a Hypothesis example can use it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_module, "SendManager", ReferenceSendManager)
+        patch.setattr(session_module, "Scheduler", reference_scheduler.Scheduler)
+        for variant in CONTROLLERS:
+            patch.setitem(CONTROLLERS, variant,
+                          functools.partial(ReferenceBbrController, variant=variant))
+        yield
+
+
+def test_reference_stack_reproduces_the_pins():
+    """On the reference stack every session and flow gives the pinned
+    digests: each fast path agrees with its oracle end to end, not only
+    unit by unit."""
+    with reference_stack():
+        test_overlay_ucb_pinned()
+        test_overlay_collapse_pinned()
+        test_dumbbell_pinned()
+        test_rtt_unfairness_pinned()
+        test_stock_bbr_dumbbell_pinned()
 
 
 def test_earlier_pump_timer_replaces_later_one():
@@ -481,6 +496,22 @@ def test_data_send_moves_the_pacer_past_now(now, size, rate, cap):
     assert conn.next_send_ts > now
 
 
+def test_variant_validation():
+    """An unknown variant is refused by the flow or session that names it,
+    before either schedules anything."""
+    loop = EventLoop()
+    rng = random.Random(5)
+    net = build_topology(loop, {"topology": "dumbbell", "links": [
+        {"capacity_mbps": 10, "owd_ms": 20, "queue_ms": 100}]})
+    with pytest.raises(ValueError, match=r"^unknown variant 'cubic'$"):
+        CappedFlow(loop, rng, net.flow_paths[0], variant="cubic", rate_cap_bps=10_000_000)
+    overlay = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
+                             traces=collapse_traces())
+    with pytest.raises(ValueError, match=r"^unknown variant 'cubic'$"):
+        VideoSession(loop, rng, overlay.candidates, variant="cubic")
+    assert loop.pending() == 0
+
+
 def test_subflow_without_candidate_is_rejected():
     loop = EventLoop()
     rng = random.Random(5)
@@ -573,14 +604,18 @@ def test_generated_overlay_scenarios_keep_invariants(traces, seed, sim_s):
 
     session = run(checked)
     assert_overlay_invariants(session)
-    assert overlay_digest(run()) == overlay_digest(session)
+    digest = overlay_digest(session)
+    assert overlay_digest(run()) == digest
+    with reference_stack():
+        assert overlay_digest(run()) == digest
 
 
 @st.composite
 def bottleneck_scenarios(draw):
     """A dumbbell or rtt-unfairness config, each link at 0.5-10 Mbit/s with a
-    0-40 ms one-way delay and a queue of 1-40 full packets, and 1-4 flows:
-    (config, number of flows).  Only the dumbbell reads a flows list."""
+    0-40 ms one-way delay and a queue of 1-40 full packets, and 1-4 flows of
+    one variant: (config, number of flows, variant).  Only the dumbbell
+    reads a flows list."""
     def link(link_id):
         capacity_mbps = draw(st.integers(500, 10_000)) / 1000
         packets = draw(st.one_of(st.just(1), st.integers(2, 40)))
@@ -590,14 +625,18 @@ def bottleneck_scenarios(draw):
                 "owd_ms": draw(st.integers(0, 40)), "queue_ms": queue_ms}
 
     flows = draw(st.integers(1, 4))
+    variant = draw(st.sampled_from(sorted(CONTROLLERS)))
     if draw(st.booleans()):
-        return {"topology": "dumbbell", "links": [link("L1")], "flows": [{}] * flows}, flows
-    return {"topology": "rtt-unfairness", "links": [link(f"L{i}") for i in range(5)]}, flows
+        config = {"topology": "dumbbell", "links": [link("L1")], "flows": [{}] * flows}
+    else:
+        config = {"topology": "rtt-unfairness", "links": [link(f"L{i}") for i in range(5)]}
+    return config, flows, variant
 
 
-def run_bottleneck(config, n_flows: int, seed: int, sim_s: int):
-    """n_flows CappedFlows over a built topology, flow i on flow path i mod their
-    number, started up to 1 s apart; returns the network and the flows.
+def run_bottleneck(config, n_flows: int, variant: str, seed: int, sim_s: int):
+    """n_flows CappedFlows of variant over a built topology, flow i on flow
+    path i mod their number, started up to 1 s apart; returns the network
+    and the flows.
     After every whole second each flow has at most one live loss timer and
     at most one live pump timer, none while it is blocked."""
     loop = EventLoop()
@@ -606,7 +645,7 @@ def run_bottleneck(config, n_flows: int, seed: int, sim_s: int):
     flows = []
     for i in range(n_flows):
         path = net.flow_paths[i % len(net.flow_paths)]
-        flows.append(CappedFlow(loop, rng, path, conn_id=i,
+        flows.append(CappedFlow(loop, rng, path, variant=variant, conn_id=i,
                                 rate_cap_bps=rng.randint(1, 12) * 1_000_000,
                                 start_ts=rng.randint(0, US_PER_S)))
     for flow in flows:
@@ -637,3 +676,5 @@ def test_generated_bottleneck_scenarios_keep_invariants(scenario, seed, sim_s):
                 for f in flows]
 
     assert outcome(run_bottleneck(*scenario, seed, sim_s)[1]) == outcome(flows)
+    with reference_stack():
+        assert outcome(run_bottleneck(*scenario, seed, sim_s)[1]) == outcome(flows)
