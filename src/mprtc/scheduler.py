@@ -103,18 +103,18 @@ class Scheduler:
     # -- assignment
 
     def schedule_segments(self, segments, now: int) -> list[SendBufferEntry]:
-        entries = [SendBufferEntry(s) for s in segments]
-        for entry in entries:
-            self._assign(entry, now)
+        """An entry per segment, each queued in turn on the subflow fastest
+        once the ones before it are queued."""
+        entries = []
+        for seg in segments:
+            entry = SendBufferEntry(seg)
+            best_sid = self._fastest()[0]
+            self.decision_log.append((now, seg.frame_index, seg.segment_index, best_sid))
+            sub = self.subflows[best_sid]
+            sub.queue.append(entry)
+            sub.queued_bytes += entry.size
+            entries.append(entry)
         return entries
-
-    def _assign(self, entry: SendBufferEntry, now: int) -> None:
-        best_sid = self._fastest()[0]
-        seg = entry.segment
-        self.decision_log.append((now, seg.frame_index, seg.segment_index, best_sid))
-        sub = self.subflows[best_sid]
-        sub.queue.append(entry)
-        sub.queued_bytes += entry.size
 
     def next_segment(self, sid: int, now: int) -> SendBufferEntry | None:
         """Pop the next sendable entry for this subflow's pacer slot."""
@@ -157,8 +157,8 @@ class Scheduler:
         """Remove queued resends of delta segments older than RETENTION_US,
         which queued_bytes would still count; returns those not acked.
         Only a sent entry expires, and sent entries lead each queue (on_loss
-        puts resends at the head, _assign appends fresh ones), so the scan
-        stops at the first entry never sent."""
+        puts resends at the head, schedule_segments appends fresh ones), so
+        the scan stops at the first entry never sent."""
         evicted = []
         for sub in self.subflows.values():
             stale = [e for e in takewhile(attrgetter("sent"), sub.queue) if now > e.expires_at]

@@ -121,25 +121,6 @@ class LinkConfig:
         if self.queue_capacity <= 0:
             raise ValueError(f"queue_capacity must be > 0, got {self.queue_capacity}")
 
-    @classmethod
-    def from_mbps_ms(cls, capacity_mbps: float, owd_ms: float, queue_ms: float) -> "LinkConfig":
-        """Table-style (BW, OWD, Q) row; queue bytes = capacity x queue-time.
-        Each error message starts with the name of the argument at fault."""
-        for name, value in (("capacity_mbps", capacity_mbps), ("owd_ms", owd_ms),
-                            ("queue_ms", queue_ms)):
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        capacity = int(capacity_mbps * 1e6)
-        owd_us = int(owd_ms * US_PER_MS)
-        queue_bytes = int(capacity * queue_ms / 1000 / 8)
-        for name, value, ok in (("capacity_mbps", capacity_mbps, capacity > 0),
-                                ("owd_ms", owd_ms, owd_us >= 0),
-                                ("queue_ms", queue_ms, queue_bytes > 0)):
-            if not ok:  # it rounds to nothing, or is negative
-                raise ValueError(f"{name} is too small, got {value!r}")
-        return cls(capacity, owd_us, queue_bytes)
-
 
 def _whole(value) -> int | None:
     """value as an int when it is a finite whole number (not a bool), else None."""
@@ -161,8 +142,8 @@ class TraceSchedule:
     The entries are kept as one step table, ``bounds`` = [0] + the
     timestamps after the first + [period_us]: step i plays rates[i] over
     [bounds[i], bounds[i + 1]) of each period, so the first rate also
-    plays before the first timestamp.  A one-entry trace has period_us 0
-    (bounds [0, 0]) and plays its rate forever.
+    plays before the first timestamp.  A one-entry trace has an unbounded
+    period, period_us = bounds[-1] = 1 << 62, so it plays its rate forever.
 
     capacity_at keeps the step it last answered from, as absolute
     [start, end) bounds and a rate, and answers from it while the query
@@ -197,12 +178,9 @@ class TraceSchedule:
         if not times:
             raise ValueError("trace must have at least one entry")
         self.rates = rates
-        self.period_us = times[-1] + (times[-1] - times[-2]) if len(times) > 1 else 0
+        self.period_us = times[-1] + (times[-1] - times[-2]) if len(times) > 1 else _FOREVER
         self.bounds = [0] + times[1:] + [self.period_us]
-        if self.period_us:
-            self._step_start = self._step_end = 0   # no step remembered yet
-        else:
-            self._step_start, self._step_end = -_FOREVER, _FOREVER
+        self._step_start = self._step_end = 0   # no step remembered yet
         self._step_rate = rates[0]
 
     def capacity_at(self, t_us: int) -> int:
@@ -222,7 +200,7 @@ class TraceSchedule:
         """Time-weighted mean capacity over [start_us, end_us)."""
         if end_us <= start_us:
             raise ValueError("empty interval")
-        total = 0.0
+        total = 0
         t = start_us
         while t < end_us:
             cap = self.capacity_at(t)
@@ -233,11 +211,7 @@ class TraceSchedule:
 
     def overall_mean(self) -> float:
         """Mean capacity over one period (the constant rate of a one-entry trace)."""
-        if not self.period_us:
-            return float(self.rates[0])
-        bounds = self.bounds
-        total = sum(r * (b - a) for r, a, b in zip(self.rates, bounds, bounds[1:]))
-        return total / self.period_us
+        return self.mean_capacity(0, self.period_us)
 
 
 SYNTHETIC_TRACE_S = 120
@@ -379,7 +353,10 @@ def build_network(loop: EventLoop, links, flows, candidates: dict) -> Network:
 
 
 def _read_link(spec: dict, i: int) -> tuple:
-    """Link row from the spec ``links[i]``; each error names its field as ``links[i].<field>``."""
+    """Link row from the spec ``links[i]``, a table-style (BW, OWD, Q) row:
+    capacity_mbps in Mbit/s, owd_ms in ms, and queue_ms in ms of traffic at
+    that capacity (queue bytes = capacity x queue time).  Each error names
+    its field as ``links[i].<field>``."""
     fields = ("id", "capacity_mbps", "owd_ms", "queue_ms")
     for field in fields:
         if field not in spec:
@@ -389,11 +366,18 @@ def _read_link(spec: dict, i: int) -> tuple:
             raise ValueError(f"links[{i}].{key}: a link does not read this key")
     if not isinstance(spec["id"], str):
         raise ValueError(f"links[{i}].id must be a str, got {spec['id']!r}")
-    try:
-        cfg = LinkConfig.from_mbps_ms(spec["capacity_mbps"], spec["owd_ms"], spec["queue_ms"])
-    except ValueError as exc:  # its message starts with the argument's name
-        raise ValueError(f"links[{i}].{exc}") from None
-    return spec["id"], cfg, None
+    for field in fields[1:]:
+        value = spec[field]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValueError(f"links[{i}].{field} must be a finite number, got {value!r}")
+    capacity = int(spec["capacity_mbps"] * 1e6)
+    owd_us = int(spec["owd_ms"] * US_PER_MS)
+    queue_bytes = int(capacity * spec["queue_ms"] / 1000 / 8)
+    for field, ok in zip(fields[1:], (capacity > 0, owd_us >= 0, queue_bytes > 0)):
+        if not ok:  # it rounds to nothing, or is negative
+            raise ValueError(f"links[{i}].{field} is too small, got {spec[field]!r}")
+    return spec["id"], LinkConfig(capacity, owd_us, queue_bytes), None
 
 
 RELAY_LINK_BPS = 100_000_000

@@ -12,16 +12,12 @@ from bisect import bisect_right
 
 
 def capacity_at(trace, t_us: int) -> int:
-    if not trace.period_us:
-        return trace.rates[0]
     i = bisect_right(trace.bounds, t_us % trace.period_us) - 1
     return trace.rates[i]
 
 
 def next_change(trace, t_us: int) -> int:
     """Start of the step after the one holding t_us."""
-    if not trace.period_us:
-        return 1 << 62
     cycle, local = divmod(t_us, trace.period_us)
     i = bisect_right(trace.bounds, local)
     return cycle * trace.period_us + trace.bounds[i]
@@ -39,6 +35,4 @@ def mean_capacity(trace, start_us: int, end_us: int) -> float:
 
 
 def overall_mean(trace) -> float:
-    if not trace.period_us:
-        return float(trace.rates[0])
     return mean_capacity(trace, 0, trace.period_us)

@@ -19,12 +19,13 @@ from test_session import collapse_traces
 
 US_PER_S = 1_000_000
 
-# Calls per data packet on Python 3.11, which counts highest: 20.6 and 41.8
+# Calls per data packet on Python 3.11, which counts highest: 20.6 and 40.6
 # when the bounds were set, against 36.2 and 58.4 with a helper call per step
-# and a pump that asked twice, and 42.8 on the overlay with a method call
-# that worked out each entry's resend deadline again at every check.
+# and a pump that asked twice, 42.8 on the overlay with a method call that
+# worked out each entry's resend deadline again at every check, and 41.7
+# with a method call per segment assigned.
 CAPPED_FLOW_BOUND = 21.0
-OVERLAY_BOUND = 42.5
+OVERLAY_BOUND = 41.5
 
 
 def calls_while_running(loop, until: int) -> int:

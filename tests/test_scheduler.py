@@ -436,6 +436,9 @@ def edge_case(*ops):
 @given(st.lists(STEP, min_size=20, max_size=50))
 # A delta segment lost when its age is exactly RETENTION_US is resent.
 @example(edge_case(("frame", None), ("send", None), ("loss", 0)))
+# A delta segment whose resend is due exactly RETENTION_US after its first
+# send is sent again.
+@example(edge_case(("frame", None), ("send", None), ("loss", None), ("send", 0)))
 # A stale resend acked while queued is evicted but not reported.
 @example(edge_case(("frame", None), ("send", None), ("loss", None), ("late ack", None),
                    ("evict", 1)))
