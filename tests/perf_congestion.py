@@ -18,6 +18,7 @@ from mprtc.congestion import RtcBbrController
 from mprtc.session import CappedFlow, PathConnection
 from mprtc.simnet import EventLoop, PathDef, US_PER_S, build_topology
 from mprtc.transport import MSS, PAYLOAD_BUDGET, SendManager, StreamFrame
+from test_transport import NullLink
 
 ROUNDS = 200
 PACED = 60
@@ -55,13 +56,6 @@ def feed(cc, stream):
     for sample, now in stream:
         on_sample(sample, now)
     return cc
-
-
-class NullLink:
-    owd_us = 0
-
-    def enqueue(self, packet):
-        pass
 
 
 def fresh_connection():

@@ -17,14 +17,12 @@ from mprtc.congestion import (
     CONTROLLERS,
     DRAIN,
     DRAIN_GAIN,
-    GAIN_CYCLE_LEN,
     INITIAL_BW_BPS,
     PROBE_BW,
     PROBE_RTT,
     PROBE_RTT_CWND,
     RtcBbrController,
     STARTUP,
-    STARTUP_GAIN,
     STOCK_GAIN_CYCLE,
     WindowedMaxFilter,
 )

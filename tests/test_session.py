@@ -28,7 +28,7 @@ from mprtc.session import CappedFlow, PathConnection, VideoSession
 from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
 import reference_scheduler
 from reference_bbr import ReferenceBbrController
-from reference_transport import ReferenceSendManager, pacer_next_send_time
+from reference_transport import ReferenceSendManager
 from test_simnet import RTT_CASE3_LINKS
 
 US_PER_S = 1_000_000
@@ -471,29 +471,6 @@ def test_session_started_in_the_past_is_left_unstarted():
         session.start(10)
     assert loop.pending() == 0
     assert all(conn.cc.pause_started is None for conn in session.paths.values())
-
-
-class NullLink:
-    owd_us = 0
-
-    def enqueue(self, packet):
-        pass
-
-
-@settings(max_examples=300, deadline=None)
-@given(now=st.integers(0, 10**12), size=st.integers(1, transport.MSS),
-       rate=st.floats(1, 1e18),
-       cap=st.one_of(st.just(float("inf")), st.floats(1, 1e18)))
-def test_data_send_moves_the_pacer_past_now(now, size, rate, cap):
-    """PathConnection.send leaves next_send_ts after now, at the pacer time
-    of its clamped rate: the one-send-per-pump rule of both pumps rests on it."""
-    loop = EventLoop()
-    conn = PathConnection(loop, random.Random(1), simnet.PathDef(0, (NullLink(),)),
-                          "rtc-bbr", 0, None, rate_cap_bps=cap)
-    conn.cc.pacing_rate = rate
-    conn.send(transport.StreamFrame(size, 0, now, 1, 0, False), size, now, False)
-    assert conn.next_send_ts == pacer_next_send_time(now, size, min(rate, cap))
-    assert conn.next_send_ts > now
 
 
 def test_variant_validation():

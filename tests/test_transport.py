@@ -1,11 +1,12 @@
 import dataclasses
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mprtc.session import PathConnection
-from mprtc.simnet import EventLoop, Link, LinkConfig, PathDef, US_PER_MS, US_PER_S
+from mprtc.simnet import EventLoop, Link, LinkConfig, PathDef, US_PER_S
 from mprtc.transport import (
     ACK_RANGES_MAX,
     AckFrame,
@@ -87,11 +88,18 @@ def test_simulated_packet_sizes_are_encoded_sizes(frame):
 
 # --- pacer ------------------------------------------------------------------
 
-def paced(now, size, rate):
+class NullLink:
+    owd_us = 0
+
+    def enqueue(self, packet):
+        pass
+
+
+def paced(now, size, rate, cap=math.inf):
     """next_send_ts after PathConnection.send sends size bytes at now while
-    its controller paces at rate."""
+    its controller paces at rate and the connection is capped at cap."""
     conn = PathConnection(EventLoop(), random.Random(1), PathDef(0, (NullLink(),)),
-                          "rtc-bbr", 0, None)
+                          "rtc-bbr", 0, None, rate_cap_bps=cap)
     conn.cc.pacing_rate = rate
     conn.send(StreamFrame(size, 0, now, 1, 0, False), size, now, False)
     return conn.next_send_ts
@@ -111,15 +119,19 @@ def test_pacer_rounds_up_to_clock_grain():
 
 
 @settings(max_examples=500, deadline=None)
-@given(t=st.integers(0, 2**62), size=st.integers(1, 10**6),
-       rate=st.one_of(st.floats(1, 1e18), st.integers(1, 10**18)))
-@example(t=0, size=1, rate=1e18)
-@example(t=2**62, size=1, rate=10**18)
-def test_pacer_moves_past_now_for_every_positive_size(t, size, rate):
-    """Any positive gap rounds up to at least one microsecond, so a pump
-    that has just sent can arm its timer at the pacer time without asking
-    the pacer again."""
-    assert paced(t, size, rate) > t
+@given(now=st.integers(0, 2**62), size=st.integers(1, 10**6),
+       rate=st.one_of(st.floats(1, 1e18), st.integers(1, 10**18)),
+       cap=st.one_of(st.just(math.inf), st.floats(1, 1e18)))
+@example(now=0, size=1, rate=1e18, cap=math.inf)
+@example(now=2**62, size=1, rate=10**18, cap=math.inf)
+def test_pacer_moves_past_now_for_every_positive_size(now, size, rate, cap):
+    """PathConnection.send leaves next_send_ts at the pacer time of its
+    rate clamped to the cap, and any positive gap rounds up to at least one
+    microsecond, so a pump that has just sent can arm its timer at the
+    pacer time without asking the pacer again."""
+    next_send_ts = paced(now, size, rate, cap)
+    assert next_send_ts == pacer_next_send_time(now, size, min(rate, cap))
+    assert next_send_ts > now
 
 
 # --- send/receive managers --------------------------------------------------
@@ -397,18 +409,22 @@ def test_ack_ranges_are_capped_at_the_highest():
 
 
 def test_pacing_byte_budget_property():
-    # bytes sent in [t, t+w] never exceed rate*w/8 + one MSS
-    loop, link, sm, rx = make_pair()
+    """A PathConnection paced at a fixed 2 Mbit/s, sending at each
+    next_send_ts, never puts more than rate * 100 ms / 8 plus one MSS on
+    the wire in any 100 ms window."""
+    loop = EventLoop()
+    link = Link(loop, LinkConfig(9_600_000, 10_000, 1_000_000))
+    conn = PathConnection(loop, random.Random(1), PathDef(0, (link,)), "rtc-bbr", 0,
+                          lambda conn, ack: None)
     rate = 2_000_000
+    conn.cc.pacing_rate = rate  # no ack reaches the controller to move it
     sent_log = []
 
     def send_loop():
-        s = seg()
-        pkt = sm.send_segment(s, MSS, loop.now, False)
-        sent_log.append((loop.now, pkt.size))
+        conn.send(seg(), MSS, loop.now, False)
+        sent_log.append((loop.now, MSS))
         if loop.now < 500_000:
-            nxt = pacer_next_send_time(loop.now, pkt.size, rate)
-            loop.schedule(nxt, send_loop)
+            loop.schedule(conn.next_send_ts, send_loop)
 
     send_loop()
     loop.run(US_PER_S)
@@ -418,17 +434,10 @@ def test_pacing_byte_budget_property():
             if t - t0 > 100_000:
                 break
             acc += size
-        assert acc <= rate * 100_000 / 8 / US_PER_S + 1200
+        assert acc <= rate * 100_000 / 8 / US_PER_S + MSS
 
 
 # --- settling acks and loss timers -------------------------------------------
-
-class NullLink:
-    owd_us = 0
-
-    def enqueue(self, packet):
-        pass
-
 
 def primed_sender():
     """A sender with srtt 20 ms, nothing outstanding and the clock at 20 ms;
