@@ -97,15 +97,16 @@ class CappedFlow(PathConnection):
     sends whenever pacer and cwnd allow.
 
     The pacing rate is min(controller rate, rate_cap_bps), modeling an
-    application that never offers more than the cap.  Lost packets are not
-    retransmitted; the receiver-side byte count is the throughput measure.
-    A segment's frame index is its packet's send count.
+    application that never offers more than the cap; ``math.inf`` leaves
+    the flow uncapped.  Lost packets are not retransmitted; the
+    receiver-side byte count is the throughput measure.  A segment's frame
+    index is its packet's send count.
     """
 
     __slots__ = ("start_ts", "_pump_timer")
 
     def __init__(self, loop, rng, path, *, variant: str = "rtc-bbr",
-                 conn_id: int = 0, rate_cap_bps: int, start_ts: int = 0):
+                 conn_id: int = 0, rate_cap_bps: float, start_ts: int = 0):
         super().__init__(loop, rng, path, variant, conn_id, self._deliver_ack,
                          rate_cap_bps=rate_cap_bps)
         _check_time("start_ts", start_ts)

@@ -145,13 +145,11 @@ class TraceSchedule:
     plays before the first timestamp.  A one-entry trace has an unbounded
     period, period_us = bounds[-1] = 1 << 62, so it plays its rate forever.
 
-    capacity_at keeps the step it last answered from, as absolute
-    [start, end) bounds and a rate, and answers from it while the query
-    time stays inside; callers ask about nondecreasing times, so most
-    queries skip the lookup.
+    A trace is read-only once built, so links and policies can share one.
+    step_at answers each query afresh; a Link keeps the step it is serving.
     """
 
-    __slots__ = ("bounds", "rates", "period_us", "_step_start", "_step_end", "_step_rate")
+    __slots__ = ("bounds", "rates", "period_us")
 
     def __init__(self, entries) -> None:
         if not isinstance(entries, Iterable):
@@ -180,21 +178,12 @@ class TraceSchedule:
         self.rates = rates
         self.period_us = times[-1] + (times[-1] - times[-2]) if len(times) > 1 else _FOREVER
         self.bounds = [0] + times[1:] + [self.period_us]
-        self._step_start = self._step_end = 0   # no step remembered yet
-        self._step_rate = rates[0]
 
-    def capacity_at(self, t_us: int) -> int:
-        if self._step_start <= t_us < self._step_end:
-            return self._step_rate
-        period = self.period_us
-        cycle, local = divmod(t_us, period)
-        bounds = self.bounds
-        i = bisect_right(bounds, local) - 1
-        base = cycle * period
-        self._step_start = base + bounds[i]
-        self._step_end = base + bounds[i + 1]
-        self._step_rate = self.rates[i]
-        return self._step_rate
+    def step_at(self, t_us: int) -> tuple[int, int]:
+        """(rate playing at t_us, absolute time its step ends)."""
+        cycle, local = divmod(t_us, self.period_us)
+        i = bisect_right(self.bounds, local)
+        return self.rates[i - 1], cycle * self.period_us + self.bounds[i]
 
     def mean_capacity(self, start_us: int, end_us: int) -> float:
         """Time-weighted mean capacity over [start_us, end_us)."""
@@ -203,8 +192,8 @@ class TraceSchedule:
         total = 0
         t = start_us
         while t < end_us:
-            cap = self.capacity_at(t)
-            step_end = min(self._step_end, end_us)
+            cap, step_end = self.step_at(t)
+            step_end = min(step_end, end_us)
             total += cap * (step_end - t)
             t = step_end
         return total / (end_us - start_us)
@@ -241,7 +230,12 @@ class Link:
     """Store-and-forward link: droptail queue, serialization, propagation.
 
     A packet's serialization time is fixed when its transmission starts,
-    using the trace capacity at that instant for trace-driven links.
+    at ``capacity``, the rate of the step in effect until ``rate_until``.
+    A service start at or after ``rate_until`` first reads the step playing
+    then from the trace; service starts never go back in time, so the step
+    kept is the one playing.  A fixed-rate link keeps its configured rate
+    (``rate_until`` is _FOREVER), and a trace-driven link starts with
+    ``rate_until`` 0, so its first service reads its trace.
 
     Service starts in ``enqueue`` when the link was idle and in ``_depart``
     when a packet waits; each works the serialization time out in place,
@@ -256,7 +250,7 @@ class Link:
 
     __slots__ = (
         "loop", "capacity", "owd_us", "queue", "occupancy", "queue_capacity",
-        "trace", "sent", "delivered", "dropped",
+        "trace", "rate_until", "sent", "delivered", "dropped",
     )
 
     def __init__(self, loop: EventLoop, config: LinkConfig,
@@ -268,6 +262,7 @@ class Link:
         self.occupancy = 0          # bytes queued, the packet in service included
         self.queue_capacity = config.queue_capacity
         self.trace = trace
+        self.rate_until = _FOREVER if trace is None else 0
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -285,8 +280,9 @@ class Link:
         if len(queue) == 1:
             loop = self.loop
             now = loop.now
-            trace = self.trace
-            cap = self.capacity if trace is None else trace.capacity_at(now)
+            if now >= self.rate_until:
+                self.capacity, self.rate_until = self.trace.step_at(now)
+            cap = self.capacity
             loop.schedule(now + (packet.size * 8 * US_PER_S + cap - 1) // cap, self._depart)
 
     def _depart(self) -> None:
@@ -305,8 +301,9 @@ class Link:
             loop.schedule(arrival, packet.sink, packet, arrival)
         if queue:  # the next packet's service starts now
             packet = queue[0]
-            trace = self.trace
-            cap = self.capacity if trace is None else trace.capacity_at(now)
+            if now >= self.rate_until:
+                self.capacity, self.rate_until = self.trace.step_at(now)
+            cap = self.capacity
             loop.schedule(now + (packet.size * 8 * US_PER_S + cap - 1) // cap, self._depart)
 
 

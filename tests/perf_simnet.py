@@ -5,7 +5,7 @@
 The file name does not match test_*.py, so the plain test run does not
 collect it.  Each round builds a fresh loop (and link) in its untimed
 set-up.  The link is trace-driven like the overlay workloads' access links,
-so every service start also looks up the trace.
+so a service start past the end of the link's step also reads the trace.
 """
 
 import random
@@ -54,9 +54,9 @@ def lookups():
 
 
 def look_up_all(trace, times):
-    capacity_at = trace.capacity_at
+    step_at = trace.step_at
     for t in times:
-        capacity_at(t)
+        step_at(t)
 
 
 def noop():
@@ -88,5 +88,5 @@ def test_link_burst_of_1000(benchmark):
     assert link.delivered == BURST
 
 
-def test_trace_capacity_at_1000(benchmark):
+def test_trace_step_at_1000(benchmark):
     benchmark.pedantic(look_up_all, setup=lookups, rounds=ROUNDS)

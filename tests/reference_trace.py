@@ -1,11 +1,10 @@
 """Reference trace lookups: a fresh modulo-plus-bisect search on every query.
 
-TraceSchedule.capacity_at answers from the step it last returned.  These
-functions read only a trace's ``bounds``, ``rates`` and ``period_us`` and
-keep no state, and overall_mean walks one period step by step, so the
-simnet tests require the schedule to give the same answers as they do.
-test_step_table_follows_from_the_entries checks that table against the
-entries it was built from.
+These functions read only a trace's ``bounds``, ``rates`` and
+``period_us`` and keep no state, and overall_mean walks one period step by
+step, so the simnet tests require the schedule to give the same answers as
+they do.  test_step_table_follows_from_the_entries checks that table
+against the entries it was built from.
 """
 
 from bisect import bisect_right

@@ -366,7 +366,7 @@ def test_oracle_picks_the_larger_mean_over_the_slot():
     falling = trace_path(4, [(0, 5_000_000), (100_000, 1_000_000), (1_000_000, 5_000_000)])
     oracle = OraclePolicy({0: [trace_path(1, [(0, 2_000_000)]), rising],
                            1: [trace_path(3, [(0, 2_000_000)]), falling]})
-    assert rising.trace.capacity_at(0) < 2_000_000 < falling.trace.capacity_at(0)
+    assert rising.trace.step_at(0)[0] < 2_000_000 < falling.trace.step_at(0)[0]
     assert rising.trace.mean_capacity(0, SLOT_US) == pytest.approx(2_600_000)
     assert falling.trace.mean_capacity(0, SLOT_US) == pytest.approx(1_400_000)
     assert oracle.decide(0) == {0: 2, 1: 3}

@@ -7,7 +7,7 @@ Congestion-Based Congestion Control", ACM Queue 2016), with margins taken
 from today's values, so they hold across a re-pin and fail when the
 controller stops behaving like BBR.
 
-Three scenarios, each run for 30 s:
+Four scenarios, each run for 30 s:
 - one saturating ``CappedFlow`` alone on a 10 Mbit/s link with a 20 ms
   one-way delay and a 100 ms queue, measured from 5 s on, past StartUp and
   Drain.  Its rate cap is 100 Mbit/s, well above the link: capped at the
@@ -16,7 +16,9 @@ Three scenarios, each run for 30 s:
 - two such flows on that link, the second started at 5 s, measured from
   15 s on;
 - two uncapped flows on the rtt-unfairness topology, at 40 ms and 80 ms
-  round trips through one 4 Mbit/s link, measured from 10 s on.
+  round trips through one 4 Mbit/s link, measured from 10 s on;
+- a ucb video session on the multipath overlay, each path's trace one
+  constant rate, measured from 10 s on.
 """
 
 import functools
@@ -27,9 +29,10 @@ import statistics
 import pytest
 
 from mprtc.congestion import PROBE_RTT
-from mprtc.session import CappedFlow
-from mprtc.simnet import EventLoop, US_PER_S, build_topology
+from mprtc.session import CappedFlow, VideoSession
+from mprtc.simnet import EventLoop, TraceSchedule, US_PER_S, build_topology
 from mprtc.transport import MSS
+from mprtc.videomodel import RATE_CAP_BPS
 
 LINK_BPS = 10_000_000   # the link below, as build_topology reads it
 OWD_US = 20_000
@@ -164,3 +167,37 @@ def test_rtc_bbr_shares_with_a_flow_of_twice_its_rtt(seed):
     assert rtc > 0.3, rtc
     assert stock < 0.2, stock
     assert rtc > stock, (rtc, stock)
+
+
+# Each path's constant rate, in path order: P0 direct, P0 relay, P1 direct,
+# P1 relay.  In case B subflow 1's relay is its faster path.
+OVERLAY_RATES = {"A": (3_000_000, 1_000_000, 2_000_000, 1_500_000),
+                 "B": (1_500_000, 800_000, 600_000, 1_200_000)}
+
+
+def overlay_share(rates, seed: int) -> float:
+    """Payload of the frames a ucb session releases over [10 s, 30 s], as a
+    share of min(sum over subflows of its faster path's rate, RATE_CAP_BPS),
+    what the session could deliver from each subflow's best candidate."""
+    loop = EventLoop()
+    rng = random.Random(seed)
+    net = build_topology(loop, {"topology": "multipath-overlay"}, rng=rng,
+                         traces=[TraceSchedule([(0, bps)]) for bps in rates])
+    session = VideoSession(loop, rng, net.candidates)
+    session.start(0)
+    loop.run(RUN_US)
+    measured_from_us = 10 * US_PER_S
+    payload = sum(frame.size for frame in session.sink.delivered
+                  if frame.delivered_ts >= measured_from_us)
+    capacity = min(max(rates[:2]) + max(rates[2:]), RATE_CAP_BPS)
+    return payload * 8 * US_PER_S / (RUN_US - measured_from_us) / capacity
+
+
+@pytest.mark.parametrize("case", sorted(OVERLAY_RATES))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_an_overlay_session_delivers_its_share(case, seed):
+    """The bandit finds each subflow's faster path and the encoder fills
+    it: at least 0.8 of the capacity figure, 0.998-1.000 in case A and
+    0.909-0.934 in case B today."""
+    share = overlay_share(OVERLAY_RATES[case], seed)
+    assert share >= 0.8, share

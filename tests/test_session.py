@@ -27,6 +27,7 @@ from mprtc.scheduler import DECISION_LOG_LEN, wire_size
 from mprtc.session import CappedFlow, PathConnection, VideoSession
 from mprtc.simnet import EventLoop, TraceSchedule, build_topology, synthetic_trace_pool
 import reference_scheduler
+import reference_trace
 from reference_bbr import ReferenceBbrController
 from reference_transport import ReferenceSendManager
 from test_simnet import RTT_CASE3_LINKS
@@ -39,6 +40,11 @@ COLLAPSE_PIN = "3393726e249d50b14a0c788ed3abab6ef67f5d0eae73767b748a59052447d908
 DUMBBELL_PIN = "bbfc5a1ff522a87e636dd91250861f5d80fe1f45bf3bb5172587750e707cfd6a"
 STOCK_BBR_PIN = "13cddec9e4ca449f89ec76de391249e1f32ccedacc7f8bc212e12066bcad2532"
 RTT_UNFAIRNESS_PIN = "efcbfd97639ff5b8350f1247cc296a40e9bb5f91f8cc67c252726f94337d31c2"
+# The collapse scenario's first 15 s under each scheme but ucb.
+SCHEME_PINS = {
+    "default": "c884f2b345ff632b714a9a8337505649fa1921082fb25ad31eccd9e9f87d67a4",
+    "oracle": "cb44a6eec4eb30e5b08f31582266661f18c868083df7a09edf25a7566a93accb",
+}
 
 
 def sha256_of(value) -> str:
@@ -287,8 +293,12 @@ def reference_stack():
     """Build every session and flow made inside it from the oracles in tests/:
     the send manager and the scheduler that mprtc.session names, and for
     each variant in CONTROLLERS the reference controller of that variant.
-    A MonkeyPatch context of its own, so a Hypothesis example can use it."""
+    Every trace answers step_at from reference_trace's lookups, so each
+    trace-driven link and the oracle policy read the reference steps.  A
+    MonkeyPatch context of its own, so a Hypothesis example can use it."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet.TraceSchedule, "step_at", lambda self, t: (
+            reference_trace.capacity_at(self, t), reference_trace.next_change(self, t)))
         patch.setattr(session_module, "SendManager", ReferenceSendManager)
         patch.setattr(session_module, "Scheduler", reference_scheduler.Scheduler)
         for variant in CONTROLLERS:
@@ -300,13 +310,16 @@ def reference_stack():
 def test_reference_stack_reproduces_the_pins():
     """On the reference stack every session and flow gives the pinned
     digests: each fast path agrees with its oracle end to end, not only
-    unit by unit."""
+    unit by unit.  The oracle scheme's pin covers the oracle policy's trace
+    reads."""
     with reference_stack():
         test_overlay_ucb_pinned()
         test_overlay_collapse_pinned()
         test_dumbbell_pinned()
         test_rtt_unfairness_pinned()
         test_stock_bbr_dumbbell_pinned()
+        for scheme in SCHEME_PINS:
+            test_other_schemes_keep_invariants(scheme)
 
 
 def test_earlier_pump_timer_replaces_later_one():
@@ -394,15 +407,12 @@ def test_collapse_with_queues_not_from_trace_means_keeps_invariants(monkeypatch,
         overlay_digest(session)
 
 
-@pytest.mark.parametrize("scheme, pin", [
-    ("default", "c884f2b345ff632b714a9a8337505649fa1921082fb25ad31eccd9e9f87d67a4"),
-    ("oracle", "cb44a6eec4eb30e5b08f31582266661f18c868083df7a09edf25a7566a93accb"),
-], ids=["default", "oracle"])
-def test_other_schemes_keep_invariants(scheme, pin):
+@pytest.mark.parametrize("scheme", list(SCHEME_PINS))
+def test_other_schemes_keep_invariants(scheme):
     session = run_overlay(collapse_traces(), seed=5, sim_s=15, scheme=scheme)
     assert_overlay_invariants(session)
     assert len(session.sink.delivered) > 0
-    assert overlay_digest(session) == pin
+    assert overlay_digest(session) == SCHEME_PINS[scheme]
 
 
 def test_wire_size_computed_once_per_segment(monkeypatch):

@@ -415,14 +415,15 @@ def test_step_table_of_fixed_entries(entries, bounds):
 @example(entries=[(3_000, 5_000_000), (4_000, 7_000_000), (6_000, 2_000_000)],
          queries=[0, 2_999, 3_000, 3_999, 4_000, 7_999, 8_000, 8_001, 10_999, 11_000,
                   11_999, 12_000, 16_000])
-def test_capacity_at_matches_reference_lookup(entries, queries):
+def test_step_at_matches_reference_lookup(entries, queries):
     trace = TraceSchedule(entries)
     period = trace.period_us
     # Each step's first and last microsecond, and the wrap, over three periods.
     edges = [cycle * period + t + d for cycle in range(3)
              for t in trace.bounds[:-1] + [period] for d in (-1, 0, 1)]
     for t in queries + edges + sorted(queries) + edges[::-1]:
-        assert trace.capacity_at(t) == reference_trace.capacity_at(trace, t), t
+        assert trace.step_at(t) == (reference_trace.capacity_at(trace, t),
+                                    reference_trace.next_change(trace, t)), t
 
 
 @settings(max_examples=200, deadline=None)
@@ -450,9 +451,13 @@ def test_pool_trace_means_match_reference_walk():
                               st.lists(st.integers(1, 1500), max_size=5)),
                     max_size=25),
 )
+# The second packet's service starts the microsecond the first step ends, on
+# a link that kept that step from its first packet.
+@example(entries=[(0, 8_000_000), (1_000, 1_000_000)], owd_us=0,
+         bursts=[(0, False, [1_000]), (1_000, False, [1_000])])
 def test_links_sharing_a_trace_match_reference_lookup(entries, owd_us, bursts):
-    # Two links query one schedule at interleaved times, so its remembered
-    # step keeps moving between them.
+    # Two links read one schedule at interleaved times; each keeps the step
+    # it is serving, and the schedule itself stays unchanged.
     trace = TraceSchedule(entries)
     loop = EventLoop()
     links = [Link(loop, LinkConfig(1, owd_us, 6_000), trace=trace) for _ in range(2)]
@@ -508,15 +513,15 @@ def test_trace_stores_whole_floats_as_ints():
 
 def test_trace_step_function():
     trace = TraceSchedule([(0, 3_000_000), (1_000_000, 5_000_000)])
-    assert trace.capacity_at(0) == 3_000_000
-    assert trace.capacity_at(999_999) == 3_000_000
-    assert trace.capacity_at(1_000_000) == 5_000_000
+    assert trace.step_at(0)[0] == 3_000_000
+    assert trace.step_at(999_999)[0] == 3_000_000
+    assert trace.step_at(1_000_000)[0] == 5_000_000
 
 
 def test_single_entry_trace_constant_forever():
     trace = TraceSchedule([(0, 2_500_000)])
-    assert trace.capacity_at(0) == 2_500_000
-    assert trace.capacity_at(10**9) == 2_500_000
+    assert trace.step_at(0)[0] == 2_500_000
+    assert trace.step_at(10**9)[0] == 2_500_000
 
 
 def test_trace_wraps_when_exhausted():
@@ -524,8 +529,8 @@ def test_trace_wraps_when_exhausted():
     entries = [(i * US_PER_S, 1_000_000 + i) for i in range(300)]
     trace = TraceSchedule(entries)
     assert trace.period_us == 300 * US_PER_S
-    assert trace.capacity_at(301 * US_PER_S) == trace.capacity_at(1 * US_PER_S)
-    assert trace.capacity_at(300 * US_PER_S) == trace.capacity_at(0)
+    assert trace.step_at(301 * US_PER_S)[0] == trace.step_at(1 * US_PER_S)[0]
+    assert trace.step_at(300 * US_PER_S)[0] == trace.step_at(0)[0]
 
 
 def test_trace_mean_capacity_time_weighted():
